@@ -6,12 +6,14 @@ normal.  A postulated channel with inverse noise variance xi and its own
 input law induces the posterior mean ("decision function") q1/q0 and the
 retrochannel.  Because the laws are finite Gaussian mixtures, the output
 density, the posterior mean, and the posterior variance are all closed
-forms, and every expectation reduces to 1-D integrals against Gaussian
-mixture components, evaluated by per-component Gauss-Hermite quadrature.
+forms.  Every expectation over the true channel is a 1-D integral against
+each Gaussian output component; ``channel_moments`` evaluates all of them in
+one Gauss-Hermite pass over every component at once.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,21 +101,18 @@ def _mixture_stats(law: ConditionalInputLaw, s: float, tau: float) -> _MixtureSt
     )
 
 
-def _log_density(stats: _MixtureStats, u: np.ndarray) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    z = (u[..., None] - stats.out_mean) ** 2 / stats.out_var
-    logs = stats.log_w - 0.5 * (_LOG_2PI + np.log(stats.out_var)) - 0.5 * z
-    m = logs.max(axis=-1, keepdims=True)
-    return (m[..., 0] + np.log(np.exp(logs - m).sum(axis=-1))).reshape(np.shape(u))
-
-
-def _posterior_weights(stats: _MixtureStats, u: np.ndarray) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    z = (u[..., None] - stats.out_mean) ** 2 / stats.out_var
-    logs = stats.log_w - 0.5 * np.log(stats.out_var) - 0.5 * z
-    logs -= logs.max(axis=-1, keepdims=True)
-    p = np.exp(logs)
-    return p / p.sum(axis=-1, keepdims=True)
+def _posterior(stats: _MixtureStats, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log q0(u), and the posterior mean and variance of X given U = u, elementwise in u."""
+    d = u[..., None] - stats.out_mean
+    logs = stats.log_w - 0.5 * (_LOG_2PI + np.log(stats.out_var)) - 0.5 * d * d / stats.out_var
+    top = logs.max(axis=-1, keepdims=True)
+    p = np.exp(logs - top)
+    total = p.sum(axis=-1, keepdims=True)
+    p /= total
+    means = stats.cond_slope * u[..., None] + stats.cond_off
+    m1 = (p * means).sum(axis=-1)
+    m2 = (p * (means**2 + stats.cond_var)).sum(axis=-1)
+    return (top + np.log(total))[..., 0], m1, m2 - m1**2
 
 
 def output_density(ch: ScalarChannel, u, which: str = "true") -> np.ndarray | float:
@@ -124,26 +123,15 @@ def output_density(ch: ScalarChannel, u, which: str = "true") -> np.ndarray | fl
         stats = _mixture_stats(ch.postulated_law, ch.s, ch.xi)
     else:
         raise ValueError("which must be 'true' or 'postulated'")
-    out = np.exp(_log_density(stats, u))
+    out = np.exp(_posterior(stats, np.asarray(u, dtype=float))[0])
     return float(out) if np.isscalar(u) else out
 
 
 def posterior_mean(ch: ScalarChannel, u) -> np.ndarray | float:
     """Decision function q1/q0 of the postulated channel at output u."""
     stats = _mixture_stats(ch.postulated_law, ch.s, ch.xi)
-    uu = np.atleast_1d(np.asarray(u, dtype=float))
-    p = _posterior_weights(stats, uu)
-    means = stats.cond_slope * uu[..., None] + stats.cond_off
-    out = (p * means).sum(axis=-1)
-    return float(out[0]) if np.isscalar(u) else out
-
-
-def _posterior_mean_var(stats: _MixtureStats, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = _posterior_weights(stats, u)
-    means = stats.cond_slope * u[..., None] + stats.cond_off
-    m1 = (p * means).sum(axis=-1)
-    m2 = (p * (means**2 + stats.cond_var)).sum(axis=-1)
-    return m1, m2 - m1**2
+    out = _posterior(stats, np.asarray(u, dtype=float))[1]
+    return float(out) if np.isscalar(u) else out
 
 
 @lru_cache(maxsize=32)
@@ -152,94 +140,95 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w / np.sqrt(np.pi)
 
 
-def _component_integral(fn, mean: float, var: float, nodes: int) -> float:
-    t, w = _hermgauss(nodes)
-    return float(w @ fn(mean + np.sqrt(2.0 * var) * t))
+# mixture_expectation keeps its (fn, stats) signature, which tracing wraps,
+# so the node count it converged at is reported here; per thread, because
+# the CLI solves sweep rows on a thread pool.
+class _NodePeak(threading.local):
+    nodes = 0
 
 
-def mixture_expectation(fn, stats: _MixtureStats) -> float:
-    """E[fn(U)] for U ~ the mixture, by adaptive per-component Gauss-Hermite.
+_PEAK = _NodePeak()
 
-    Starts at 64 nodes and doubles until two successive estimates agree to
-    1e-9 in absolute terms.
+
+def take_peak_nodes() -> int:
+    """Largest node count mixture_expectation converged at on this thread since the last call."""
+    peak, _PEAK.nodes = _PEAK.nodes, 0
+    return peak
+
+
+def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
+    """E[fn(U)] for U ~ the mixture, by Gauss-Hermite over all components at once.
+
+    ``fn`` receives the nodes of every component as one (components, nodes)
+    array and returns values of that shape, or a stack (moments, components,
+    nodes) of several integrands.  The node count starts at 64 and doubles
+    until two successive estimates of every moment agree to 1e-9 in absolute
+    terms; past 8192 nodes it raises QuadratureError.  Returns a float for
+    one integrand and an array of one entry per moment for a stack.
     """
+    weights = np.exp(stats.log_w)
+    centre = stats.out_mean[:, None]
+    scale = np.sqrt(2.0 * stats.out_var)[:, None]
+
+    def total(k: int):
+        t, w = _hermgauss(k)
+        return fn(centre + scale * t) @ w @ weights
+
     nodes = QUAD_START_NODES
-
-    def total(k: int) -> float:
-        acc = 0.0
-        for lw, m, v in zip(stats.log_w, stats.out_mean, stats.out_var):
-            acc += np.exp(lw) * _component_integral(fn, m, v, k)
-        return acc
-
     prev = total(nodes)
     while nodes < QUAD_MAX_NODES:
         nodes *= 2
         cur = total(nodes)
-        if abs(cur - prev) < QUAD_TOL:
-            return cur
+        if np.max(np.abs(cur - prev)) < QUAD_TOL:
+            _PEAK.nodes = max(_PEAK.nodes, nodes)
+            return cur if np.ndim(cur) else float(cur)
         prev = cur
     raise QuadratureError(
         f"Gauss-Hermite did not stabilize below {QUAD_TOL} by {QUAD_MAX_NODES} nodes"
     )
 
 
-def conditional_mse(ch: ScalarChannel) -> float:
-    """E[(X1 - <X>_q(U))^2] over the true channel law.
+def channel_moments(ch: ScalarChannel) -> np.ndarray:
+    """[E g^2, E X1 g, E Var_q, -E log q0] over the true channel, in one kernel call.
 
-    Expanded as E[X1^2] - 2 E[X1 <X>_q(U)] + E[<X>_q(U)^2]; the cross term
-    integrates the true per-component conditional mean of X1 given U against
-    the decision function.
+    g = <X>_q(U) is the postulated decision function, Var_q(U) the
+    retrochannel variance and q0 the postulated output density; U and X1
+    follow the true channel.  Within true component c, X1 given U = u has mean
+    cond_slope_c * u + cond_off_c, so the cross term integrates that mean
+    against g row by row.
     """
     true_stats = _mixture_stats(ch.true_law, ch.s, ch.eta)
     post_stats = _mixture_stats(ch.postulated_law, ch.s, ch.xi)
+    slope, off = true_stats.cond_slope[:, None], true_stats.cond_off[:, None]
+
+    def integrands(u):
+        log_q0, g, var = _posterior(post_stats, u)
+        return np.stack((g * g, (slope * u + off) * g, var, -log_q0))
+
+    return mixture_expectation(integrands, true_stats)
+
+
+def conditional_mse(ch: ScalarChannel) -> float:
+    """E[(X1 - <X>_q(U))^2] = E[X1^2] - 2 E[X1 <X>_q(U)] + E[<X>_q(U)^2] over the true channel."""
     if _degenerate_same_point(ch):
         return 0.0
-
-    def g(u):
-        return _posterior_mean_var(post_stats, u)[0]
-
-    m2 = ch.true_law.second_moment()
-    e_g2 = mixture_expectation(lambda u: g(u) ** 2, true_stats)
-    cross = 0.0
-    for lw, m, v, sl, off in zip(
-        true_stats.log_w,
-        true_stats.out_mean,
-        true_stats.out_var,
-        true_stats.cond_slope,
-        true_stats.cond_off,
-    ):
-        comp = _MixtureStats(*(np.array([x]) for x in (0.0, m, v, sl, off, 0.0)))
-        cross += np.exp(lw) * mixture_expectation(
-            lambda u, _c=comp: (_c.cond_slope[0] * u + _c.cond_off[0]) * g(u), comp
-        )
-    return m2 - 2.0 * cross + e_g2
+    e_g2, cross, _, _ = channel_moments(ch)
+    return float(ch.true_law.second_moment() - 2.0 * cross + e_g2)
 
 
 def conditional_var(ch: ScalarChannel) -> float:
     """Mean retrochannel variance E_U[Var_q(X | U)] over the true output law."""
-    true_stats = _mixture_stats(ch.true_law, ch.s, ch.eta)
-    post_stats = _mixture_stats(ch.postulated_law, ch.s, ch.xi)
-    if _degenerate_same_point(ch):
-        return 0.0
-    return mixture_expectation(lambda u: _posterior_mean_var(post_stats, u)[1], true_stats)
+    return 0.0 if _degenerate_same_point(ch) else float(channel_moments(ch)[2])
 
 
 def mean_square_posterior_mean(ch: ScalarChannel) -> float:
     """E[<X>_q(U)^2] over the true output law (the MMSE second-moment term)."""
-    true_stats = _mixture_stats(ch.true_law, ch.s, ch.eta)
-    post_stats = _mixture_stats(ch.postulated_law, ch.s, ch.xi)
-
-    def g2(u):
-        return _posterior_mean_var(post_stats, u)[0] ** 2
-
-    return mixture_expectation(g2, true_stats)
+    return float(channel_moments(ch)[0])
 
 
 def cross_entropy(ch: ScalarChannel) -> float:
     """-E[log q0(U)] with U from the true channel, in nats."""
-    true_stats = _mixture_stats(ch.true_law, ch.s, ch.eta)
-    post_stats = _mixture_stats(ch.postulated_law, ch.s, ch.xi)
-    return -mixture_expectation(lambda u: _log_density(post_stats, u), true_stats)
+    return float(channel_moments(ch)[3])
 
 
 def _degenerate_same_point(ch: ScalarChannel) -> bool:

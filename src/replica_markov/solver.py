@@ -22,7 +22,9 @@ average of E[<X|X0>^2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,14 +42,15 @@ from .single_symbol import (
     conditional_var,
     cross_entropy,
     mean_square_posterior_mean,
+    take_peak_nodes,
 )
 
 RESIDUAL_TOL = 1e-8
-_INTERNAL_TOL = 1e-13
 _CLUSTER_TOL = 1e-6
-_N_STARTS = 16
-_MAX_ITER = 20_000
-_DAMPING = 0.5
+_SCAN_POINTS = 16
+_ROOT_TOL = 1e-14
+_ROOT_MAX_ITER = 200
+_MAX_HALVINGS = 60
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _LOG_2PIE = _LOG_2PI + 1.0
@@ -132,6 +135,25 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
+class SolveDiagnostics:
+    """How a fixed-point solve reached its answer."""
+
+    scan_points: int = 0  # eta values of the geometric scan, left-end extensions included
+    brackets: int = 0  # sign changes the scan found, each refined to a root
+    evaluations: int = 0  # root-function evaluations, inner xi solves included
+    max_nodes: int = 0  # largest Gauss-Hermite node count any quadrature converged at
+    residual: float = math.nan  # largest fixed_point_residual over the verified candidates
+
+
+class FixedPoints(list):
+    """Sorted (eta, xi) fixed points, with the diagnostics of the solve that found them."""
+
+    def __init__(self, points, diagnostics: SolveDiagnostics):
+        super().__init__(points)
+        self.diagnostics = diagnostics
+
+
+@dataclass(frozen=True)
 class ReplicaSolution:
     beta: float
     eta: float
@@ -140,6 +162,7 @@ class ReplicaSolution:
     mutual_info: float | None
     mmse: float | None
     all_solutions: tuple[tuple[float, float, float], ...]  # (eta, xi, G-value)
+    diagnostics: SolveDiagnostics = SolveDiagnostics()
 
 
 @dataclass(frozen=True)
@@ -180,9 +203,8 @@ def _weighted_s_var(dec: _Decoupled, snr, eta: float, xi: float) -> float:
 
 
 def _weighted_s_mse_matched(dec: _Decoupled, snr, eta: float) -> float:
-    # Matched identity E[(X - <X>)^2] = E[X^2] - E[<X>^2] (tower property);
-    # one quadrature per channel instead of three.  Reported solutions are
-    # re-verified against the general-form residual afterwards.
+    # Matched identity E[(X - <X>)^2] = E[X^2] - E[<X>^2] (tower property).
+    # Reported solutions are re-verified against the general-form residual.
     acc = 0.0
     for w, law in zip(dec.weights, dec.true_laws):
         m2 = law.second_moment()
@@ -192,30 +214,64 @@ def _weighted_s_mse_matched(dec: _Decoupled, snr, eta: float) -> float:
     return acc
 
 
-def _iterate_matched(dec, snr, beta, eta0, known) -> float | None:
-    eta = eta0
-    for _ in range(_MAX_ITER):
-        if any(abs(eta - e) < 1e-9 for e, _ in known):
-            return None  # converging into an already-found basin
-        target = 1.0 / (1.0 + beta * _weighted_s_mse_matched(dec, snr, eta))
-        nxt = (1.0 - _DAMPING) * eta + _DAMPING * target
-        if abs(nxt - eta) < _INTERNAL_TOL:
-            return nxt
-        eta = nxt
-    return None
+def _weighted_s_second_moment(dec: _Decoupled, snr, laws) -> float:
+    return sum(w * p * s * law.second_moment() for w, law in zip(dec.weights, laws) for s, p in snr)
 
 
-def _iterate_mismatched(dec, snr, beta, sigma_sq, eta0, xi0) -> tuple[float, float] | None:
-    eta, xi = eta0, xi0
-    for _ in range(_MAX_ITER):
-        t_eta = 1.0 / (1.0 + beta * _weighted_s_mse(dec, snr, eta, xi))
-        t_xi = 1.0 / (sigma_sq + beta * _weighted_s_var(dec, snr, eta, xi))
-        n_eta = (1.0 - _DAMPING) * eta + _DAMPING * t_eta
-        n_xi = (1.0 - _DAMPING) * xi + _DAMPING * t_xi
-        if abs(n_eta - eta) < _INTERNAL_TOL and abs(n_xi - xi) < _INTERNAL_TOL:
-            return n_eta, n_xi
-        eta, xi = n_eta, n_xi
-    return None
+def _root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f in [a, b], with fa and fb of opposite signs, by Illinois regula falsi.
+
+    The end that stays put twice running has its f value halved, so both
+    ends converge; a secant point that rounds outside (a, b) is replaced by
+    the midpoint.  Stops when the bracket is narrower than 1e-14.
+    """
+    side = 0
+    for _ in range(_ROOT_MAX_ITER):
+        if b - a < _ROOT_TOL:
+            break
+        c = (a * fb - b * fa) / (fb - fa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+    return 0.5 * (a + b)
+
+
+def _roots(f, lo: float, hi: float, points: int) -> tuple[list[float], int, int]:
+    """Roots of f on a geometric grid of ``points`` points over [lo, hi].
+
+    Callers pick hi with f(hi) >= 0.  While f is positive at the lowest
+    point, a point at half of it is added (at most 60), so the grid starts
+    where f <= 0.  A grid point where f is exactly 0 is a root, and each sign
+    change between neighbours is refined by ``_root``.  Returns the roots,
+    the number of grid points and the number of sign changes.
+    """
+    xs = list(np.geomspace(lo, hi, points))
+    fs = [f(x) for x in xs]
+    for _ in range(_MAX_HALVINGS):
+        if fs[0] <= 0.0:
+            break
+        xs.insert(0, xs[0] / 2.0)
+        fs.insert(0, f(xs[0]))
+    roots = [float(x) for x, fx in zip(xs, fs) if fx == 0.0]
+    changes = [
+        (a, b, fa, fb)
+        for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:])
+        if fa < 0.0 < fb or fb < 0.0 < fa
+    ]
+    roots += [float(_root(f, *c)) for c in changes]
+    return roots, len(xs), len(changes)
 
 
 def fixed_point_residual(model: ModelSpec, beta: float, eta: float, xi: float) -> float:
@@ -223,43 +279,79 @@ def fixed_point_residual(model: ModelSpec, beta: float, eta: float, xi: float) -
     dec = _decouple(model)
     r1 = abs(eta - 1.0 / (1.0 + beta * _weighted_s_mse(dec, model.snr, eta, xi)))
     r2 = abs(xi - 1.0 / (model.sigma**2 + beta * _weighted_s_var(dec, model.snr, eta, xi)))
-    return max(r1, r2)
+    return float(max(r1, r2))
 
 
-def solve_fixed_point(model: ModelSpec, beta: float) -> list[tuple[float, float]]:
-    """All (eta, xi) fixed points found from 16 log-spaced starts.
+def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
+    """All (eta, xi) fixed points: a scan for sign changes, then a bracketed root in each.
 
-    Damped iteration (damping 0.5); converged points are deduplicated at
-    1e-6 resolution and verified to residual below 1e-8.  The matched case
-    enforces xi = eta and solves the single equation.
+    Matched models enforce xi = eta and solve f(eta) = eta - 1/(1 + beta M(eta))
+    on [1/(1 + beta sum w p s E[X^2|x0]), 1]; f <= 0 at the left end and
+    f >= 0 at the right, so the interval always holds a root.  Mismatched
+    models nest the same solve: for each eta, xi solves its own equation on
+    [1/(sigma^2 + beta sum w p s E_q[X^2|x0]), 1/sigma^2], and eta solves
+    eta = 1/(1 + beta sum w p s mse(eta, xi(eta))).  The eta interval is
+    scanned at 16 geometric points; each sign change is refined by Illinois
+    regula falsi to a bracket narrower than 1e-14.  Roots are deduplicated at
+    1e-6 resolution and verified against the general-form residual below
+    1e-8; the result carries the diagnostics of the solve.
     """
     if not beta > 0:
         raise ValidationError("beta must be > 0")
     dec = _decouple(model)
-    starts = np.logspace(-3, 0, _N_STARTS)
+    snr, sigma_sq = model.snr, model.sigma**2
+    evaluations = itertools.count()
+    take_peak_nodes()
+    # Error and variance sums are nonnegative; clamping their rounding at 0
+    # keeps f >= 0 at the right end of every bracket.
+
+    if model.is_matched:
+
+        def f(eta):
+            next(evaluations)
+            return eta - 1.0 / (1.0 + beta * max(_weighted_s_mse_matched(dec, snr, eta), 0.0))
+
+        def xi_at(eta):
+            return eta
+
+    else:
+        xi_lo = 1.0 / (sigma_sq + beta * _weighted_s_second_moment(dec, snr, dec.post_laws))
+
+        def xi_at(eta):
+            def h(xi):
+                next(evaluations)
+                return xi - 1.0 / (sigma_sq + beta * max(_weighted_s_var(dec, snr, eta, xi), 0.0))
+
+            roots, _, _ = _roots(h, xi_lo, 1.0 / sigma_sq, 2)
+            if not roots:
+                raise SolverError(f"no xi solves the postulated-noise equation at eta={eta}")
+            return roots[0]
+
+        def f(eta):
+            next(evaluations)
+            return eta - 1.0 / (1.0 + beta * max(_weighted_s_mse(dec, snr, eta, xi_at(eta)), 0.0))
+
+    eta_lo = 1.0 / (1.0 + beta * _weighted_s_second_moment(dec, snr, dec.true_laws))
+    roots, points, brackets = _roots(f, eta_lo, 1.0, _SCAN_POINTS)
     found: list[tuple[float, float]] = []
-    for eta0 in starts:
-        if model.is_matched:
-            eta = _iterate_matched(dec, model.snr, beta, eta0, found)
-            pair = None if eta is None else (eta, eta)
-        else:
-            pair = _iterate_mismatched(dec, model.snr, beta, model.sigma**2, eta0, eta0)
-        if pair is None:
-            continue
-        if any(
-            abs(pair[0] - e) < _CLUSTER_TOL and abs(pair[1] - x) < _CLUSTER_TOL
-            for e, x in found
-        ):
-            continue
-        found.append((float(pair[0]), float(pair[1])))
-    verified = [
-        (e, x) for e, x in found if fixed_point_residual(model, beta, e, x) < RESIDUAL_TOL
-    ]
+    for eta, xi in ((eta, float(xi_at(eta))) for eta in roots):
+        if not any(abs(eta - e) < _CLUSTER_TOL and abs(xi - x) < _CLUSTER_TOL for e, x in found):
+            found.append((eta, xi))
+    residuals = [fixed_point_residual(model, beta, e, x) for e, x in found]
+    verified = sorted(pair for pair, r in zip(found, residuals) if r < RESIDUAL_TOL)
     if not verified:
         raise SolverError(
-            f"no fixed point converged for beta={beta} (starts tried: {len(starts)})"
+            f"no fixed point converged for beta={beta} "
+            f"(scan points: {points}, brackets: {brackets})"
         )
-    return sorted(verified)
+    diagnostics = SolveDiagnostics(
+        scan_points=points,
+        brackets=brackets,
+        evaluations=next(evaluations),  # the number of earlier next() calls
+        max_nodes=take_peak_nodes(),
+        residual=max(r for r in residuals if r < RESIDUAL_TOL),
+    )
+    return FixedPoints(verified, diagnostics)
 
 
 def free_energy_term(model: ModelSpec, state_index: int, eta: float, xi: float, beta: float) -> float:
@@ -306,7 +398,9 @@ def free_energy(model: ModelSpec, beta: float) -> ReplicaSolution:
     if model.is_matched:
         mutual = fmin - _LOG_2PIE / (2.0 * beta)
         mmse = _mmse_at(model, dec, eta, xi)
-    return ReplicaSolution(beta, eta, xi, fmin, mutual, mmse, scored)
+    diag = candidates.diagnostics
+    diag = replace(diag, max_nodes=max(diag.max_nodes, take_peak_nodes()))
+    return ReplicaSolution(beta, eta, xi, fmin, mutual, mmse, scored, diag)
 
 
 def _mmse_at(model: ModelSpec, dec: _Decoupled, eta: float, xi: float) -> float:

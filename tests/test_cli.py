@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import replica_markov
 from replica_markov.cli import ResultRow, main, rows_to_csv, run_sweep
 from replica_markov.config import ConfigError, validate_config
 
@@ -292,3 +297,12 @@ class TestMainEntry:
         cfg.write_text(json.dumps(base_doc()))
         out = tmp_path / "rows.csv"
         assert main(["replica", "sweep", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize costs about 16 MB of resident memory and 0.1 s at import
+    src = str(Path(replica_markov.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, replica_markov.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -7,13 +7,17 @@ from replica_markov import (
     ConditionalInputLaw,
     GaussianAtom,
     PointMass,
+    QuadratureError,
     ScalarChannel,
+    channel_moments,
     conditional_mse,
     conditional_var,
     cross_entropy,
+    mean_square_posterior_mean,
     output_density,
     posterior_mean,
 )
+from replica_markov.single_symbol import _mixture_stats, mixture_expectation
 from oracles import binary_output_density, scalar_posterior_mean_binary
 
 
@@ -191,3 +195,39 @@ class TestInvariants:
     def test_validation(self):
         with pytest.raises(ValueError):
             ScalarChannel(0.0, 1.0, 1.0, binary_law(0.5), binary_law(0.5))
+
+
+class TestQuadratureKernel:
+    def test_one_call_per_level_over_all_components(self):
+        law = ConditionalInputLaw(((0.4, PointMass(-1.0)), (0.6, GaussianAtom(2.0, 0.5))))
+        stats = _mixture_stats(law, 1.5, 0.8)
+        shapes = []
+
+        def second_moment(u):
+            shapes.append(u.shape)
+            return u * u
+
+        got = mixture_expectation(second_moment, stats)
+        want = float(np.exp(stats.log_w) @ (stats.out_mean**2 + stats.out_var))
+        assert shapes == [(2, 64), (2, 128)]
+        assert abs(got - want) < 1e-12
+
+    def test_step_integrand_raises(self):
+        # a step at one component's mean sits off-centre in the other
+        # component, so successive node counts never agree to 1e-9
+        stats = _mixture_stats(binary_law(0.5), 1.0, 1.0)
+        with pytest.raises(QuadratureError):
+            mixture_expectation(lambda u: (u > 1.0).astype(float), stats)
+
+    def test_moments_agree_with_accessors(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            ch = random_channel(rng)
+            e_g2, cross, var, neg_log_q0 = channel_moments(ch)
+            # matched channel: E[X1 g] = E[g^2] by the tower property
+            assert abs(cross - e_g2) < 1e-9
+            assert e_g2 == mean_square_posterior_mean(ch)
+            assert var == conditional_var(ch)
+            assert neg_log_q0 == cross_entropy(ch)
+            # a lone shared point mass short-circuits to exactly 0
+            assert abs(conditional_mse(ch) - (ch.true_law.second_moment() - 2.0 * cross + e_g2)) < 1e-12

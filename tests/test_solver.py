@@ -5,6 +5,7 @@ import pytest
 
 from replica_markov import (
     ConditionalInputLaw,
+    FixedPoints,
     MarkovPrior,
     MatchedModelRequired,
     ModelSpec,
@@ -21,6 +22,7 @@ from replica_markov import (
     sparse_hmm_prior,
 )
 from replica_markov.iid_reference import iid_replica
+from replica_markov.solver import _root, _roots
 from oracles import LOG_2PIE, g_bar_binary, sparse_hmm_hand_path
 
 BINARY_SYM = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)))
@@ -257,3 +259,114 @@ class TestValidation:
         assert ModelSpec(prior=prior, postulated_prior=same).is_matched
         other = MarkovPrior.discrete(binary_markov_kernel(0.3, 0.4))
         assert not ModelSpec(prior=prior, postulated_prior=other).is_matched
+
+
+class TestGoldenValues:
+    # (eta, xi, F, MI, MMSE) recorded from the damped-iteration solver this
+    # scan-and-bracket solver replaced, on a fixed grid of models and loads.
+    GOLDEN = (
+        (("binary_sym", 0.75), (0.7363008255955203, 0.7363008255955203, 2.154575917434907, 0.26265787316201017, 0.4775207184121679)),
+        (("binary_sym", 1.5), (0.549561342868032, 0.549561342868032, 1.1820240598661569, 0.23606503772970844, 0.5464220545803563)),
+        (("binary_asym", 0.75), (0.7566721659818225, 0.7566721659818225, 2.1311935032611866, 0.23927545898828972, 0.4287683974778209)),
+        (("binary_asym", 1.5), (0.5784963088835979, 0.5784963088835979, 1.162836177198424, 0.21687715506197547, 0.4857463330862999)),
+        (("sparse_hmm", 0.75), (0.8720920899781797, 0.8720920899781797, 2.002505091924049, 0.11058704765115213, 0.1955571917103666)),
+        (("sparse_hmm", 1.5), (0.7655568315030652, 0.7655568315030652, 1.050837916952314, 0.10487889481586565, 0.20415916785392435)),
+        (("gauss_markov", 0.75), (0.6930004681646122, 0.6930004681646122, 2.194985949043086, 0.30306790477018897, 0.5906672908862826)),
+        (("gauss_markov", 1.5), (0.4999999999998783, 0.4999999999998783, 1.2130739697105124, 0.26711494757406395, 0.6666666666667205)),
+        (("binary_two_snr", 0.75), (0.7522200683690407, 0.7522200683690407, 2.173002779450139, 0.2810847351772421, 0.45283828518169356)),
+        (("binary_two_snr", 1.5), (0.553860530133111, 0.553860530133111, 1.2024599821987176, 0.2565009600622692, 0.5202431709889246)),
+        (("mismatched", 0.75), (0.7221249140329313, 0.52094682656944, 2.1958474432751687, None, None)),
+        (("mismatched", 1.5), (0.5318373674501584, 0.4018476539919269, 1.202720473022489, None, None)),
+    )
+
+    @staticmethod
+    def model(name: str) -> ModelSpec:
+        binary = MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3))
+        postulated = MarkovPrior.discrete(
+            TransitionMatrix((-1.0, 1.0), np.array([[0.62, 0.38], [0.45, 0.55]]))
+        )
+        return {
+            "binary_sym": ModelSpec(prior=binary),
+            "binary_asym": ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.2, 0.4))),
+            "sparse_hmm": ModelSpec(prior=sparse_hmm_prior(0.3, 0.3)),
+            "gauss_markov": ModelSpec(prior=MarkovPrior.gauss_markov(0.5, 1.0)),
+            "binary_two_snr": ModelSpec(prior=binary, snr=((0.5, 0.5), (2.0, 0.5))),
+            "mismatched": ModelSpec(prior=binary, postulated_prior=postulated, sigma=1.2),
+        }[name]
+
+    @pytest.mark.parametrize("key,want", GOLDEN, ids=[f"{n}-{b}" for (n, b), _ in GOLDEN])
+    def test_recorded_values(self, key, want):
+        name, beta = key
+        sol = free_energy(self.model(name), beta)
+        got = (sol.eta, sol.xi, sol.free_energy, sol.mutual_info, sol.mmse)
+        assert len(sol.all_solutions) == 1
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert abs(g - w) < 1e-10
+
+
+class TestRootHelpers:
+    def test_scan_finds_all_three_sign_changes(self):
+        roots, points, brackets = _roots(lambda x: (x - 0.1) * (x - 0.3) * (x - 0.7), 0.05, 1.0, 16)
+        assert (points, brackets) == (16, 3)
+        assert np.allclose(sorted(roots), [0.1, 0.3, 0.7], rtol=0.0, atol=1e-14)
+
+    def test_root_at_bracket_end(self):
+        for root, lo in ((1.0, 0.5), (0.5, 0.5)):
+            roots, _, brackets = _roots(lambda x, r=root: x - r, lo, 1.0, 16)
+            assert roots == [root] and brackets == 0
+
+    def test_left_end_is_lowered_until_the_sign_holds(self):
+        roots, points, brackets = _roots(lambda x: x - 0.01, 0.1, 1.0, 16)
+        assert points == 16 + 4 and brackets == 1
+        assert abs(roots[0] - 0.01) < 1e-14
+
+    def test_illinois_converges_to_width(self):
+        root = _root(math.cos, 1.0, 2.0, math.cos(1.0), math.cos(2.0))
+        assert abs(root - math.pi / 2.0) < 1e-14
+
+
+class TestIMmse:
+    # dC/ds = eta * mmse / 2 (Guo-Shamai-Verdu): the derivative of the mutual
+    # information in the SNR is fixed by the solution at that SNR, so a
+    # solve that lands on a wrong root breaks it.
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)),
+            MarkovPrior.discrete(binary_markov_kernel(0.2, 0.4)),
+            sparse_hmm_prior(0.3, 0.3),
+            MarkovPrior.gauss_markov(0.5, 1.0),
+        ],
+        ids=["binary", "binary-asym", "sparse-hmm", "gauss-markov"],
+    )
+    @pytest.mark.parametrize("beta", [0.8, 1.5])
+    def test_mi_derivative_is_half_eta_mmse(self, prior, beta):
+        s, h = 1.3, 1e-4
+
+        def solve(snr):
+            return free_energy(ModelSpec(prior=prior, snr=snr), beta)
+
+        sol = solve(s)
+        slope = (solve(s + h).mutual_info - solve(s - h).mutual_info) / (2.0 * h)
+        assert abs(slope - sol.eta * sol.mmse / 2.0) < 1e-7
+
+
+class TestDiagnostics:
+    def test_solution_reports_how_it_was_found(self):
+        diag = free_energy(BINARY_SYM, 1.0).diagnostics
+        assert diag.scan_points == 16 and diag.brackets == 1
+        assert diag.evaluations > diag.scan_points
+        assert diag.max_nodes in (128, 256, 512, 1024, 2048, 4096, 8192)
+        assert 0.0 <= diag.residual < 1e-8
+
+    def test_fixed_points_carry_diagnostics(self):
+        model = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)), sigma=1.5)
+        sols = solve_fixed_point(model, 1.0)
+        assert isinstance(sols, FixedPoints)
+        diag = sols.diagnostics
+        # each eta evaluation runs an inner xi solve with its own evaluations
+        assert diag.evaluations > 3 * diag.scan_points
+        assert diag.residual == max(fixed_point_residual(model, 1.0, e, x) for e, x in sols)
