@@ -10,19 +10,16 @@ Scalar thresholding uses the activity rate kappa only:
 (the c/theta * F term of G written in its continuous form; the theta cancels
 algebraically) and F' is the exact derivative of F.  One iteration updates
 
-    theta = scale * A^T z + mu
+    theta = A^T z / sqrt(m) + mu
     mu    = F(theta; c)
     ups   = G(theta; c)
     c     = 1 + (beta/n) * sum(ups)
-    z     = y - scale_z * A mu + (z/m) * sum(F'(theta; c))
+    z     = y - A mu / sqrt(m) + (z/m) * sum(F'(theta; c))
 
-``scaling`` selects how the raw N(0,1) matrix enters the two matrix steps.
-"unit_columns" (default) uses A/sqrt(m) on both sides: sensing columns have
-unit norm, the residual recursion tracks the effective noise, and the
+starting from mu = 0, z = y and c = C0.  The raw N(0,1) matrix A enters both
+matrix steps, and the observation y, as A/sqrt(m): sensing columns have unit
+norm, the residual recursion tracks the effective noise, and the
 reconstruction error approaches the decoupled MMSE prediction across beta.
-"verbatim" (1/sqrt(n) forward, unnormalized residual) and "inv_sqrt_n"
-(A/sqrt(n) on both sides) are dimensionally inconsistent off beta = 1 and
-kept only for inspection; both diverge at the experiment scales.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from .markov_core import ValidationError, sparse_hmm_prior
 from .simulator import _rng, sample_prior_path
 from .solver import ModelSpec, free_energy
 
-SCALINGS = ("unit_columns", "verbatim", "inv_sqrt_n")
+C0 = 10.0  # residual variance c before the first iteration
 
 
 class AmpDivergence(RuntimeError):
@@ -52,8 +49,6 @@ class AmpConfig:
     trials: int = 20
     iterations: int = 10
     seed: int = 0
-    c0: float = 10.0
-    scaling: str = "unit_columns"
 
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
@@ -62,8 +57,6 @@ class AmpConfig:
             raise ValidationError("gamma must be in (0, 1]")
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
-        if self.scaling not in SCALINGS:
-            raise ValidationError(f"scaling must be one of {SCALINGS}")
 
     @property
     def m(self) -> int:
@@ -95,32 +88,21 @@ class AmpState:
     mse_trace: list[float] = field(default_factory=list)
 
 
-def _scales(scaling: str, n: int, m: int) -> tuple[float, float]:
-    """(forward, residual) multipliers applied to A."""
-    if scaling == "unit_columns":
-        s = 1.0 / math.sqrt(m)
-        return s, s
-    if scaling == "inv_sqrt_n":
-        s = 1.0 / math.sqrt(n)
-        return s, s
-    return 1.0 / math.sqrt(n), 1.0  # verbatim: 1/sqrt(n) forward, bare A in residual
-
-
 def turbo_amp(
     y: np.ndarray, A: np.ndarray, config: AmpConfig, x_true: np.ndarray | None = None
 ) -> AmpState:
     """Run the configured number of iterations; trace MSE against x_true if given."""
     m, n = A.shape
     beta = n / m
-    s_fwd, s_res = _scales(config.scaling, n, m)
+    scale = 1.0 / math.sqrt(m)
     At = A.T
-    state = AmpState(np.zeros(n), np.zeros(n), config.c0, np.asarray(y, dtype=float).copy(), 0)
+    state = AmpState(np.zeros(n), np.zeros(n), C0, np.asarray(y, dtype=float).copy(), 0)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for it in range(config.iterations):
-            theta = s_fwd * (At @ state.z) + state.mu
+            theta = scale * (At @ state.z) + state.mu
             mu, ups, fprime = threshold_funcs(theta, state.c, config.kappa)
             c = 1.0 + (beta / n) * float(ups.sum())
-            z = y - s_res * (A @ mu) + (state.z / m) * float(fprime.sum())
+            z = y - scale * (A @ mu) + (state.z / m) * float(fprime.sum())
             state = AmpState(mu, ups, c, z, it + 1, state.mse_trace)
             if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(z)) and np.isfinite(c)):
                 raise AmpDivergence(f"non-finite state at iteration {it + 1}")
@@ -140,9 +122,8 @@ class AmpExperimentResult:
 def sample_sparse_instance(config: AmpConfig, trial: int):
     """One sparse-HMM instance: raw N(0,1) matrix, x from the prior, unit noise.
 
-    The observation uses the residual-side matrix scaling so that y matches
-    the algorithm's own convention (for "unit_columns" this is the linear
-    model with N(0, 1/m) sensing entries).
+    The observation y = A x / sqrt(m) + w uses the algorithm's own scaling:
+    the linear model with N(0, 1/m) sensing entries.
     """
     rng = _rng(config.seed, trial, 0xA3)
     n, m = config.n, config.m
@@ -150,8 +131,7 @@ def sample_sparse_instance(config: AmpConfig, trial: int):
     x = sample_prior_path(prior, n, rng)
     A = rng.standard_normal((m, n))
     w = rng.standard_normal(m)
-    _, s_res = _scales(config.scaling, n, m)
-    y = s_res * (A @ x) + w
+    y = (1.0 / math.sqrt(m)) * (A @ x) + w
     return y, A, x
 
 

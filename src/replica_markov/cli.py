@@ -2,10 +2,11 @@
 
 Subcommands: ``replica sweep``, ``simulate exact``, ``simulate mh``,
 ``simulate amp``, ``pf deriv-check``, ``pf rate``.  Every subcommand takes
-``--seed``, ``--threads`` (falling back to the REPLICA_THREADS environment
-variable) and ``--out``.  Results are CSV (RFC 4180); reruns with the same
-config and seed are byte-identical, and the worker count never changes the
-output.  Exit codes: 0 success, 2 validation error, 3 numeric failure.
+``--seed`` and ``--out``, and accepts ``--threads`` for old command lines
+but ignores it: rows run one after another in one thread.  Results are CSV
+(RFC 4180); reruns with the same config and seed are byte-identical.  Exit
+codes: 0 success, 2 validation error (naming the JSON path), 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .amp import AmpConfig, amp_experiment, replica_mmse_reference
-from .config import ConfigError, ExperimentConfig, validate_config
+from .config import ConfigError, ExperimentConfig, _is_number, validate_config
 from .markov_core import TransitionMatrix, binary_markov_kernel
-from .perron import enumerate_q_states, log_pf_eigenvalue, pf_log_derivative, q_transition_matrix, rate_function
+from .perron import MAX_NU, enumerate_q_states, log_pf_eigenvalue, pf_log_derivative, q_transition_matrix, rate_function
 from .simulator import empirical_free_energy, measurement_count, mh_mse_experiment, sample_instance
 from .solver import RESIDUAL_TOL, SolverError, fixed_point_residual, free_energy
 
@@ -113,7 +113,6 @@ def compute_row(config: ExperimentConfig, beta_index: int, verify: bool = False)
                 trials=config.trials,
                 iterations=config.amp_iterations,
                 seed=seed,
-                scaling=config.amp_scaling,
             )
             ref = row.mmse if row.mmse is not None else replica_mmse_reference(kappa, gamma, replica_beta)
             res = amp_experiment(cfg, replica_reference=ref)
@@ -124,15 +123,9 @@ def compute_row(config: ExperimentConfig, beta_index: int, verify: bool = False)
     return row
 
 
-def run_sweep(config: ExperimentConfig, threads: int = 1, verify: bool = False) -> list[ResultRow]:
+def run_sweep(config: ExperimentConfig, verify: bool = False) -> list[ResultRow]:
     """One ResultRow per beta, ascending; deterministic for a given seed."""
-    indices = range(len(config.betas))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda i: compute_row(config, i, verify), indices))
-    else:
-        rows = [compute_row(config, i, verify) for i in indices]
-    return rows
+    return [compute_row(config, i, verify) for i in range(len(config.betas))]
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
@@ -172,18 +165,11 @@ def _load_config(path: str, seed_override: int | None, task_override=None) -> Ex
     return validate_config(doc)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("REPLICA_THREADS")
-    return int(env) if env else 1
-
-
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config, args.seed)
     if args.units:
         config = replace(config, units=args.units)
-    rows = run_sweep(config, threads=_threads(args), verify=args.verify)
+    rows = run_sweep(config, verify=args.verify)
     _write_out(rows_to_csv(rows), args.out)
     if any(row.errors for row in rows):
         sys.stderr.write("numeric failures: " + "; ".join(r.errors for r in rows if r.errors) + "\n")
@@ -193,7 +179,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args, task: str) -> int:
     config = _load_config(args.config, args.seed, task_override=[task])
-    rows = run_sweep(config, threads=_threads(args))
+    rows = run_sweep(config)
     _write_out(rows_to_csv(rows), args.out)
     if getattr(args, "dump_instances", None):
         os.makedirs(args.dump_instances, exist_ok=True)
@@ -222,7 +208,6 @@ def _cmd_simulate_amp(args) -> int:
             trials=config.trials,
             iterations=config.amp_iterations,
             seed=_row_seed(config.seed, bi),
-            scaling=config.amp_scaling,
         )
         res = amp_experiment(cfg)
         for t in range(cfg.trials):
@@ -277,13 +262,32 @@ def _cmd_pf_deriv_check(args) -> int:
 def _cmd_pf_rate(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(["config: expected a JSON object"])
     errors = []
     chain = doc.get("chain")
     if not isinstance(chain, dict):
         errors.append("chain: missing object")
+    nu = doc.get("nu", 0)
+    nu_ok = isinstance(nu, int) and not isinstance(nu, bool) and 0 <= nu <= MAX_NU
+    if not nu_ok:
+        errors.append(f"nu: expected an integer in [0, {MAX_NU}]")
     q_target = doc.get("q_target")
     if not isinstance(q_target, list):
         errors.append("q_target: missing matrix")
+    elif nu_ok and not (
+        len(q_target) == nu + 1
+        and all(isinstance(row, list) and len(row) == nu + 1 and all(map(_is_number, row)) for row in q_target)
+    ):
+        errors.append(f"q_target: expected a {nu + 1}x{nu + 1} matrix of numbers for nu={nu}")
+    snr = doc.get("snr", 1.0)
+    pairs = [[snr, 1.0]] if _is_number(snr) else snr
+    if isinstance(pairs, list) and pairs and all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)) and pair[0] > 0 for pair in pairs
+    ):
+        s_pairs = tuple((float(v), float(p)) for v, p in pairs)
+    else:
+        errors.append("snr: expected a positive number or a list of [value > 0, probability] pairs")
     if errors:
         raise ConfigError(errors)
     try:
@@ -291,12 +295,10 @@ def _cmd_pf_rate(args) -> int:
             kern = binary_markov_kernel(chain["alpha"], chain["delta"])
         else:
             kern = TransitionMatrix(tuple(chain["states"]), np.array(chain["transition"], dtype=float))
-    except (KeyError, ValueError) as exc:
+        values = kern.state_values()
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError([f"chain: {exc!r}"]) from exc
-    nu = int(doc.get("nu", 0))
-    snr = doc.get("snr", 1.0)
-    s_pairs = ((float(snr), 1.0),) if isinstance(snr, (int, float)) else tuple((float(v), float(p)) for v, p in snr)
-    space = enumerate_q_states([v for v, _ in s_pairs], [float(v) for v in kern.states], nu)
+    space = enumerate_q_states([v for v, _ in s_pairs], values, nu)
     base = q_transition_matrix(space, kern, s_dist=s_pairs)
     res = rate_function(space, base, np.array(q_target, dtype=float))
     buf = io.StringIO()
@@ -314,7 +316,7 @@ def _cmd_pf_rate(args) -> int:
 
 def _common_flags(p):
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (env REPLICA_THREADS)")
+    p.add_argument("--threads", type=int, default=None, help="accepted and ignored: rows run in one thread")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 

@@ -47,8 +47,11 @@ class ExperimentConfig:
     mh_steps: int = 60_000
     mh_burn_in: int = 10_000
     amp_iterations: int = 10
-    amp_scaling: str = "unit_columns"
     sparse_hmm_params: tuple[float, float] | None = None  # (kappa, gamma) when prior is sparse_hmm
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class _Collector:
@@ -153,6 +156,11 @@ def _build_prior(doc, path, errs: _Collector):
             errs.add(f"{path}.transition", "chain is reducible")
             return None, None
         initial = doc.get("initial")
+        if initial is not None and not (
+            isinstance(initial, list) and len(initial) == kern.dim and all(map(_is_number, initial))
+        ):
+            errs.add(f"{path}.initial", f"expected a list of {kern.dim} probabilities")
+            return None, None
         try:
             return MarkovPrior.discrete(kern, initial), None
         except (ValidationError, IrreducibilityError) as exc:
@@ -209,8 +217,8 @@ def _build_snr(doc, path, errs: _Collector):
     if isinstance(doc, list):
         pairs = []
         for i, item in enumerate(doc):
-            if not (isinstance(item, list) and len(item) == 2):
-                errs.add(f"{path}[{i}]", "expected [value, probability]")
+            if not (isinstance(item, list) and len(item) == 2 and all(map(_is_number, item))):
+                errs.add(f"{path}[{i}]", "expected [value, probability] numbers")
                 return None
             pairs.append((float(item[0]), float(item[1])))
         return tuple(pairs)
@@ -290,9 +298,14 @@ def validate_config(document: dict) -> ExperimentConfig:
     mh_doc = errs.expect(document, "", "mh", dict, default={})
     mh_steps = errs.expect(mh_doc, "mh", "steps", int, default=60_000)
     mh_burn = errs.expect(mh_doc, "mh", "burn_in", int, default=10_000)
+    if not 0 <= mh_burn < mh_steps:
+        errs.add("mh.burn_in", f"need 0 <= burn_in < steps, got burn_in={mh_burn}, steps={mh_steps}")
     amp_doc = errs.expect(document, "", "amp", dict, default={})
     amp_iter = errs.expect(amp_doc, "amp", "iterations", int, default=10)
-    amp_scaling = errs.expect(amp_doc, "amp", "scaling", str, default="unit_columns")
+    if amp_iter < 1:
+        errs.add("amp.iterations", "need iterations >= 1")
+    if amp_doc.get("scaling", "unit_columns") != "unit_columns":
+        errs.add("amp.scaling", "only 'unit_columns' (A/sqrt(m) in every matrix step) is supported")
     needs_sim = any(t in tasks for t in ("exact_sim", "mh", "amp"))
     if needs_sim:
         if n < 1:
@@ -318,6 +331,5 @@ def validate_config(document: dict) -> ExperimentConfig:
         mh_steps=mh_steps,
         mh_burn_in=mh_burn,
         amp_iterations=amp_iter,
-        amp_scaling=amp_scaling,
         sparse_hmm_params=sparse_params,
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,20 +156,19 @@ class EvidenceEstimate:
     meta: dict = field(default_factory=dict)
 
 
-def _discrete_prior_tables(model: ModelSpec):
-    prior = model.postulated_prior if model.postulated_prior is not None else model.prior
+def _log_tables(prior, use: str):
+    """(state values, log initial law, log kernel) of a discrete Markov prior."""
     if not isinstance(prior, MarkovPrior) or prior.is_gauss_markov:
-        raise ValidationError("exact enumeration requires a discrete Markov prior")
+        raise ValidationError(f"{use} requires a discrete Markov prior")
     kern = prior.kernel
     with np.errstate(divide="ignore"):
-        log_pi = np.log(kern.P)
-        log_init = np.log(prior.initial)
-    return kern.state_values(), log_init, log_pi
+        return kern.state_values(), np.log(prior.initial), np.log(kern.P)
 
 
 def exact_log_evidence_discrete(inst: LinearModelInstance, model: ModelSpec) -> EvidenceEstimate:
     """log sum_x q(x) N(y; Phi x, sigma^2 I) by full enumeration (log-domain)."""
-    values, log_init, log_pi = _discrete_prior_tables(model)
+    prior = model.postulated_prior if model.postulated_prior is not None else model.prior
+    values, log_init, log_pi = _log_tables(prior, "exact enumeration")
     k, n, m = len(values), inst.n, inst.m
     total = k**n
     if total > ENUMERATION_BUDGET:
@@ -243,20 +241,11 @@ def log_evidence(inst: LinearModelInstance, model: ModelSpec) -> EvidenceEstimat
     return exact_log_evidence_discrete(inst, model)
 
 
-def empirical_free_energy(
-    model: ModelSpec, n: int, beta: float, trials: int, seed: int, threads: int = 1
-) -> tuple[float, float]:
+def empirical_free_energy(model: ModelSpec, n: int, beta: float, trials: int, seed: int) -> tuple[float, float]:
     """Mean and standard error of -(1/n) log Z over seeded instances."""
-
-    def one(i: int) -> float:
-        inst = sample_instance(model, n, beta, seed, index=i)
-        return -log_evidence(inst, model).log_z / n
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = np.array(list(pool.map(one, range(trials))))
-    else:
-        vals = np.array([one(i) for i in range(trials)])
+    vals = np.array(
+        [-log_evidence(sample_instance(model, n, beta, seed, index=i), model).log_z / n for i in range(trials)]
+    )
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
@@ -276,6 +265,12 @@ def _batch_means_stderr(samples: np.ndarray, n_batches: int = 32) -> np.ndarray:
     usable = size * (t // size)
     batches = samples[:usable].reshape(-1, size, *samples.shape[1:]).mean(axis=1)
     return batches.std(axis=0, ddof=1) / math.sqrt(batches.shape[0])
+
+
+def _check_schedule(steps: int, burn_in: int):
+    """MH averages the steps after burn-in, so at least one must remain."""
+    if not steps > burn_in >= 0:
+        raise ValidationError("need steps > burn_in >= 0")
 
 
 def _mh_discrete_batch(
@@ -357,19 +352,14 @@ def mh_posterior_chain(
     proposal x' = x + eps * N(0, I) with eps tuned during burn-in toward
     20-50% acceptance.
     """
-    if not steps > burn_in >= 0:
-        raise ValidationError("need steps > burn_in >= 0")
+    _check_schedule(steps, burn_in)
     prior = model.prior
     rng = _rng(seed, inst.index, 0x3C)
     phi = inst.design_matrix()
     sigma_sq = model.sigma**2
     if isinstance(prior, MarkovPrior) and not prior.is_gauss_markov:
-        values = prior.kernel.state_values()
-        with np.errstate(divide="ignore"):
-            log_pi = np.log(prior.kernel.P)
-            log_init = np.log(prior.initial)
         post, rate, samples = _mh_discrete_batch(
-            phi[None], inst.y[None], values, log_init, log_pi, sigma_sq, steps, burn_in, rng, keep_samples=True
+            phi[None], inst.y[None], *_log_tables(prior, "MH"), sigma_sq, steps, burn_in, rng, keep_samples=True
         )
         post = post[0]
         stderr = _batch_means_stderr(samples[:, 0, :])
@@ -431,20 +421,13 @@ def mh_mse_experiment(
 
     Returns (mean MSE, standard error, overall acceptance rate).
     """
-    prior = model.prior
-    if not (isinstance(prior, MarkovPrior) and not prior.is_gauss_markov):
-        raise ValidationError("batched MH experiment supports discrete priors")
+    _check_schedule(steps, burn_in)
+    tables = _log_tables(model.prior, "the batched MH experiment")
     insts = [sample_instance(model, n, beta, seed, index=i) for i in range(instances)]
     phis = np.stack([inst.design_matrix() for inst in insts])
     ys = np.stack([inst.y for inst in insts])
     xs = np.stack([inst.x for inst in insts])
-    values = prior.kernel.state_values()
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(prior.kernel.P)
-        log_init = np.log(prior.initial)
     rng = _rng(seed, 0x3C)
-    post, rate, _ = _mh_discrete_batch(
-        phis, ys, values, log_init, log_pi, model.sigma**2, steps, burn_in, rng
-    )
+    post, rate, _ = _mh_discrete_batch(phis, ys, *tables, model.sigma**2, steps, burn_in, rng)
     mses = np.sum((xs - post) ** 2, axis=1) / n
     return float(mses.mean()), float(mses.std(ddof=1) / math.sqrt(instances)), rate

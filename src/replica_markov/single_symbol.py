@@ -141,8 +141,9 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # mixture_expectation keeps its (fn, stats) signature, which tracing wraps,
-# so the node count it converged at is reported here; per thread, because
-# the CLI solves sweep rows on a thread pool.
+# so the node count it converged at is reported here.  It is kept per thread
+# so that a library caller solving models on several threads of its own gets
+# each solve's own peak in SolveDiagnostics.max_nodes.
 class _NodePeak(threading.local):
     nodes = 0
 

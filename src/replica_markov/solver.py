@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,6 +100,24 @@ def _priors_equal(a, b) -> bool:
     return False
 
 
+@dataclass(frozen=True)
+class _Decoupled:
+    labels: tuple
+    weights: np.ndarray
+    true_laws: tuple[ConditionalInputLaw, ...]
+    post_laws: tuple[ConditionalInputLaw, ...]
+    second_moment: float
+
+
+def _decouple(prior, post) -> _Decoupled:
+    effective = joint_chain if isinstance(prior, HiddenMarkovPrior) else effective_states_discrete
+    eff = effective(prior)
+    eff_q = eff if post is prior else effective(post)
+    if eff.labels != eff_q.labels:
+        raise ValidationError("postulated prior must share the true prior's state space")
+    return _Decoupled(eff.labels, eff.weights, eff.laws, eff_q.laws, eff.second_moment())
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Linear-model description for the replica analysis.
@@ -107,13 +125,16 @@ class ModelSpec:
     True noise variance is fixed at 1; ``sigma`` is the postulated noise
     standard deviation.  ``snr`` is a fixed scalar or a finite list of
     (value, probability) pairs.  ``postulated_prior`` defaults to the true
-    prior (the matched case).
+    prior (the matched case).  The effective states of both priors are
+    derived once, here, so a prior the decoupled equations cannot use is
+    rejected at construction.
     """
 
     prior: MarkovPrior | HiddenMarkovPrior
     postulated_prior: MarkovPrior | HiddenMarkovPrior | None = None
     snr: float | tuple = 1.0
     sigma: float = 1.0
+    _decoupled: _Decoupled = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "snr", _normalize_snr(self.snr))
@@ -123,6 +144,8 @@ class ModelSpec:
             self.prior
         ):
             raise ValidationError("postulated prior must be the same kind as the true prior")
+        post = self.postulated_prior if self.postulated_prior is not None else self.prior
+        object.__setattr__(self, "_decoupled", _decouple(self.prior, post))
 
     @property
     def is_matched(self) -> bool:
@@ -163,29 +186,6 @@ class ReplicaSolution:
     mmse: float | None
     all_solutions: tuple[tuple[float, float, float], ...]  # (eta, xi, G-value)
     diagnostics: SolveDiagnostics = SolveDiagnostics()
-
-
-@dataclass(frozen=True)
-class _Decoupled:
-    labels: tuple
-    weights: np.ndarray
-    true_laws: tuple[ConditionalInputLaw, ...]
-    post_laws: tuple[ConditionalInputLaw, ...]
-    second_moment: float
-
-
-def _decouple(model: ModelSpec) -> _Decoupled:
-    prior = model.prior
-    post = model.postulated_prior if model.postulated_prior is not None else prior
-    if isinstance(prior, HiddenMarkovPrior):
-        eff = joint_chain(prior)
-        eff_q = joint_chain(post)
-    else:
-        eff = effective_states_discrete(prior)
-        eff_q = effective_states_discrete(post)
-    if eff.labels != eff_q.labels:
-        raise ValidationError("postulated prior must share the true prior's state space")
-    return _Decoupled(eff.labels, eff.weights, eff.laws, eff_q.laws, eff.second_moment())
 
 
 def _channels(dec: _Decoupled, snr, eta: float, xi: float):
@@ -276,7 +276,7 @@ def _roots(f, lo: float, hi: float, points: int) -> tuple[list[float], int, int]
 
 def fixed_point_residual(model: ModelSpec, beta: float, eta: float, xi: float) -> float:
     """Max absolute residual of the (eta, xi) system at the given point."""
-    dec = _decouple(model)
+    dec = model._decoupled
     r1 = abs(eta - 1.0 / (1.0 + beta * _weighted_s_mse(dec, model.snr, eta, xi)))
     r2 = abs(xi - 1.0 / (model.sigma**2 + beta * _weighted_s_var(dec, model.snr, eta, xi)))
     return float(max(r1, r2))
@@ -298,7 +298,7 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
     """
     if not beta > 0:
         raise ValidationError("beta must be > 0")
-    dec = _decouple(model)
+    dec = model._decoupled
     snr, sigma_sq = model.snr, model.sigma**2
     evaluations = itertools.count()
     take_peak_nodes()
@@ -356,7 +356,7 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
 
 def free_energy_term(model: ModelSpec, state_index: int, eta: float, xi: float, beta: float) -> float:
     """G(x0) in nats for one effective state at a fixed-point candidate."""
-    dec = _decouple(model)
+    dec = model._decoupled
     sigma_sq = model.sigma**2
     ce = sum(
         p * cross_entropy(ScalarChannel(eta, xi, s, dec.true_laws[state_index], dec.post_laws[state_index]))
@@ -373,13 +373,9 @@ def free_energy_term(model: ModelSpec, state_index: int, eta: float, xi: float, 
     return ce + const
 
 
-def _free_energy_at(model: ModelSpec, dec: _Decoupled, beta, eta, xi) -> float:
-    return float(
-        sum(
-            w * free_energy_term(model, i, eta, xi, beta)
-            for i, w in enumerate(dec.weights)
-        )
-    )
+def _free_energy_at(model: ModelSpec, beta, eta, xi) -> float:
+    weights = model._decoupled.weights
+    return float(sum(w * free_energy_term(model, i, eta, xi, beta) for i, w in enumerate(weights)))
 
 
 def free_energy(model: ModelSpec, beta: float) -> ReplicaSolution:
@@ -388,22 +384,20 @@ def free_energy(model: ModelSpec, beta: float) -> ReplicaSolution:
     Matched models also carry mutual information C = F - log(2 pi e)/(2 beta)
     and the average MMSE from the decoupled second-moment identity.
     """
-    dec = _decouple(model)
     candidates = solve_fixed_point(model, beta)
-    scored = tuple(
-        (eta, xi, _free_energy_at(model, dec, beta, eta, xi)) for eta, xi in candidates
-    )
+    scored = tuple((eta, xi, _free_energy_at(model, beta, eta, xi)) for eta, xi in candidates)
     eta, xi, fmin = min(scored, key=lambda t: t[2])
     mutual = mmse = None
     if model.is_matched:
         mutual = fmin - _LOG_2PIE / (2.0 * beta)
-        mmse = _mmse_at(model, dec, eta, xi)
+        mmse = _mmse_at(model, eta, xi)
     diag = candidates.diagnostics
     diag = replace(diag, max_nodes=max(diag.max_nodes, take_peak_nodes()))
     return ReplicaSolution(beta, eta, xi, fmin, mutual, mmse, scored, diag)
 
 
-def _mmse_at(model: ModelSpec, dec: _Decoupled, eta: float, xi: float) -> float:
+def _mmse_at(model: ModelSpec, eta: float, xi: float) -> float:
+    dec = model._decoupled
     msq = sum(wp * mean_square_posterior_mean(ch) for wp, _s, ch in _channels(dec, model.snr, eta, xi))
     m2 = dec.second_moment
     val = m2 - msq

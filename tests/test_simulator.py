@@ -7,6 +7,7 @@ from replica_markov import (
     MarkovPrior,
     ModelSpec,
     TransitionMatrix,
+    ValidationError,
     binary_markov_kernel,
     replica_mmse,
     sparse_hmm_prior,
@@ -184,11 +185,6 @@ class TestEmpiricalFreeEnergy:
         ratio = (se100 / se400) ** 2
         assert 2.0 < ratio < 8.0
 
-    def test_thread_count_does_not_change_result(self):
-        a = empirical_free_energy(BINARY_SYM, 8, 1.0, trials=32, seed=53, threads=1)
-        b = empirical_free_energy(BINARY_SYM, 8, 1.0, trials=32, seed=53, threads=4)
-        assert a == b
-
 
 class TestMetropolisHastings:
     def test_two_site_matches_enumeration(self):
@@ -271,3 +267,7 @@ class TestMetropolisHastings:
         inst = sample_instance(BINARY_SYM, 2, 1.0, seed=59)
         with pytest.raises(Exception):
             mh_posterior_chain(inst, BINARY_SYM, steps=10, burn_in=10, seed=1)
+
+    def test_experiment_needs_a_step_after_burn_in(self):
+        with pytest.raises(ValidationError, match="burn_in"):
+            mh_mse_experiment(BINARY_SYM, 4, 1.0, instances=2, steps=10, burn_in=20, seed=1)

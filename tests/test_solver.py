@@ -370,3 +370,25 @@ class TestDiagnostics:
         # each eta evaluation runs an inner xi solve with its own evaluations
         assert diag.evaluations > 3 * diag.scan_points
         assert diag.residual == max(fixed_point_residual(model, 1.0, e, x) for e, x in sols)
+
+
+class TestDecoupleOnce:
+    DERIVATIONS = ("stationary_distribution", "joint_chain", "effective_states_discrete")
+
+    @pytest.mark.parametrize("name", ["binary_sym", "sparse_hmm", "mismatched"])
+    def test_built_model_is_not_decoupled_again(self, name, monkeypatch):
+        from replica_markov import markov_core, solver
+
+        model = TestGoldenValues.model(name)
+        calls = []
+        for module in (markov_core, solver):
+            for fn in self.DERIVATIONS:
+                if hasattr(module, fn):
+                    orig = getattr(module, fn)
+                    monkeypatch.setattr(module, fn, lambda *a, _f=orig, _n=fn: calls.append(_n) or _f(*a))
+        sol = free_energy(model, 1.0)
+        fixed_point_residual(model, 1.0, sol.eta, sol.xi)
+        free_energy_term(model, 0, sol.eta, sol.xi, 1.0)
+        assert calls == []
+        ModelSpec(prior=model.prior, postulated_prior=model.postulated_prior, sigma=model.sigma)
+        assert "stationary_distribution" in calls  # the counters see a new model's derivation
