@@ -314,6 +314,10 @@ def validate_config(document: dict) -> ExperimentConfig:
             errs.add("trials", "simulation tasks need trials >= 1")
     if "amp" in tasks and sparse_params is None and model is not None:
         errs.add("tasks", "the amp task requires a sparse_hmm prior")
+    if "exact_sim" in tasks and model is not None:
+        evidence_prior = model.postulated_prior if model.postulated_prior is not None else model.prior
+        if not isinstance(evidence_prior, MarkovPrior):
+            errs.add("tasks", "the exact_sim task requires a discrete or Gauss-Markov prior")
     if "mh" in tasks and model is not None:
         prior = model.prior
         if not (isinstance(prior, MarkovPrior) and not prior.is_gauss_markov):

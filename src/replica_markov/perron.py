@@ -7,11 +7,12 @@ transition matrix in the stationary regime, computes Perron-Frobenius
 eigen-triples of nonnegative irreducible matrices, evaluates the exact
 gradient of log rho with respect to an exponential tilt, and inverts the
 scaled-cumulant function into a large-deviation rate
-I(Q) = sup_T (tr(T Q) - log rho(P_T)) by gradient ascent.
+I(Q) = sup_T (tr(T Q) - log rho(P_T)) by damped Newton on that concave dual.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,19 +23,24 @@ from .markov_core import IrreducibilityError, TransitionMatrix, ValidationError,
 MAX_NU = 3
 PF_RESIDUAL_TOL = 1e-10
 _DEDUP_DECIMALS = 12
+_SPAN_RTOL = 1e-10  # singular values of the state differences below this (relative) are null
 
 
 @dataclass(frozen=True, eq=False)
 class QStateSpace:
     """Deduplicated coupling matrices s*x*x^T plus a membership index.
 
-    (s, x) and (s, -x) produce the same matrix and share one state id.
+    ``states`` stacks the k distinct matrices as a (k, nu+1, nu+1) array.
+    ``ids`` gives the state id of every (s, x) tuple, with s outermost and x
+    in ``itertools.product`` order over ``x_alphabet``: the order of
+    ``kron(s, x0, ..., x_nu)``.  (s, x) and (s, -x) share one state id.
     """
 
     nu: int
     s_alphabet: tuple[float, ...]
     x_alphabet: tuple[float, ...]
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
+    ids: np.ndarray
     _index: dict = field(repr=False)
 
     @property
@@ -42,24 +48,15 @@ class QStateSpace:
         return len(self.states)
 
     def state_of(self, s: float, x) -> int:
-        key = _matrix_key(float(s) * np.outer(x, x))
+        key = _rounded(float(s) * np.outer(x, x)).tobytes()
         try:
             return self._index[key]
         except KeyError:
             raise KeyError(f"(s={s}, x={tuple(x)}) is not in the enumerated state space") from None
 
-    def tuples(self):
-        """Every (s, x) tuple with its state id."""
-        grids = np.meshgrid(*([self.x_alphabet] * (self.nu + 1)), indexing="ij")
-        xs = np.stack([g.ravel() for g in grids], axis=-1)
-        for s in self.s_alphabet:
-            for x in xs:
-                yield s, tuple(float(v) for v in x), self.state_of(s, x)
 
-
-def _matrix_key(q: np.ndarray) -> bytes:
-    rounded = np.round(q, _DEDUP_DECIMALS) + 0.0  # normalize -0.0
-    return rounded.tobytes()
+def _rounded(q: np.ndarray) -> np.ndarray:
+    return np.round(q, _DEDUP_DECIMALS) + 0.0  # normalize -0.0
 
 
 def enumerate_q_states(s_alphabet, x_alphabet, nu: int) -> QStateSpace:
@@ -71,18 +68,20 @@ def enumerate_q_states(s_alphabet, x_alphabet, nu: int) -> QStateSpace:
     if any(s <= 0 for s in s_alphabet):
         raise ValidationError("SNR alphabet entries must be positive")
     x_alphabet = tuple(float(x) for x in x_alphabet)
-    states: list[np.ndarray] = []
-    index: dict[bytes, int] = {}
-    grids = np.meshgrid(*([x_alphabet] * (nu + 1)), indexing="ij")
+    d = nu + 1
+    grids = np.meshgrid(*([x_alphabet] * d), indexing="ij")
     xs = np.stack([g.ravel() for g in grids], axis=-1)
-    for s in s_alphabet:
-        for x in xs:
-            q = s * np.outer(x, x)
-            key = _matrix_key(q)
-            if key not in index:
-                index[key] = len(states)
-                states.append(q)
-    return QStateSpace(nu, s_alphabet, x_alphabet, tuple(states), index)
+    qs = (np.array(s_alphabet)[:, None, None, None] * xs[None, :, :, None] * xs[None, :, None, :]).reshape(-1, d, d)
+    index: dict[bytes, int] = {}
+    first: list[int] = []
+    ids = np.empty(len(qs), dtype=int)
+    for t, q in enumerate(_rounded(qs)):
+        key = q.tobytes()
+        if key not in index:
+            index[key] = len(first)
+            first.append(t)
+        ids[t] = index[key]
+    return QStateSpace(nu, s_alphabet, x_alphabet, qs[first], ids, index)
 
 
 def q_transition_matrix(
@@ -99,7 +98,10 @@ def q_transition_matrix(
     joint weight P_S(s') P_S(s) p(x0') pi(x0', x0) prod_k q(xk') pitilde(xk', xk)
     normalized by the state-i marginal.  The time-(n-1) marginals p and q
     default to the stationary distributions of the true and postulated
-    kernels (the stationary-start convention).
+    kernels (the stationary-start convention).  Over tuples the weights are
+    Kronecker products, kron(P_S, p, q, ..., q) and
+    kron(1 P_S^T, pi, pitilde, ..., pitilde), folded onto the states by the
+    one-hot membership matrix of ``space.ids``.
     """
     if postulated_kernel is None:
         postulated_kernel = true_kernel
@@ -121,20 +123,16 @@ def q_transition_matrix(
         stationary_distribution(postulated_kernel).weights if q_marginal is None else np.asarray(q_marginal, float)
     )
 
-    tuples = list(space.tuples())
-    k = space.size
-    joint = np.zeros((k, k))
-    marginal = np.zeros(k)
-    for s_old, x_old, i in tuples:
-        rows_old = [val_to_row[v] for v in x_old]
-        w_old = s_prob[s_old] * p_marg[rows_old[0]] * math.prod(q_marg[r] for r in rows_old[1:])
-        marginal[i] += w_old
-        for s_new, x_new, j in tuples:
-            rows_new = [val_to_row[v] for v in x_new]
-            w_step = s_prob[s_new] * true_kernel.P[rows_old[0], rows_new[0]]
-            for ro, rn in zip(rows_old[1:], rows_new[1:]):
-                w_step *= postulated_kernel.P[ro, rn]
-            joint[i, j] += w_old * w_step
+    rows = [val_to_row[v] for v in space.x_alphabet]
+    s_vec = np.array([s_prob[s] for s in space.s_alphabet])
+    weight = functools.reduce(np.kron, [s_vec, p_marg[rows]] + [q_marg[rows]] * space.nu)
+    true_step = true_kernel.P[np.ix_(rows, rows)]
+    post_step = postulated_kernel.P[np.ix_(rows, rows)]
+    step = functools.reduce(np.kron, [np.tile(s_vec, (len(s_vec), 1)), true_step] + [post_step] * space.nu)
+    member = np.zeros((len(weight), space.size))
+    member[np.arange(len(weight)), space.ids] = 1.0
+    joint = (member.T * weight) @ step @ member
+    marginal = member.T @ weight
     if np.any(marginal <= 0.0):
         bad = int(np.argmin(marginal))
         raise ValidationError(f"state {bad} has zero marginal weight; transition rows undefined")
@@ -153,7 +151,7 @@ class TiltedMatrix:
 
 
 def _trace_terms(tilt: np.ndarray, space: QStateSpace) -> np.ndarray:
-    return np.array([float(np.sum(tilt * q)) for q in space.states])
+    return np.tensordot(space.states, tilt, axes=2)
 
 
 def tilted_matrix(base: np.ndarray, tilt: np.ndarray, space: QStateSpace) -> TiltedMatrix:
@@ -171,9 +169,14 @@ class PfTriple:
 
 def _pf_2x2(M: np.ndarray) -> PfTriple:
     a, b, c, d = M[0, 0], M[0, 1], M[1, 0], M[1, 1]
-    rho = 0.5 * (a + d + math.sqrt((a - d) ** 2 + 4.0 * b * c))
-    psi = np.array([b, rho - a]) if b > 0 else np.array([rho - d, c])
-    lam = np.array([c, rho - a]) if c > 0 else np.array([rho - d, b])
+    root = math.sqrt((a - d) ** 2 + 4.0 * b * c)
+    rho = 0.5 * (a + d + root)
+    # rho - a and rho - d without cancellation: the smaller one is 2bc / (root + |a - d|)
+    gap = 2.0 * b * c / (root + abs(a - d)) if root > 0 else 0.0
+    rho_a, rho_d = (gap, gap + a - d) if a >= d else (gap + d - a, gap)
+    psi = np.array([b, rho_a]) if b > 0 else np.array([rho_d, c])
+    psi = psi / psi.sum()  # b and rho - a can both be tiny; their ratio is not
+    lam = np.array([c, rho_a]) if c > 0 else np.array([rho_d, b])
     lam = lam / (lam @ psi)
     return PfTriple(rho, lam, psi)
 
@@ -220,26 +223,53 @@ def pf_decomposition(M: np.ndarray, tol: float = 1e-13, max_iter: int = 1_000_00
     return PfTriple(rho, lam, psi)
 
 
-def log_pf_eigenvalue(base: np.ndarray, tilt: np.ndarray, space: QStateSpace) -> float:
-    """log rho of the tilted matrix, overflow-safe via a uniform exponent shift."""
+def _tilted_pf(base: np.ndarray, tilt: np.ndarray, space: QStateSpace):
+    """(t_max, P_T e^{-t_max}, its PF triple): a uniform exponent shift keeps exp from overflowing."""
     terms = _trace_terms(tilt, space)
     t_max = float(terms.max())
     scaled = np.asarray(base, float) * np.exp(terms - t_max)[None, :]
-    return t_max + math.log(pf_decomposition(scaled).rho)
+    return t_max, scaled, pf_decomposition(scaled)
+
+
+def _twisted_weights(scaled: np.ndarray, triple: PfTriple) -> np.ndarray:
+    """(lam P_T)_j psi_j / rho = lam_j psi_j: the stationary law of the Doob-transformed chain."""
+    return (triple.lam @ scaled) * triple.psi / triple.rho
+
+
+def _log_hessian(scaled: np.ndarray, triple: PfTriple, f: np.ndarray) -> np.ndarray:
+    """lim_N Cov(sum_{t<N} f(X_t)) / N along the Doob-transformed chain, for f of shape (k, n).
+
+    With twisted chain P~_ij = P_T,ij psi_j / (rho psi_i), its stationary law
+    pi, fbar = f - pi f and Z = (I - P~ + 1 pi)^-1, the covariance is
+    A + A^T - fbar^T Pi fbar with A = fbar^T Pi Z fbar: the second
+    derivative of log rho along the directions f.
+    """
+    pi = _twisted_weights(scaled, triple)
+    twisted = scaled * triple.psi[None, :] / (triple.rho * triple.psi[:, None])
+    fbar = f - pi @ f
+    z_fbar = np.linalg.solve(np.eye(len(pi)) - twisted + pi[None, :], fbar)
+    pi_fbar = pi[:, None] * fbar
+    a = pi_fbar.T @ z_fbar
+    return a + a.T - pi_fbar.T @ fbar
+
+
+def log_pf_eigenvalue(base: np.ndarray, tilt: np.ndarray, space: QStateSpace) -> float:
+    """log rho of the tilted matrix, overflow-safe via a uniform exponent shift."""
+    t_max, _, triple = _tilted_pf(base, tilt, space)
+    return t_max + math.log(triple.rho)
 
 
 def pf_log_derivative(base: np.ndarray, tilt: np.ndarray, space: QStateSpace) -> np.ndarray:
     """d log rho / d tilt: (1/rho) sum_i lam_i sum_j psi_j Q_j P_ij e^{tr(T Q_j)}."""
-    terms = _trace_terms(tilt, space)
-    t_max = float(terms.max())
-    scaled = np.asarray(base, float) * np.exp(terms - t_max)[None, :]
-    triple = pf_decomposition(scaled)
+    _, scaled, triple = _tilted_pf(base, tilt, space)
+    return np.tensordot(_twisted_weights(scaled, triple), space.states, axes=1)
+
+
+def pf_log_hessian(base: np.ndarray, tilt: np.ndarray, space: QStateSpace) -> np.ndarray:
+    """d^2 log rho / d tilt_ab d tilt_cd, shape (nu+1,)*4: the asymptotic covariance of Q."""
+    _, scaled, triple = _tilted_pf(base, tilt, space)
     d = space.nu + 1
-    out = np.zeros((d, d))
-    for i in range(space.size):
-        for j in range(space.size):
-            out += triple.lam[i] * triple.psi[j] * space.states[j] * scaled[i, j]
-    return out / triple.rho
+    return _log_hessian(scaled, triple, space.states.reshape(space.size, -1)).reshape(d, d, d, d)
 
 
 def growth_rate(M: np.ndarray, h: np.ndarray, n_max: int = 200, row: int = 0):
@@ -281,41 +311,85 @@ def rate_function(
     max_iter: int = 20_000,
     value_cap: float = 1e3,
 ) -> RateResult:
-    """I(Q) = sup_T (tr(T Q) - log rho(P_T)) by gradient ascent from T = 0.
+    """I(Q) = sup_T (tr(T Q) - log rho(P_T)) by damped Newton from T = 0.
 
-    pf_log_derivative supplies the exact gradient of log rho; steps use
-    Armijo backtracking.  Targets outside the convex hull of the states make
-    the objective unbounded: detected when the value exceeds value_cap and
-    reported as infeasible (value = inf).
+    The dual is concave.  Each iterate's one PF triple gives its value, its
+    gradient Q - d log rho/dT and its Hessian, the negated asymptotic
+    covariance of Q under the Doob-transformed chain.  Tilts move only in
+    the span of the state differences: along any other direction log rho is
+    linear, so a gradient component there means the target lies off the
+    states' affine hull and the sup is infinite.  The Newton step solves
+    the Hessian system on that span by least squares and halves until the
+    value or the gradient norm improves; a candidate whose tilted matrix
+    underflows to reducible, or whose psi has a zero entry, is rejected.
+    A target outside the convex hull drives the tilt to infinity: it is
+    reported infeasible (value = inf) once the value exceeds value_cap, or,
+    when exp underflow stops the tilt T first, if the dual still rises at
+    infinity along T: tr(T Q) above the largest cycle mean of tr(T Q_j).
     """
     q_target = np.asarray(q_target, float)
     tilt = np.zeros_like(q_target)
+    f = space.states.reshape(space.size, -1)
+    _, sv, vt = np.linalg.svd(f - f[0])
+    span = vt[: int(np.sum(sv > _SPAN_RTOL * sv.max(initial=0.0)))]  # orthonormal rows
+    f_span = f @ span.T
 
-    def objective(t):
-        return float(np.sum(t * q_target)) - log_pf_eigenvalue(base, t, space)
+    def dual(t):
+        t_max, scaled, triple = _tilted_pf(base, t, space)
+        if not np.all(triple.psi > 0):
+            raise IrreducibilityError("tilted matrix underflowed: psi has a zero entry")
+        grad = q_target - np.tensordot(_twisted_weights(scaled, triple), space.states, axes=1)
+        return float(np.sum(t * q_target)) - t_max - math.log(triple.rho), grad, scaled, triple
 
-    val = objective(tilt)
-    grad = q_target - pf_log_derivative(base, tilt, space)
+    val, grad, scaled, triple = dual(tilt)
     it = 0
-    step = 1.0
     for it in range(1, max_iter + 1):
         gnorm = float(np.max(np.abs(grad)))
         if gnorm < grad_tol:
             return RateResult(val, tilt, gnorm, it, True, True)
-        if val > value_cap:
+        g = grad.ravel()
+        g_span = span @ g
+        if val > value_cap or float(np.max(np.abs(g - span.T @ g_span))) > grad_tol:
             return RateResult(math.inf, tilt, gnorm, it, False, False)
-        accepted = False
+        hess = _log_hessian(scaled, triple, f_span)
+        newton = np.linalg.lstsq(hess, g_span, rcond=None)[0]
+        if not np.all(np.isfinite(newton)):
+            break  # the Hessian underflowed: the tilt runs off to infinity
+        direction = (span.T @ newton).reshape(tilt.shape)
+        step = 1.0
         while step > 1e-16:
-            cand = tilt + step * grad
-            cand_val = objective(cand)
-            if cand_val >= val + 0.25 * step * float(np.sum(grad * grad)):
-                accepted = True
+            cand = tilt + step * direction
+            try:
+                cand_val, cand_grad, cand_scaled, cand_triple = dual(cand)
+            except IrreducibilityError:
+                cand_val = None
+            if cand_val is not None and (cand_val > val or float(np.max(np.abs(cand_grad))) < gnorm):
                 break
             step *= 0.5
-        if not accepted:
-            break  # no ascent direction at machine precision
-        tilt, val = cand, cand_val
-        step = min(step * 2.0, 1e6)  # warm start; supremum may sit at infinity
-        grad = q_target - pf_log_derivative(base, tilt, space)
+        else:
+            break  # no improving step at machine precision
+        tilt, val, grad, scaled, triple = cand, cand_val, cand_grad, cand_scaled, cand_triple
     gnorm = float(np.max(np.abs(grad)))
+    if gnorm >= grad_tol:
+        # stopped short of the sup: if the dual rises without bound along the
+        # tilt, the sup is infinite even where exp underflow hid it from value_cap
+        slope = float(np.sum(tilt * q_target)) - _max_cycle_mean(base, _trace_terms(tilt, space))
+        if slope > grad_tol * float(np.abs(tilt).sum()):
+            return RateResult(math.inf, tilt, gnorm, it, False, False)
     return RateResult(val, tilt, gnorm, it, gnorm < grad_tol, val <= value_cap)
+
+
+def _max_cycle_mean(base: np.ndarray, w: np.ndarray) -> float:
+    """Largest mean of the state weights w over a cycle of base's transition graph.
+
+    It is lim_{s->inf} log rho(P_{sT}) / s for w = tr(T Q), so
+    tr(T Q) - _max_cycle_mean is the slope at infinity of the dual along T.
+    Karp's algorithm: with D_n(v) the heaviest n-step walk into v from any
+    start, the answer is max_v min_{j<k} (D_k(v) - D_j(v)) / (k - j).
+    """
+    k = len(w)
+    edges = np.where(np.asarray(base) > 0, 0.0, -np.inf)
+    walks = np.zeros((k + 1, k))
+    for n in range(1, k + 1):
+        walks[n] = np.max(walks[n - 1][:, None] + edges, axis=0) + w
+    return float(np.max(np.min((walks[k] - walks[:k]) / (k - np.arange(k))[:, None], axis=0)))

@@ -328,6 +328,17 @@ BAD_EXPERIMENTS = {
     "amp-iterations": ("amp.iterations", {"amp": {"iterations": 0}}),
     "amp-scaling": ("amp.scaling", {"amp": {"scaling": "verbatim"}}),
     "mh-burn-in": ("mh.burn_in", {"mh": {"steps": 10, "burn_in": 20}}),
+    "exact-sparse-hmm": (
+        "tasks",
+        {"model": {"prior": {"type": "sparse_hmm", "kappa": 0.3, "gamma": 0.5}}, "tasks": ["exact_sim"]},
+    ),
+    "exact-hidden-markov": (
+        "tasks",
+        {"model": {"prior": {"type": "hidden_markov", "states": [0, 1], "transition": [[0.7, 0.3], [0.3, 0.7]],
+                             "emissions": [[{"weight": 1.0, "type": "point", "x": 0.0}],
+                                           [{"weight": 1.0, "type": "gaussian", "var": 1.0}]]}},
+         "tasks": ["exact_sim"]},
+    ),
 }
 
 

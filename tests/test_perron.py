@@ -9,6 +9,7 @@ from replica_markov import (
     TransitionMatrix,
     ValidationError,
     binary_markov_kernel,
+    is_irreducible,
     stationary_distribution,
 )
 from replica_markov.perron import (
@@ -17,10 +18,66 @@ from replica_markov.perron import (
     log_pf_eigenvalue,
     pf_decomposition,
     pf_log_derivative,
+    pf_log_hessian,
     q_transition_matrix,
     rate_function,
     tilted_matrix,
+    _max_cycle_mean,
 )
+
+# A silent NaN or a division through a zero eigenvector entry is a defect here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+# The chain_ld benchmark chain: ternary, mirror-symmetric, with a two-point SNR law.
+TERNARY = TransitionMatrix((-1, 0, 1), np.array([[0.6, 0.2, 0.2], [0.25, 0.5, 0.25], [0.2, 0.2, 0.6]]))
+TERNARY_SNR = ((0.5, 0.5), (2.0, 0.5))
+TERNARY_MEAN_DIAG = 1.25 * 5.0 / 7.0  # E[S] E[X^2] under the stationary law
+
+
+def ternary_setup(nu):
+    space = enumerate_q_states([s for s, _ in TERNARY_SNR], TERNARY.state_values(), nu)
+    return space, q_transition_matrix(space, TERNARY, s_dist=TERNARY_SNR)
+
+
+def symmetric_tilt(rng, d, scale):
+    t = scale * rng.standard_normal((d, d))
+    return 0.5 * (t + t.T)
+
+
+def central_difference(fn, tilt, h):
+    """d fn / d tilt_ab for every (a, b), stacked on the last two axes."""
+    cols = []
+    for idx in np.ndindex(tilt.shape):
+        e = np.zeros_like(tilt)
+        e[idx] = h
+        cols.append((np.asarray(fn(tilt + e)) - np.asarray(fn(tilt - e))) / (2 * h))
+    return np.moveaxis(np.array(cols), 0, -1).reshape(np.shape(cols[0]) + tilt.shape)
+
+
+def tuple_loop_transition_matrix(space, kern, post, s_dist):
+    """The coupling-chain matrix summed tuple by tuple over (s, x) x (s', x').
+
+    Replica 0 follows the true kernel ``kern``, replicas 1..nu the postulated
+    ``post``, each from its stationary law.
+    """
+    s_prob = dict(s_dist)
+    row = {float(v): i for i, v in enumerate(kern.state_values())}
+    laws = [stationary_distribution(kern).weights] + [stationary_distribution(post).weights] * space.nu
+    steps = [kern.P] + [post.P] * space.nu
+    tuples = [
+        (s, [row[v] for v in x], space.state_of(s, x))
+        for s in space.s_alphabet
+        for x in itertools.product(space.x_alphabet, repeat=space.nu + 1)
+    ]
+    joint = np.zeros((space.size, space.size))
+    marginal = np.zeros(space.size)
+    for s_old, r_old, i in tuples:
+        w_old = s_prob[s_old] * math.prod(law[r] for law, r in zip(laws, r_old))
+        marginal[i] += w_old
+        for s_new, r_new, j in tuples:
+            w_step = math.prod(step[a, b] for step, a, b in zip(steps, r_old, r_new))
+            joint[i, j] += w_old * s_prob[s_new] * w_step
+    return joint / marginal[:, None]
 
 
 def brute_force_states(s_alphabet, x_alphabet, nu):
@@ -119,6 +176,25 @@ class TestTransitionMatrix:
                 freq = freq[::-1]
             assert np.max(np.abs(freq - P[a])) < 5e-3
 
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_matches_tuple_loop_ternary_two_snrs(self, nu):
+        space, base = ternary_setup(nu)
+        oracle = tuple_loop_transition_matrix(space, TERNARY, TERNARY, TERNARY_SNR)
+        assert np.max(np.abs(base - oracle)) < 1e-14
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_matches_tuple_loop_with_postulated_kernel(self, nu):
+        post = TransitionMatrix((-1, 0, 1), np.array([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]))
+        space, _ = ternary_setup(nu)
+        P = q_transition_matrix(space, TERNARY, post, s_dist=TERNARY_SNR)
+        assert np.max(np.abs(P - tuple_loop_transition_matrix(space, TERNARY, post, TERNARY_SNR))) < 1e-14
+
+    def test_ids_index_every_tuple(self):
+        space, _ = ternary_setup(2)
+        tuples = [(s, x) for s in space.s_alphabet for x in itertools.product(space.x_alphabet, repeat=3)]
+        assert space.ids.tolist() == [space.state_of(s, x) for s, x in tuples]
+        assert space.states.shape == (space.size, 3, 3)
+
     def test_zero_marginal_guarded(self):
         kern = binary_markov_kernel(0.3, 0.3)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
@@ -165,6 +241,14 @@ class TestPfDecomposition:
         assert np.max(np.abs(triple.lam @ M - triple.rho * triple.lam)) < 1e-10 * triple.rho
         assert abs(triple.lam @ triple.psi - 1.0) < 1e-12
         assert np.all(triple.lam > 0) and np.all(triple.psi > 0)
+
+    def test_2x2_with_tiny_column_keeps_psi_positive(self):
+        # rho - a is 1e-21 here: taken as a difference of rounded sums it is 0
+        M = np.array([[0.7, 0.3e-20], [0.4, 0.6e-20]])
+        triple = pf_decomposition(M)
+        assert np.all(triple.psi > 0) and np.all(triple.lam > 0)
+        assert np.max(np.abs(M @ triple.psi - triple.rho * triple.psi)) <= 1e-15 * triple.rho * np.max(triple.psi)
+        assert np.max(np.abs(triple.lam @ M - triple.rho * triple.lam)) <= 1e-15 * triple.rho * np.max(triple.lam)
 
     def test_rejects_negative_and_reducible(self):
         with pytest.raises(ValidationError):
@@ -216,6 +300,42 @@ class TestPfLogDerivative:
             assert np.max(np.abs(formula - fd)) / np.max(np.abs(fd)) < 1e-6
             assert np.allclose(formula, formula.T, atol=1e-12)
 
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_finite_difference_ternary(self, nu):
+        rng = np.random.default_rng(nu)
+        space, base = ternary_setup(nu)
+        for _ in range(3):
+            tilt = symmetric_tilt(rng, nu + 1, 0.2)
+            formula = pf_log_derivative(base, tilt, space)
+            fd = central_difference(lambda t: log_pf_eigenvalue(base, t, space), tilt, 1e-5)
+            assert np.max(np.abs(formula - fd)) / np.max(np.abs(fd)) < 1e-7
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_hessian_matches_gradient_differences(self, nu):
+        rng = np.random.default_rng(10 + nu)
+        space, base = ternary_setup(nu)
+        for _ in range(2):
+            tilt = symmetric_tilt(rng, nu + 1, 0.2)
+            hess = pf_log_hessian(base, tilt, space)
+            fd = central_difference(lambda t: pf_log_derivative(base, t, space), tilt, 1e-5)
+            assert np.max(np.abs(hess - fd)) / np.max(np.abs(fd)) < 1e-7
+            flat = hess.reshape((nu + 1) ** 2, -1)
+            assert np.allclose(flat, flat.T, atol=1e-12)
+            assert np.linalg.eigvalsh(flat).min() > -1e-12  # log rho is convex
+
+    def test_hessian_iid_is_covariance(self):
+        # iid coupling chain: the asymptotic covariance is the one-step covariance
+        kern = binary_markov_kernel(0.5, 0.5)
+        space = enumerate_q_states([1.0, 3.0], [-1.0, 1.0], 1)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 0.25), (3.0, 0.75)))
+        tilt = np.array([[0.1, -0.2], [-0.2, 0.3]])
+        w = base[0] * np.exp(np.tensordot(space.states, tilt, axes=2))
+        w /= w.sum()
+        f = space.states.reshape(space.size, -1)
+        fbar = f - w @ f
+        cov = (w[:, None] * fbar).T @ fbar
+        assert np.allclose(pf_log_hessian(base, tilt, space).reshape(4, 4), cov, atol=1e-12)
+
     def test_rho_monotone_in_entries(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -248,7 +368,107 @@ class TestGrowthRate:
             growth_rate(np.eye(2) + 0.1, np.array([1.0, 0.0]), n_max=5)
 
 
+# I(Q) and the diagonal optimal tilt at Q = (1 + eps) TERNARY_MEAN_DIAG I, recorded
+# with the gradient-ascent solver this module used before its Newton solver.
+# That solver ran all 20 000 iterations at nu=2 eps=0.04, where its gradient
+# stayed at 1.3e-8; which targets stalled that way turned on last-bit rounding.
+GOLDEN_RATES = {
+    2: {
+        0.02: (0.00030340432998532396, 0.011296959840814802),
+        0.04: (0.001207302852056516, 0.022421075768870005),
+        0.06: (0.0027028515839404715, 0.03338771679085012),
+        0.08: (0.004782006492263791, 0.044211400114896174),
+        0.1: (0.007437481742663621, 0.05490592063998534),
+        0.12: (0.010662712937432178, 0.0654844330394635),
+        0.14: (0.014451824907437072, 0.075959527559599),
+        0.16: (0.018799603687866318, 0.08634330968093212),
+        0.18: (0.023701472364980103, 0.0966474650572296),
+        0.2: (0.029153470532503556, 0.10688333792383015),
+        0.22: (0.03515223714033139, 0.11706197552790698),
+        0.24: (0.04169499656716169, 0.12719419129055048),
+        0.26: (0.048779547777281385, 0.13729062861883606),
+        0.28: (0.05640425646949915, 0.1473618158207704),
+        0.3: (0.06456805015569789, 0.15741820948539526),
+    },
+    3: {
+        0.02: (0.0003418186124287542, 0.009543653413947861),
+        0.04: (0.0013596594185355804, 0.01893104624069397),
+        0.06: (0.003042870500972558, 0.028176299947888783),
+        0.08: (0.005381777531563686, 0.03729268002275632),
+        0.1: (0.008367627813783335, 0.04629274654110194),
+        0.12: (0.011992541352720654, 0.055188392677018305),
+        0.14: (0.01624946825291873, 0.06399097014805499),
+        0.16: (0.021132151853887837, 0.07271135435385134),
+        0.18: (0.026635097109768413, 0.08136000853033343),
+        0.2: (0.0327535438037137, 0.08994705476093334),
+        0.22: (0.03948344425905198, 0.09848233357477032),
+        0.24: (0.04682144528273835, 0.10697546112360201),
+        0.26: (0.05476487412452824, 0.11543587671128086),
+        0.28: (0.06331172830263232, 0.12387291647467602),
+        0.3: (0.07246066919179561, 0.13229584550944573),
+    },
+}
+
+
 class TestRateFunction:
+    @pytest.mark.parametrize(
+        "nu,eps", [(nu, eps) for nu, grid in GOLDEN_RATES.items() for eps in grid], ids=lambda v: str(v)
+    )
+    def test_golden_ternary_grid(self, nu, eps):
+        value, diag_tilt = GOLDEN_RATES[nu][eps]
+        space, base = ternary_setup(nu)
+        target = round(TERNARY_MEAN_DIAG * (1.0 + eps), 12) * np.eye(nu + 1)
+        res = rate_function(space, base, target)
+        assert res.converged and res.feasible and res.iterations <= 10
+        assert abs(res.value - value) <= 1e-10 * value
+        assert np.max(np.abs(res.tilt - diag_tilt * np.eye(nu + 1))) < 1e-7
+
+    @pytest.mark.parametrize("weight", [1.0001, 1.01, 1.5, -0.5])
+    def test_target_just_outside_hull_is_infeasible(self, weight):
+        # exp underflow stops the tilt long before the value reaches value_cap
+        kern = binary_markov_kernel(0.3, 0.3)
+        space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
+        base = q_transition_matrix(space, kern)
+        res = rate_function(space, base, weight * space.states[0] + (1.0 - weight) * space.states[1])
+        assert not res.feasible and not res.converged and res.value == math.inf
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_ternary_diagonal_past_largest_state_is_infeasible(self, nu):
+        # no state has a diagonal entry above max(s) max(x^2) = 2
+        space, base = ternary_setup(nu)
+        res = rate_function(space, base, 2.01 * np.eye(nu + 1))
+        assert not res.feasible and res.value == math.inf
+        face = rate_function(space, base, 2.0 * np.eye(nu + 1))  # the mean of 2 x x^T over x in {-1, 1}^(nu+1)
+        assert face.converged and face.feasible and 0.0 < face.value < math.inf
+
+    def test_max_cycle_mean_matches_cycle_enumeration(self):
+        rng = np.random.default_rng(8)
+        checked = 0
+        while checked < 50:
+            k = int(rng.integers(1, 5))
+            M = (rng.random((k, k)) < 0.5) * rng.random((k, k))
+            if not M.any() or not is_irreducible(M):
+                continue
+            w = rng.standard_normal(k)
+            best = max(
+                float(np.mean(w[list(cycle)]))
+                for length in range(1, k + 1)
+                for cycle in itertools.product(range(k), repeat=length)
+                if all(M[cycle[i], cycle[(i + 1) % length]] > 0 for i in range(length))
+            )
+            assert abs(_max_cycle_mean(M, w) - best) < 1e-12
+            checked += 1
+
+    def test_target_off_affine_hull_is_infeasible_at_once(self):
+        # every binary state has diagonal s = 1, so a target with 1.2 there is
+        # unreachable and the dual rises without bound along that entry
+        kern = binary_markov_kernel(0.3, 0.3)
+        space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
+        base = q_transition_matrix(space, kern)
+        res = rate_function(space, base, np.array([[1.2, 0.1], [0.1, 1.0]]))
+        assert not res.feasible and not res.converged and res.value == math.inf
+        assert res.iterations == 1
+
     def test_zero_at_chain_mean(self):
         kern = binary_markov_kernel(0.3, 0.5)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
