@@ -3,7 +3,9 @@
 Subcommands: ``replica sweep``, ``simulate exact``, ``simulate mh``,
 ``simulate amp``, ``pf deriv-check``, ``pf rate``.  Every subcommand takes
 ``--seed`` and ``--out``, and accepts ``--threads`` for old command lines
-but ignores it: rows run one after another in one thread.  Results are CSV
+but ignores it: rows run one after another in one thread.  ``replica
+sweep`` likewise ignores ``--verify``: every fixed point it reports has
+already passed the solver's residual check.  Results are CSV
 (RFC 4180); reruns with the same config and seed are byte-identical.  Exit
 codes: 0 success, 2 validation error (naming the JSON path), 3 numeric
 failure.
@@ -23,11 +25,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .amp import AmpConfig, amp_experiment, replica_mmse_reference
-from .config import ConfigError, ExperimentConfig, _is_number, validate_config
-from .markov_core import TransitionMatrix, binary_markov_kernel
-from .perron import MAX_NU, enumerate_q_states, log_pf_eigenvalue, pf_log_derivative, q_transition_matrix, rate_function
+from .config import ConfigError, ExperimentConfig, validate_config, validate_rate_config
+from .markov_core import binary_markov_kernel
+from .perron import enumerate_q_states, log_pf_eigenvalue, pf_log_derivative, q_transition_matrix, rate_function
 from .simulator import empirical_free_energy, measurement_count, mh_mse_experiment, sample_instance
-from .solver import RESIDUAL_TOL, SolverError, fixed_point_residual, free_energy
+from .solver import free_energy
 
 _LN2 = math.log(2.0)
 
@@ -58,7 +60,20 @@ def _units_factor(units: str) -> float:
     return 1.0 / _LN2 if units == "bits" else 1.0
 
 
-def compute_row(config: ExperimentConfig, beta_index: int, verify: bool = False) -> ResultRow:
+def _amp_config(config: ExperimentConfig, beta_index: int) -> AmpConfig:
+    kappa, gamma = config.sparse_hmm_params
+    return AmpConfig(
+        kappa=kappa,
+        gamma=gamma,
+        n=config.n,
+        beta=config.betas[beta_index],
+        trials=config.trials,
+        iterations=config.amp_iterations,
+        seed=_row_seed(config.seed, beta_index),
+    )
+
+
+def compute_row(config: ExperimentConfig, beta_index: int) -> ResultRow:
     """All requested tasks for one sweep point; task failures land in .errors.
 
     When finite-n tasks run, the measurement count m = round(n/beta) makes the
@@ -77,8 +92,6 @@ def compute_row(config: ExperimentConfig, beta_index: int, verify: bool = False)
     if "replica" in config.tasks:
         try:
             sol = free_energy(config.model, replica_beta)
-            if verify and fixed_point_residual(config.model, replica_beta, sol.eta, sol.xi) >= RESIDUAL_TOL:
-                raise SolverError(f"re-verification failed at beta={beta}")
             row.eta, row.xi = sol.eta, sol.xi
             row.free_energy = sol.free_energy * factor
             if sol.mutual_info is not None:
@@ -104,17 +117,8 @@ def compute_row(config: ExperimentConfig, beta_index: int, verify: bool = False)
             failures.append(f"mh: {exc}")
     if "amp" in config.tasks:
         try:
-            kappa, gamma = config.sparse_hmm_params
-            cfg = AmpConfig(
-                kappa=kappa,
-                gamma=gamma,
-                n=config.n,
-                beta=beta,
-                trials=config.trials,
-                iterations=config.amp_iterations,
-                seed=seed,
-            )
-            ref = row.mmse if row.mmse is not None else replica_mmse_reference(kappa, gamma, replica_beta)
+            cfg = _amp_config(config, beta_index)
+            ref = row.mmse if row.mmse is not None else replica_mmse_reference(cfg.kappa, cfg.gamma, replica_beta)
             res = amp_experiment(cfg, replica_reference=ref)
             row.amp_mse, row.amp_mse_stderr = res.mean_mse, res.std_err
         except Exception as exc:
@@ -123,9 +127,9 @@ def compute_row(config: ExperimentConfig, beta_index: int, verify: bool = False)
     return row
 
 
-def run_sweep(config: ExperimentConfig, verify: bool = False) -> list[ResultRow]:
+def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """One ResultRow per beta, ascending; deterministic for a given seed."""
-    return [compute_row(config, i, verify) for i in range(len(config.betas))]
+    return [compute_row(config, i) for i in range(len(config.betas))]
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
@@ -169,7 +173,7 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args.config, args.seed)
     if args.units:
         config = replace(config, units=args.units)
-    rows = run_sweep(config, verify=args.verify)
+    rows = run_sweep(config)
     _write_out(rows_to_csv(rows), args.out)
     if any(row.errors for row in rows):
         sys.stderr.write("numeric failures: " + "; ".join(r.errors for r in rows if r.errors) + "\n")
@@ -195,20 +199,11 @@ def _cmd_simulate(args, task: str) -> int:
 
 def _cmd_simulate_amp(args) -> int:
     config = _load_config(args.config, args.seed, task_override=["amp"])
-    kappa, gamma = config.sparse_hmm_params
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["beta", "trial", "iteration", "mse"])
     for bi, beta in enumerate(config.betas):
-        cfg = AmpConfig(
-            kappa=kappa,
-            gamma=gamma,
-            n=config.n,
-            beta=beta,
-            trials=config.trials,
-            iterations=config.amp_iterations,
-            seed=_row_seed(config.seed, bi),
-        )
+        cfg = _amp_config(config, bi)
         res = amp_experiment(cfg)
         for t in range(cfg.trials):
             for it in range(cfg.iterations):
@@ -233,6 +228,8 @@ def _random_q_setup(rng: np.random.Generator):
 
 
 def _cmd_pf_deriv_check(args) -> int:
+    if args.cases < 1:
+        raise ConfigError([f"--cases: need at least 1 case, got {args.cases}"])
     rng = np.random.Generator(np.random.Philox(args.seed if args.seed is not None else 0))
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -261,49 +258,11 @@ def _cmd_pf_deriv_check(args) -> int:
 
 def _cmd_pf_rate(args) -> int:
     with open(args.config) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(["config: expected a JSON object"])
-    errors = []
-    chain = doc.get("chain")
-    if not isinstance(chain, dict):
-        errors.append("chain: missing object")
-    nu = doc.get("nu", 0)
-    nu_ok = isinstance(nu, int) and not isinstance(nu, bool) and 0 <= nu <= MAX_NU
-    if not nu_ok:
-        errors.append(f"nu: expected an integer in [0, {MAX_NU}]")
-    q_target = doc.get("q_target")
-    if not isinstance(q_target, list):
-        errors.append("q_target: missing matrix")
-    elif nu_ok and not (
-        len(q_target) == nu + 1
-        and all(isinstance(row, list) and len(row) == nu + 1 and all(map(_is_number, row)) for row in q_target)
-    ):
-        errors.append(f"q_target: expected a {nu + 1}x{nu + 1} matrix of numbers for nu={nu}")
-    snr = doc.get("snr", 1.0)
-    pairs = [[snr, 1.0]] if _is_number(snr) else snr
-    if isinstance(pairs, list) and pairs and all(
-        isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)) and pair[0] > 0 for pair in pairs
-    ):
-        s_pairs = tuple((float(v), float(p)) for v, p in pairs)
-    else:
-        errors.append("snr: expected a positive number or a list of [value > 0, probability] pairs")
-    if errors:
-        raise ConfigError(errors)
-    try:
-        if chain.get("type") == "binary_markov":
-            kern = binary_markov_kernel(chain["alpha"], chain["delta"])
-        else:
-            kern = TransitionMatrix(tuple(chain["states"]), np.array(chain["transition"], dtype=float))
-        values = kern.state_values()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError([f"chain: {exc!r}"]) from exc
-    space = enumerate_q_states([v for v, _ in s_pairs], values, nu)
-    base = q_transition_matrix(space, kern, s_dist=s_pairs)
-    res = rate_function(space, base, np.array(q_target, dtype=float))
+        space, base, q_target = validate_rate_config(json.load(fh))
+    res = rate_function(space, base, q_target)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    d = nu + 1
+    d = space.nu + 1
     header = ["value", "feasible", "converged", "gradient_norm", "iterations"]
     header += [f"tilt_{a}{b}" for a in range(d) for b in range(d)]
     writer.writerow(header)
@@ -328,7 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = replica.add_subparsers(dest="cmd", required=True)
     sweep = rsub.add_parser("sweep", help="sweep beta and run the configured tasks")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--verify", action="store_true", help="re-check fixed-point residuals")
+    sweep.add_argument(
+        "--verify",
+        action="store_true",
+        help="accepted and ignored: every reported fixed point already passed solve_fixed_point's residual check",
+    )
     sweep.add_argument("--units", choices=["nats", "bits"], default=None)
     _common_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)

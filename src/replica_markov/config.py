@@ -1,27 +1,29 @@
-"""JSON experiment configuration: schema validation and model construction.
+"""JSON configuration: schema validation and model construction.
 
+``validate_config`` reads an experiment document, ``validate_rate_config`` a
+``pf rate`` document; both share the prior and SNR builders below.
 Validation is all-or-nothing: every violation is reported with the dotted
 path of the offending field (e.g. ``model.prior.transition[1]``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import ConditionalInputLaw, GaussianAtom, LawValidationError, PointMass
+from .laws import ConditionalInputLaw, GaussianAtom, PointMass
 from .markov_core import (
     HiddenMarkovPrior,
-    IrreducibilityError,
     MarkovPrior,
     TransitionMatrix,
-    ValidationError,
     binary_markov_kernel,
     is_irreducible,
     sparse_hmm_prior,
 )
-from .solver import ModelSpec
+from .perron import MAX_NU, QStateSpace, enumerate_q_states, q_transition_matrix
+from .solver import ModelSpec, _normalize_snr
 
 SCHEMA_VERSION = 1
 TASKS = ("replica", "exact_sim", "mh", "amp")
@@ -50,8 +52,8 @@ class ExperimentConfig:
     sparse_hmm_params: tuple[float, float] | None = None  # (kappa, gamma) when prior is sparse_hmm
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class _Collector:
@@ -72,6 +74,16 @@ class _Collector:
             self.add(f"{path}.{key}" if path else key, f"expected {tn}, got {type(val).__name__}")
             return default
         return val
+
+
+def _built(errs: _Collector, path: str, make):
+    """make(), or None with its ValueError recorded under path: every library
+    object checks itself, and the builders only name the path."""
+    try:
+        return make()
+    except ValueError as exc:
+        errs.add(path, str(exc))
+        return None
 
 
 def _build_emission(doc, path, errs: _Collector):
@@ -102,11 +114,7 @@ def _build_emission(doc, path, errs: _Collector):
             errs.add(f"{cpath}.type", f"unknown component type {kind!r}")
     if len(errs.errors) > mark:
         return None
-    try:
-        return ConditionalInputLaw(tuple(comps))
-    except LawValidationError as exc:
-        errs.add(path, str(exc))
-        return None
+    return _built(errs, path, lambda: ConditionalInputLaw(tuple(comps)))
 
 
 def _build_transition(doc, path, errs: _Collector) -> TransitionMatrix | None:
@@ -125,11 +133,7 @@ def _build_transition(doc, path, errs: _Collector) -> TransitionMatrix | None:
         errs.add(f"{path}.transition", f"{len(rows)} rows for {k} states")
     if len(errs.errors) > mark:
         return None
-    try:
-        return TransitionMatrix(tuple(states), np.array(rows, dtype=float))
-    except (ValidationError, ValueError) as exc:
-        errs.add(f"{path}.transition", str(exc))
-        return None
+    return _built(errs, f"{path}.transition", lambda: TransitionMatrix(tuple(states), np.array(rows, dtype=float)))
 
 
 def _build_prior(doc, path, errs: _Collector):
@@ -157,35 +161,23 @@ def _build_prior(doc, path, errs: _Collector):
             return None, None
         initial = doc.get("initial")
         if initial is not None and not (
-            isinstance(initial, list) and len(initial) == kern.dim and all(map(_is_number, initial))
+            isinstance(initial, list) and len(initial) == kern.dim and all(map(_is_finite_number, initial))
         ):
             errs.add(f"{path}.initial", f"expected a list of {kern.dim} probabilities")
             return None, None
-        try:
-            return MarkovPrior.discrete(kern, initial), None
-        except (ValidationError, IrreducibilityError) as exc:
-            errs.add(path, str(exc))
-            return None, None
+        return _built(errs, path, lambda: MarkovPrior.discrete(kern, initial)), None
     if kind == "gauss_markov":
         nu = errs.expect(doc, path, "nu", (int, float), required=True)
         s0 = errs.expect(doc, path, "sigma0_sq", (int, float), required=True)
         if nu is None or s0 is None:
             return None, None
-        try:
-            return MarkovPrior.gauss_markov(float(nu), float(s0)), None
-        except ValidationError as exc:
-            errs.add(path, str(exc))
-            return None, None
+        return _built(errs, path, lambda: MarkovPrior.gauss_markov(float(nu), float(s0))), None
     if kind == "sparse_hmm":
         kappa = errs.expect(doc, path, "kappa", (int, float), required=True)
         gamma = errs.expect(doc, path, "gamma", (int, float), required=True)
         if kappa is None or gamma is None:
             return None, None
-        try:
-            return sparse_hmm_prior(float(kappa), float(gamma)), (float(kappa), float(gamma))
-        except ValidationError as exc:
-            errs.add(path, str(exc))
-            return None, None
+        return _built(errs, path, lambda: sparse_hmm_prior(float(kappa), float(gamma))), (float(kappa), float(gamma))
     if kind == "hidden_markov":
         kern = _build_transition(doc, path, errs)
         emis_doc = errs.expect(doc, path, "emissions", list, required=True)
@@ -197,33 +189,24 @@ def _build_prior(doc, path, errs: _Collector):
         laws = [_build_emission(e, f"{path}.emissions[{i}]", errs) for i, e in enumerate(emis_doc)]
         if any(l is None for l in laws):
             return None, None
-        try:
-            return HiddenMarkovPrior(kern, tuple(laws)), None
-        except (ValidationError, IrreducibilityError) as exc:
-            errs.add(path, str(exc))
-            return None, None
+        return _built(errs, path, lambda: HiddenMarkovPrior(kern, tuple(laws))), None
     errs.add(f"{path}.type", f"unknown prior type {kind!r}")
     return None, None
 
 
 def _build_snr(doc, path, errs: _Collector):
+    """The SNR law as (value, probability) pairs, checked by the rule ModelSpec applies."""
     if doc is None:
-        return 1.0
-    if isinstance(doc, (int, float)):
-        if doc <= 0:
-            errs.add(path, "snr must be positive")
-            return None
-        return float(doc)
+        doc = 1.0
     if isinstance(doc, list):
-        pairs = []
         for i, item in enumerate(doc):
-            if not (isinstance(item, list) and len(item) == 2 and all(map(_is_number, item))):
-                errs.add(f"{path}[{i}]", "expected [value, probability] numbers")
+            if not (isinstance(item, list) and len(item) == 2 and all(map(_is_finite_number, item))):
+                errs.add(f"{path}[{i}]", "expected [value, probability] finite numbers")
                 return None
-            pairs.append((float(item[0]), float(item[1])))
-        return tuple(pairs)
-    errs.add(path, "expected a number or a list of [value, probability] pairs")
-    return None
+    elif not _is_finite_number(doc):
+        errs.add(path, "expected a finite number or a list of [value, probability] pairs")
+        return None
+    return _built(errs, path, lambda: _normalize_snr(doc))
 
 
 def _build_betas(doc, errs: _Collector):
@@ -277,10 +260,9 @@ def validate_config(document: dict) -> ExperimentConfig:
         snr = _build_snr(model_doc.get("snr"), "model.snr", errs)
         sigma = errs.expect(model_doc, "model", "sigma", (int, float), default=1.0)
         if prior is not None and snr is not None and not errs.errors:
-            try:
-                model = ModelSpec(prior=prior, postulated_prior=postulated, snr=snr, sigma=float(sigma))
-            except (ValidationError, ValueError) as exc:
-                errs.add("model", str(exc))
+            model = _built(
+                errs, "model", lambda: ModelSpec(prior=prior, postulated_prior=postulated, snr=snr, sigma=float(sigma))
+            )
     betas = _build_betas(document.get("sweep", {}), errs)
     tasks_doc = errs.expect(document, "", "tasks", list, default=["replica"])
     tasks = tuple(tasks_doc) if tasks_doc else ()
@@ -318,6 +300,8 @@ def validate_config(document: dict) -> ExperimentConfig:
         evidence_prior = model.postulated_prior if model.postulated_prior is not None else model.prior
         if not isinstance(evidence_prior, MarkovPrior):
             errs.add("tasks", "the exact_sim task requires a discrete or Gauss-Markov prior")
+        elif evidence_prior.is_gauss_markov and model.sigma != 1.0:
+            errs.add("model.sigma", "the exact_sim task's Gauss-Markov closed form needs sigma = 1")
     if "mh" in tasks and model is not None:
         prior = model.prior
         if not (isinstance(prior, MarkovPrior) and not prior.is_gauss_markov):
@@ -337,3 +321,49 @@ def validate_config(document: dict) -> ExperimentConfig:
         amp_iterations=amp_iter,
         sparse_hmm_params=sparse_params,
     )
+
+
+def validate_rate_config(document: dict) -> tuple[QStateSpace, np.ndarray, np.ndarray]:
+    """(coupling states, their irreducible transition matrix, q_target) of a
+    ``pf rate`` document; raises ConfigError listing every violation.  The SNR
+    law enters as its support: repeated values merged, zero-probability
+    values dropped."""
+    if not isinstance(document, dict):
+        raise ConfigError(["config: expected a JSON object"])
+    errs = _Collector()
+    if document.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        errs.add("version", f"unsupported schema version (expected {SCHEMA_VERSION})")
+    chain = errs.expect(document, "", "chain", dict, required=True)
+    kernel = None
+    if chain is not None:
+        chain = {"type": "discrete_markov", **chain}
+        if chain["type"] not in ("binary_markov", "discrete_markov"):
+            errs.add("chain.type", "expected 'binary_markov' or 'discrete_markov'")
+        else:
+            prior, _ = _build_prior(chain, "chain", errs)
+            if prior is not None:
+                kernel = prior.kernel
+                _built(errs, "chain", kernel.state_values)
+    nu = document.get("nu", 0)
+    if not (isinstance(nu, int) and not isinstance(nu, bool) and 0 <= nu <= MAX_NU):
+        errs.add("nu", f"expected an integer in [0, {MAX_NU}]")
+        nu = None
+    q_target = errs.expect(document, "", "q_target", list, required=True)
+    if q_target is not None and nu is not None and not (
+        len(q_target) == nu + 1
+        and all(isinstance(row, list) and len(row) == nu + 1 and all(map(_is_finite_number, row)) for row in q_target)
+    ):
+        errs.add("q_target", f"expected a {nu + 1}x{nu + 1} matrix of finite numbers for nu={nu}")
+    snr = _build_snr(document.get("snr"), "snr", errs)
+    if errs.errors:
+        raise ConfigError(errs.errors)
+    support: dict[float, float] = {}
+    for v, p in snr:
+        if p > 0:
+            support[v] = support.get(v, 0.0) + p
+    space = enumerate_q_states(list(support), kernel.state_values(), nu)
+    base = q_transition_matrix(space, kernel, s_dist=tuple(support.items()))
+    if not is_irreducible(base):
+        # an irreducible aperiodic chain always gives an irreducible coupling chain
+        raise ConfigError([f"chain.transition: the chain is periodic, so its coupling chain at nu={nu} is reducible"])
+    return space, base, np.array(q_target, dtype=float)

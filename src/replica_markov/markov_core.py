@@ -17,7 +17,6 @@ from .laws import ConditionalInputLaw
 
 STOCHASTIC_TOL = 1e-12
 STATIONARY_TOL = 1e-12
-DENSE_SOLVE_MAX_DIM = 64
 
 
 class ValidationError(ValueError):
@@ -200,28 +199,18 @@ def is_irreducible(P: TransitionMatrix | np.ndarray) -> bool:
 def stationary_distribution(P: TransitionMatrix) -> ProbabilityVector:
     """Left Perron-Frobenius eigenvector of P with unit L1 norm.
 
-    Dense solve of (P^T - I) v = 0 with an appended normalization row up to
-    dimension 64; power iteration beyond.  Residual ||v^T P - v^T||_inf is
-    verified below 1e-12.
+    Dense least-squares solve of (P^T - I) v = 0 with an appended
+    normalization row; it needs no aperiodicity, unlike power iteration.
+    Residual ||v^T P - v^T||_inf is verified below 1e-12.
     """
     if not is_irreducible(P):
         raise IrreducibilityError("chain is reducible; stationary distribution not unique")
     M = P.P
     n = P.dim
-    if n <= DENSE_SOLVE_MAX_DIM:
-        A = np.vstack([M.T - np.eye(n), np.ones((1, n))])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        v, *_ = np.linalg.lstsq(A, b, rcond=None)
-    else:
-        v = np.full(n, 1.0 / n)
-        for _ in range(1_000_000):
-            nxt = v @ M
-            nxt /= nxt.sum()
-            if np.max(np.abs(nxt - v)) < 1e-16:
-                v = nxt
-                break
-            v = nxt
+    A = np.vstack([M.T - np.eye(n), np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    v, *_ = np.linalg.lstsq(A, b, rcond=None)
     v = np.abs(v)
     v /= v.sum()
     resid = np.max(np.abs(v @ M - v))

@@ -67,6 +67,8 @@ def enumerate_q_states(s_alphabet, x_alphabet, nu: int) -> QStateSpace:
     s_alphabet = tuple(float(s) for s in s_alphabet)
     if any(s <= 0 for s in s_alphabet):
         raise ValidationError("SNR alphabet entries must be positive")
+    if len(set(s_alphabet)) != len(s_alphabet):
+        raise ValidationError(f"SNR alphabet entries must be distinct, got {s_alphabet}")
     x_alphabet = tuple(float(x) for x in x_alphabet)
     d = nu + 1
     grids = np.meshgrid(*([x_alphabet] * d), indexing="ij")
@@ -181,12 +183,15 @@ def _pf_2x2(M: np.ndarray) -> PfTriple:
     return PfTriple(rho, lam, psi)
 
 
-def pf_decomposition(M: np.ndarray, tol: float = 1e-13, max_iter: int = 1_000_000) -> PfTriple:
+def pf_decomposition(M: np.ndarray, tol: float = 1e-13, max_iter: int = 1_000) -> PfTriple:
     """Perron eigen-triple by power iteration on the shifted matrix M + cI.
 
     The shift makes every irreducible nonnegative matrix aperiodic without
     changing eigenvectors; rho is recovered as the Rayleigh quotient
-    lam M psi / (lam psi) at convergence.
+    lam M psi / (lam psi) at convergence.  When one entry dwarfs rho, the
+    shift (half the largest row sum) leaves a subdominant eigenvalue within a
+    hair of rho + c; after max_iter steps the triple comes from dense
+    eigendecompositions instead, under the same residual check.
     """
     M = np.asarray(M, dtype=float)
     if np.any(M < 0):
@@ -218,7 +223,16 @@ def pf_decomposition(M: np.ndarray, tol: float = 1e-13, max_iter: int = 1_000_00
         if done:
             break
     else:
-        raise ValidationError("power iteration did not converge")
+        vals, right = np.linalg.eig(M)
+        left_vals, left = np.linalg.eig(M.T)
+        rho = float(np.max(vals.real))
+        psi = np.abs(right[:, np.argmax(vals.real)].real)
+        lam = np.abs(left[:, np.argmax(left_vals.real)].real)
+        psi /= psi.sum()
+        lam /= lam.sum()
+        resid = max(np.max(np.abs(M @ psi - rho * psi)), np.max(np.abs(lam @ M - rho * lam)))
+        if not resid < PF_RESIDUAL_TOL * rho:
+            raise ValidationError(f"Perron eigenvector residual {resid:.3e} exceeds {PF_RESIDUAL_TOL} * rho")
     lam = lam / (lam @ psi)
     return PfTriple(rho, lam, psi)
 
@@ -321,7 +335,8 @@ def rate_function(
     states' affine hull and the sup is infinite.  The Newton step solves
     the Hessian system on that span by least squares and halves until the
     value or the gradient norm improves; a candidate whose tilted matrix
-    underflows to reducible, or whose psi has a zero entry, is rejected.
+    underflows to reducible, whose psi has a zero entry, or whose PF triple
+    fails its residual check (rho far below the largest entry) is rejected.
     A target outside the convex hull drives the tilt to infinity: it is
     reported infeasible (value = inf) once the value exceeds value_cap, or,
     when exp underflow stops the tilt T first, if the dual still rises at
@@ -361,7 +376,7 @@ def rate_function(
             cand = tilt + step * direction
             try:
                 cand_val, cand_grad, cand_scaled, cand_triple = dual(cand)
-            except IrreducibilityError:
+            except (IrreducibilityError, ValidationError):
                 cand_val = None
             if cand_val is not None and (cand_val > val or float(np.max(np.abs(cand_grad))) < gnorm):
                 break

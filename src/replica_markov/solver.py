@@ -65,13 +65,9 @@ class MatchedModelRequired(ValueError):
 
 
 def _normalize_snr(snr) -> tuple[tuple[float, float], ...]:
-    if np.isscalar(snr):
-        if not snr > 0:
-            raise ValidationError("snr must be positive")
-        return ((float(snr), 1.0),)
-    pairs = tuple((float(v), float(p)) for v, p in snr)
-    if any(v <= 0 for v, _ in pairs) or any(p < 0 for _, p in pairs):
-        raise ValidationError("snr values must be > 0 with nonnegative probabilities")
+    pairs = ((float(snr), 1.0),) if np.isscalar(snr) else tuple((float(v), float(p)) for v, p in snr)
+    if not all(0 < v < math.inf and p >= 0 for v, p in pairs):  # also rejects NaN
+        raise ValidationError("snr values must be finite and > 0, with nonnegative probabilities")
     total = sum(p for _, p in pairs)
     if abs(total - 1.0) > 1e-12:
         raise ValidationError(f"snr probabilities sum to {total}, not 1")
@@ -152,9 +148,6 @@ class ModelSpec:
         return self.sigma == 1.0 and (
             self.postulated_prior is None or _priors_equal(self.prior, self.postulated_prior)
         )
-
-    def mean_snr(self) -> float:
-        return sum(v * p for v, p in self.snr)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -6,11 +7,15 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import replica_markov
 from replica_markov.cli import ResultRow, main, rows_to_csv, run_sweep
 from replica_markov.config import ConfigError, validate_config
+from replica_markov.markov_core import is_irreducible
 
 
 def base_doc(**overrides):
@@ -128,11 +133,6 @@ class TestRunSweep:
         config = validate_config(base_doc(sweep={"betas": [2.0, 0.5, 1.0]}))
         rows = run_sweep(config)
         assert [row.beta for row in rows] == [0.5, 1.0, 2.0]
-
-    def test_verify_flag_checks_residuals(self):
-        config = validate_config(base_doc())
-        rows = run_sweep(config, verify=True)
-        assert rows[0].errors == ""
 
     def test_bits_units_convert_log_quantities_only(self):
         nats = run_sweep(validate_config(base_doc()))[0]
@@ -305,14 +305,38 @@ class TestMainEntry:
         assert main(["replica", "sweep", "--config", str(cfg), "--threads", "2", "--out", str(threaded)]) == 0
         assert plain.read_bytes() == threaded.read_bytes()
 
+    def test_verify_flag_is_ignored(self, tmp_path):
+        # every fixed point free_energy reports has passed the solver's residual check
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps(base_doc(sweep={"betas": [0.5, 1.0]})))
+        plain, verified = tmp_path / "plain.csv", tmp_path / "verified.csv"
+        assert main(["replica", "sweep", "--config", str(cfg), "--out", str(plain)]) == 0
+        assert main(["replica", "sweep", "--config", str(cfg), "--verify", "--out", str(verified)]) == 0
+        assert plain.read_bytes() == verified.read_bytes()
+
+    @pytest.mark.parametrize("cases", ["0", "-2"])
+    def test_pf_deriv_check_needs_a_case(self, capsys, cases):
+        assert main(["pf", "deriv-check", "--cases", cases]) == 2
+        assert "config error: --cases:" in capsys.readouterr().err
+
 
 BAD_EXPERIMENTS = {
     "snr-string": ("model.snr[0]", {"model": {"prior": base_doc()["model"]["prior"], "snr": [["a", 1.0]]}}),
     "snr-null": ("model.snr[0]", {"model": {"prior": base_doc()["model"]["prior"], "snr": [[None, 1.0]]}}),
+    "snr-infinite": ("model.snr", {"model": {"prior": base_doc()["model"]["prior"], "snr": math.inf}}),
+    "snr-off-stochastic": (
+        "model.snr",
+        {"model": {"prior": base_doc()["model"]["prior"], "snr": [[1.0, 0.3], [2.0, 0.3]]}},
+    ),
     "initial-string": (
         "model.prior.initial",
         {"model": {"prior": {"type": "discrete_markov", "states": [-1, 1],
                              "transition": [[0.7, 0.3], [0.3, 0.7]], "initial": ["a", "b"]}}},
+    ),
+    "initial-nan": (
+        "model.prior.initial",
+        {"model": {"prior": {"type": "discrete_markov", "states": [-1, 1],
+                             "transition": [[0.7, 0.3], [0.3, 0.7]], "initial": [math.nan, 1.0]}}},
     ),
     "postulated-labels": (
         "model",
@@ -339,6 +363,11 @@ BAD_EXPERIMENTS = {
                                            [{"weight": 1.0, "type": "gaussian", "var": 1.0}]]}},
          "tasks": ["exact_sim"]},
     ),
+    "exact-gauss-markov-sigma": (
+        "model.sigma",
+        {"model": {"prior": {"type": "gauss_markov", "nu": 0.5, "sigma0_sq": 1.0}, "sigma": 1.2},
+         "tasks": ["exact_sim"]},
+    ),
 }
 
 
@@ -360,14 +389,22 @@ RATE_DOC = {
 BAD_RATES = {
     "target-shape": ("q_target", {"q_target": [[1]]}),
     "target-string": ("q_target", {"q_target": [[1.0, "a"], [0.2, 1.0]]}),
+    "target-nan": ("q_target", {"q_target": [[1.0, math.nan], [0.2, 1.0]]}),
     "nu-large": ("nu", {"nu": 5}),
     "nu-negative": ("nu", {"nu": -1}),
     "nu-float": ("nu", {"nu": 1.5}),
     "snr-string": ("snr", {"snr": "a"}),
-    "snr-pair-null": ("snr", {"snr": [[None, 1.0]]}),
+    "snr-pair-null": ("snr[0]", {"snr": [[None, 1.0]]}),
     "snr-negative": ("snr", {"snr": -1.0}),
+    "snr-off-stochastic": ("snr", {"snr": [[1.0, 0.3], [2.0, 0.3]]}),
+    "snr-negative-probability": ("snr", {"snr": [[1.0, 1.5], [2.0, -0.5]]}),
+    "snr-nan-probability": ("snr[0]", {"snr": [[1.0, math.nan]]}),
+    "snr-infinite": ("snr", {"snr": math.inf}),
     "chain-string-states": ("chain", {"chain": {"states": ["a", "b"], "transition": [[0.7, 0.3], [0.3, 0.7]]}}),
-    "chain-string-alpha": ("chain", {"chain": {"type": "binary_markov", "alpha": "a", "delta": 0.3}}),
+    "chain-string-alpha": ("chain.alpha", {"chain": {"type": "binary_markov", "alpha": "a", "delta": 0.3}}),
+    "chain-reducible": ("chain.transition", {"chain": {"states": [-1, 1], "transition": [[1, 0], [0, 1]]}}),
+    "chain-periodic": ("chain.transition", {"chain": {"states": [-1, 1], "transition": [[0, 1], [1, 0]]}}),
+    "chain-gauss-markov": ("chain.type", {"chain": {"type": "gauss_markov", "nu": 0.5, "sigma0_sq": 1.0}}),
 }
 
 
@@ -377,6 +414,96 @@ def test_bad_pf_rate_exits_2_naming_its_path(tmp_path, capsys, path, overrides):
     cfg.write_text(json.dumps({**RATE_DOC, **overrides}))
     assert main(["pf", "rate", "--config", str(cfg)]) == 2
     assert f"config error: {path}:" in capsys.readouterr().err
+
+
+def run_pf_rate(tmp_path, doc) -> tuple[int, bytes]:
+    cfg, out = tmp_path / "rate.json", tmp_path / "rate.csv"
+    cfg.write_text(json.dumps(doc))
+    out.unlink(missing_ok=True)
+    code = main(["pf", "rate", "--config", str(cfg), "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else b""
+
+
+def test_pf_rate_reduces_the_snr_law_to_its_support(tmp_path):
+    code, merged = run_pf_rate(tmp_path, {**RATE_DOC, "snr": [[1.0, 0.5], [2.0, 0.5]]})
+    assert code == 0
+    assert run_pf_rate(tmp_path, {**RATE_DOC, "snr": [[1.0, 0.25], [1.0, 0.25], [2.0, 0.5]]}) == (0, merged)
+    assert run_pf_rate(tmp_path, {**RATE_DOC, "snr": [[1.0, 0.5], [1.0, 0.3], [2.0, 0.2]]})[0] == 0
+    code, single = run_pf_rate(tmp_path, RATE_DOC)
+    assert run_pf_rate(tmp_path, {**RATE_DOC, "snr": [[1.0, 1.0], [2.0, 0.0]]}) == (0, single)
+
+
+def test_pf_rate_survives_a_stalled_power_iteration(tmp_path):
+    # Newton tilts this coupling chain until rho is far below the largest
+    # entry, where the shifted power iteration stalls; the target is infeasible
+    chain = {"states": [-1, 0, 1], "transition": [[0.25, 0.75, 0.0], [0.25, 0.0, 0.75], [1.0, 0.0, 0.0]]}
+    code, out = run_pf_rate(tmp_path, {"chain": chain, "nu": 1, "q_target": [[1.0, 0.25], [0.25, 1.0]]})
+    assert code == 0
+    assert out.splitlines()[1].split(b",")[:3] == [b"inf", b"False", b"False"]
+
+
+def coupling_chain_irreducible(P, values, s_support, nu) -> bool:
+    """Strong connectivity, by brute force, of the chain of (s, x_0..x_nu) tuples folded onto s x x^T."""
+    tuples = [(s, np.array(xs)) for s in s_support for xs in itertools.product(range(len(values)), repeat=nu + 1)]
+    keys = [(np.round(s * np.outer(values[xs], values[xs]), 12) + 0.0).tobytes() for s, xs in tuples]
+    ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    adj = np.zeros((len(ids), len(ids)))
+    for (_, xs), a in zip(tuples, keys):
+        for (_, ys), b in zip(tuples, keys):
+            if np.all(P[xs, ys] > 0):
+                adj[ids[a], ids[b]] = 1.0
+    return is_irreducible(adj)
+
+
+QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
+SNR_VALUES = (-1.0, 0.0, 0.5, 1.0, 2.0)
+SNR_PROBS = (-0.5, 0.0, 0.25, 0.5, 1.0, 1.25)
+
+
+def stochastic_vectors(k, entries):
+    return [list(v) for v in itertools.product(entries, repeat=k) if sum(v) == 1.0]
+
+
+@st.composite
+def rate_documents(draw):
+    # Half the documents draw a stochastic chain and a probability law, a quarter
+    # then break the chain by redrawing one row freely, a quarter break the law by
+    # drawing its values and probabilities freely; the test's oracle decides.
+    k, n, nu = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 1))
+    broken = draw(st.sampled_from(["none", "none", "chain", "law"]))
+    rows = [draw(st.sampled_from(stochastic_vectors(k, QUARTERS))) for _ in range(k)]
+    if broken == "chain":
+        rows[draw(st.integers(0, k - 1))] = draw(st.lists(st.sampled_from(QUARTERS), min_size=k, max_size=k))
+    if broken == "law":
+        values = draw(st.lists(st.sampled_from(SNR_VALUES), min_size=n, max_size=n))
+        probs = draw(st.lists(st.sampled_from(SNR_PROBS), min_size=n, max_size=n))
+    else:
+        values = draw(st.lists(st.sampled_from([v for v in SNR_VALUES if v > 0]), min_size=n, max_size=n))
+        probs = draw(st.sampled_from(stochastic_vectors(n, SNR_PROBS)))
+    return {
+        "chain": {"states": [-1, 1] if k == 2 else [-1, 0, 1], "transition": rows},
+        "nu": nu,
+        "snr": [list(pair) for pair in zip(values, probs)],
+        "q_target": [[1.0 if a == b else 0.25 for b in range(nu + 1)] for a in range(nu + 1)],
+    }
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=rate_documents())
+def test_pf_rate_exits_0_on_valid_input_and_2_otherwise(tmp_path, doc):
+    P = np.array(doc["chain"]["transition"])
+    chain_ok = np.all(P.sum(axis=1) == 1.0) and is_irreducible(P)
+    law_ok = all(v > 0 and p >= 0 for v, p in doc["snr"]) and sum(p for _, p in doc["snr"]) == 1.0
+    valid = chain_ok and law_ok and coupling_chain_irreducible(
+        P, np.array(doc["chain"]["states"], float), {v for v, p in doc["snr"] if p > 0}, doc["nu"]
+    )
+    assert run_pf_rate(tmp_path, doc)[0] == (0 if valid else 2)
 
 
 def test_cli_import_leaves_out_scipy_optimize():

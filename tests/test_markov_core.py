@@ -67,6 +67,18 @@ class TestStationaryDistribution:
         kern = TransitionMatrix((0, 1, 2), np.tile(p, (3, 1)))
         assert np.allclose(stationary_distribution(kern).weights, p, atol=1e-12)
 
+    def test_periodic_chain_beyond_64_states(self):
+        # bipartite with halves of 30 and 40 states: period 2, so power iteration
+        # from the uniform vector oscillates instead of converging
+        rng = np.random.default_rng(7)
+        P = np.zeros((70, 70))
+        P[:30, 30:] = rng.uniform(0.1, 1.0, (30, 40))
+        P[30:, :30] = rng.uniform(0.1, 1.0, (40, 30))
+        P /= P.sum(axis=1, keepdims=True)
+        w = stationary_distribution(TransitionMatrix(tuple(range(70)), P)).weights
+        assert np.max(np.abs(w @ P - w)) < 1e-12
+        assert abs(w[:30].sum() - 0.5) < 1e-12  # a period-2 chain spends half its time in each half
+
     def test_non_stochastic_rows_rejected(self):
         with pytest.raises(ValidationError):
             TransitionMatrix((0, 1), np.array([[0.8, 0.1], [0.5, 0.5]]))

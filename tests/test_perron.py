@@ -133,6 +133,15 @@ class TestEnumerate:
         with pytest.raises(ValidationError):
             enumerate_q_states([1.0], [1.0], 4)
 
+    def test_repeated_snr_value_rejected(self):
+        # q_transition_matrix keys SNR probabilities by value, so a repeat would lose one
+        s_dist = ((1.0, 0.6), (1.0, 0.4))
+        with pytest.raises(ValidationError, match="distinct"):
+            enumerate_q_states([s for s, _ in s_dist], [-1.0, 1.0], 1)
+        space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
+        with pytest.raises(ValidationError):
+            q_transition_matrix(space, binary_markov_kernel(0.3, 0.3), s_dist=s_dist)
+
 
 class TestTransitionMatrix:
     def test_iid_rows_equal_marginal(self):
@@ -239,6 +248,17 @@ class TestPfDecomposition:
         assert abs(triple.rho - np.max(np.abs(eigs))) < 1e-9
         assert np.max(np.abs(M @ triple.psi - triple.rho * triple.psi)) < 1e-10 * triple.rho
         assert np.max(np.abs(triple.lam @ M - triple.rho * triple.lam)) < 1e-10 * triple.rho
+        assert abs(triple.lam @ triple.psi - 1.0) < 1e-12
+        assert np.all(triple.lam > 0) and np.all(triple.psi > 0)
+
+    def test_rho_far_below_the_shift(self):
+        # rho = 1e-6 against a shift of 0.5: power iteration would contract by
+        # 1 - 3e-6 per step, so the triple comes from the dense fallback
+        M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-9], [1e-9, 0.0, 0.0]])
+        triple = pf_decomposition(M)
+        assert abs(triple.rho - 1e-6) < 1e-12 * 1e-6
+        assert np.max(np.abs(M @ triple.psi - triple.rho * triple.psi)) < 1e-10 * triple.rho * np.max(triple.psi)
+        assert np.max(np.abs(triple.lam @ M - triple.rho * triple.lam)) < 1e-10 * triple.rho * np.max(triple.lam)
         assert abs(triple.lam @ triple.psi - 1.0) < 1e-12
         assert np.all(triple.lam > 0) and np.all(triple.psi > 0)
 
