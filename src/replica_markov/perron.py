@@ -183,7 +183,7 @@ def _pf_2x2(M: np.ndarray) -> PfTriple:
     return PfTriple(rho, lam, psi)
 
 
-def pf_decomposition(M: np.ndarray, tol: float = 1e-13, max_iter: int = 1_000) -> PfTriple:
+def pf_decomposition(M: np.ndarray, tol: float = 1e-13, max_iter: int = 100) -> PfTriple:
     """Perron eigen-triple by power iteration on the shifted matrix M + cI.
 
     The shift makes every irreducible nonnegative matrix aperiodic without

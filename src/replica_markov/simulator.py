@@ -2,9 +2,12 @@
 
 The empirical free energy is the Monte-Carlo average of -(1/n) log Z over
 independently sampled instances, where log Z = log q(y | Phi) is computed
-exactly: by full path enumeration for discrete priors and by the closed-form
-multivariate-normal marginal for the Gauss-Markov prior (y ~ N(0,
+exactly: by enumerating all k^n paths for discrete priors and by the
+closed-form multivariate-normal marginal for the Gauss-Markov prior (y ~ N(0,
 Phi Sigma_X Phi^T + I) with Sigma_X[i,j] = sigma0^2 nu^|i-j| / (1 - nu^2)).
+The enumeration meets in the middle: the prior couples a left and a right
+half-path only through the boundary transition pi[u_last, v_first], and one
+matrix product gives the residual cross terms of all pairs.
 Posterior-mean estimation uses single-site Metropolis flips for discrete
 priors and a tuned random-walk proposal for the Gauss-Markov prior.
 
@@ -26,12 +29,13 @@ from scipy.linalg import cho_factor, cho_solve
 from .markov_core import HiddenMarkovPrior, MarkovPrior, ValidationError, stationary_distribution
 from .solver import ModelSpec
 
-ENUMERATION_BUDGET = 1 << 20
+ENUMERATION_BUDGET = 1 << 24
+WEIGHT_BLOCK_ENTRIES = 1 << 20
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class EvidenceBudgetError(RuntimeError):
-    """Enumeration would exceed the budget; use sampled_log_evidence instead."""
+    """Enumeration would visit more than ENUMERATION_BUDGET paths."""
 
 
 def _rng(seed: int, *stream) -> np.random.Generator:
@@ -93,23 +97,22 @@ class LinearModelInstance:
         )
 
 
-def _sample_discrete_chain(kern, initial, n: int, rng, count: int = 1) -> np.ndarray:
-    """(count, n) state indices of independent chain paths."""
+def _sample_discrete_chain(kern, initial, n: int, rng) -> np.ndarray:
+    """State indices of one chain path of length n."""
     cum = np.cumsum(kern.P, axis=1)
-    idx = np.empty((count, n), dtype=np.int64)
-    idx[:, 0] = np.searchsorted(np.cumsum(initial), rng.random(count), side="right")
+    idx = np.empty(n, dtype=np.int64)
+    idx[0] = np.searchsorted(np.cumsum(initial), rng.random(), side="right")
     for t in range(1, n):
-        u = rng.random(count)
-        idx[:, t] = (cum[idx[:, t - 1]] < u[:, None]).sum(axis=1)
+        idx[t] = (cum[idx[t - 1]] < rng.random()).sum()
     return idx
 
 
-def sample_prior_paths(prior, n: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """(count, n) signals from the prior, each started from its stationary law."""
+def sample_prior_path(prior, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw one length-n signal from the prior, started from its stationary law."""
     if isinstance(prior, HiddenMarkovPrior):
         lam = stationary_distribution(prior.hidden).weights
-        hidden_idx = _sample_discrete_chain(prior.hidden, lam, n, rng, count)
-        x = np.empty((count, n))
+        hidden_idx = _sample_discrete_chain(prior.hidden, lam, n, rng)
+        x = np.empty(n)
         for k, law in enumerate(prior.emissions):
             mask = hidden_idx == k
             cnt = int(mask.sum())
@@ -117,19 +120,13 @@ def sample_prior_paths(prior, n: int, rng: np.random.Generator, count: int = 1) 
                 x[mask] = law.sample(rng, cnt)
         return x
     if prior.is_gauss_markov:
-        x = np.empty((count, n))
-        x[:, 0] = rng.normal(0.0, math.sqrt(prior.stationary_variance()), size=count)
-        z = rng.normal(0.0, math.sqrt(prior.sigma0_sq), size=(count, n - 1))
+        x = np.empty(n)
+        x[0] = rng.normal(0.0, math.sqrt(prior.stationary_variance()))
+        z = rng.normal(0.0, math.sqrt(prior.sigma0_sq), size=n - 1)
         for t in range(1, n):
-            x[:, t] = prior.nu * x[:, t - 1] + z[:, t - 1]
+            x[t] = prior.nu * x[t - 1] + z[t - 1]
         return x
-    idx = _sample_discrete_chain(prior.kernel, prior.initial, n, rng, count)
-    return prior.kernel.state_values()[idx]
-
-
-def sample_prior_path(prior, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one length-n signal from the prior, started from its stationary law."""
-    return sample_prior_paths(prior, n, rng, count=1)[0]
+    return prior.kernel.state_values()[_sample_discrete_chain(prior.kernel, prior.initial, n, rng)]
 
 
 def sample_instance(model: ModelSpec, n: int, beta: float, seed: int, index: int = 0) -> LinearModelInstance:
@@ -151,8 +148,7 @@ def sample_instance(model: ModelSpec, n: int, beta: float, seed: int, index: int
 @dataclass(frozen=True)
 class EvidenceEstimate:
     log_z: float
-    method: str  # exact_enumeration | gaussian_closed_form | importance_sampled
-    std_err: float | None = None
+    method: str  # exact_enumeration | gaussian_closed_form
     meta: dict = field(default_factory=dict)
 
 
@@ -165,36 +161,61 @@ def _log_tables(prior, use: str):
         return kern.state_values(), np.log(prior.initial), np.log(kern.P)
 
 
+def _index_paths(k: int, length: int) -> np.ndarray:
+    """(k^length, length) state indices of every path, in lexicographic order."""
+    radix = k ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    return (np.arange(k**length, dtype=np.int64)[:, None] // radix) % k
+
+
 def exact_log_evidence_discrete(inst: LinearModelInstance, model: ModelSpec) -> EvidenceEstimate:
-    """log sum_x q(x) N(y; Phi x, sigma^2 I) by full enumeration (log-domain)."""
+    """log sum_x q(x) N(y; Phi x, sigma^2 I) over all k^n paths, by meet in the middle.
+
+    Each path x splits into a left half u (the first n//2 sites) and a right
+    half v.  With r(u) = y - Phi_L u and g(v) = Phi_R v,
+    ||y - Phi x||^2 = ||r(u)||^2 + ||g(v)||^2 - 2 r(u).g(v), so the cross
+    terms of all k^(n//2) x k^(n - n//2) pairs come from one GEMM.  The prior
+    separates as lp_L(u) + lp_R(v) plus one boundary term: log pi[u_last,
+    v_first], or log q0[v_first] when the left half is empty (n = 1).  The
+    log-sum-exp runs over row blocks of at most WEIGHT_BLOCK_ENTRIES pair
+    weights, each combined by its own max.
+    """
     prior = model.postulated_prior if model.postulated_prior is not None else model.prior
     values, log_init, log_pi = _log_tables(prior, "exact enumeration")
-    k, n, m = len(values), inst.n, inst.m
+    k, n = len(values), inst.n
     total = k**n
     if total > ENUMERATION_BUDGET:
-        raise EvidenceBudgetError(
-            f"{k}^{n} = {total} paths exceeds the {ENUMERATION_BUDGET} budget; "
-            "use sampled_log_evidence for an importance-sampled estimate"
-        )
+        raise EvidenceBudgetError(f"{k}^{n} = {total} paths exceeds the {ENUMERATION_BUDGET}-path enumeration budget")
     phi = inst.design_matrix()
     sigma_sq = model.sigma**2
-    norm = -0.5 * m * (_LOG_2PI + np.log(sigma_sq))
-    radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    best = -np.inf
-    chunks: list[np.ndarray] = []
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        paths = (ids[:, None] // radix) % k
-        lp = log_init[paths[:, 0]]
-        for t in range(n - 1):
-            lp = lp + log_pi[paths[:, t], paths[:, t + 1]]
-        resid = inst.y[None, :] - values[paths] @ phi.T
-        ll = norm - 0.5 * np.einsum("ij,ij->i", resid, resid) / sigma_sq
-        chunks.append(lp + ll)
-        best = max(best, float(np.max(lp + ll)))
-    acc = sum(float(np.exp(c - best).sum()) for c in chunks)
-    return EvidenceEstimate(best + math.log(acc), "exact_enumeration", None, {"paths": total})
+    a = n // 2
+    u, v = _index_paths(k, a), _index_paths(k, n - a)
+    # pair (u, v) has log weight left[u] + right[v] + edge + resid[u].g[v], with resid = r(u) / sigma^2
+    resid = (inst.y - values[u] @ phi[:, :a].T) / sigma_sq
+    g = values[v] @ phi[:, a:].T
+    left = -0.5 * inst.m * (_LOG_2PI + np.log(sigma_sq)) - 0.5 * sigma_sq * np.einsum("ij,ij->i", resid, resid)
+    right = log_pi[v[:, :-1], v[:, 1:]].sum(axis=1) - 0.5 * np.einsum("ij,ij->i", g, g) / sigma_sq
+    if a:
+        left += log_init[u[:, 0]] + log_pi[u[:, :-1], u[:, 1:]].sum(axis=1)
+        edge = log_pi[u[:, -1]]
+    else:
+        edge = log_init[None, :]
+    rows = max(1, WEIGHT_BLOCK_ENTRIES // len(v))
+    tops, sums = [], []
+    for start in range(0, len(u), rows):
+        block = slice(start, start + rows)
+        w = resid[block] @ g.T
+        w += right
+        w += left[block, None]
+        by_first = w.reshape(len(w), k, -1)  # v is lexicographic, so v_first selects a contiguous column run
+        by_first += edge[block, :, None]
+        top = float(w.max())
+        if top > -np.inf:
+            w -= top
+            tops.append(top)
+            sums.append(float(np.exp(w, out=w).sum()))
+    best = max(tops)
+    acc = sum(s * math.exp(t - best) for t, s in zip(tops, sums))
+    return EvidenceEstimate(best + math.log(acc), "exact_enumeration", {"paths": total})
 
 
 def gaussian_log_evidence(inst: LinearModelInstance, nu: float, sigma0_sq: float) -> EvidenceEstimate:
@@ -208,27 +229,6 @@ def gaussian_log_evidence(inst: LinearModelInstance, nu: float, sigma0_sq: float
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     log_z = -0.5 * (inst.m * _LOG_2PI + logdet + quad)
     return EvidenceEstimate(log_z, "gaussian_closed_form")
-
-
-def sampled_log_evidence(inst: LinearModelInstance, model: ModelSpec, draws: int, seed: int) -> EvidenceEstimate:
-    """Prior-sampling estimate of the evidence with a delta-method standard error."""
-    rng = _rng(seed, inst.index, 0xE5)
-    prior = model.postulated_prior if model.postulated_prior is not None else model.prior
-    phi = inst.design_matrix()
-    sigma_sq = model.sigma**2
-    norm = -0.5 * inst.m * (_LOG_2PI + np.log(sigma_sq))
-    lls = np.empty(draws)
-    block = 16_384
-    for start in range(0, draws, block):
-        cnt = min(block, draws - start)
-        xs = sample_prior_paths(prior, inst.n, rng, count=cnt)
-        resid = inst.y[None, :] - xs @ phi.T
-        lls[start : start + cnt] = norm - 0.5 * np.einsum("ij,ij->i", resid, resid) / sigma_sq
-    best = float(lls.max())
-    weights = np.exp(lls - best)
-    mean = float(weights.mean())
-    se_z = float(weights.std(ddof=1)) / math.sqrt(draws)
-    return EvidenceEstimate(best + math.log(mean), "importance_sampled", se_z / mean, {"draws": draws})
 
 
 def log_evidence(inst: LinearModelInstance, model: ModelSpec) -> EvidenceEstimate:

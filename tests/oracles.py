@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately written against plain formulas with its own
-integration (dense trapezoid grids or Monte Carlo), never through the
-library's quadrature or solver paths.
+integration (dense trapezoid grids, Monte Carlo or brute-force enumeration),
+never through the library's quadrature, solver or enumeration paths.
 """
 
 from __future__ import annotations
@@ -12,6 +12,42 @@ import math
 import numpy as np
 
 LOG_2PIE = math.log(2.0 * math.pi) + 1.0
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def brute_force_log_evidence(inst, model) -> float:
+    """log sum_x q(x) N(y; Phi x, sigma^2 I), one full residual per path.
+
+    The chunked enumeration the library used before its meet-in-the-middle
+    split: every one of the k^n paths is built and its m-dimensional
+    residual computed directly.
+    """
+    prior = model.postulated_prior if model.postulated_prior is not None else model.prior
+    kern = prior.kernel
+    values = kern.state_values()
+    with np.errstate(divide="ignore"):
+        log_init, log_pi = np.log(prior.initial), np.log(kern.P)
+    k, n, m = len(values), inst.n, inst.m
+    total = k**n
+    phi = inst.design_matrix()
+    sigma_sq = model.sigma**2
+    norm = -0.5 * m * (_LOG_2PI + np.log(sigma_sq))
+    radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    best = -np.inf
+    chunks: list[np.ndarray] = []
+    chunk = 1 << 14
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        paths = (ids[:, None] // radix) % k
+        lp = log_init[paths[:, 0]]
+        for t in range(n - 1):
+            lp = lp + log_pi[paths[:, t], paths[:, t + 1]]
+        resid = inst.y[None, :] - values[paths] @ phi.T
+        ll = norm - 0.5 * np.einsum("ij,ij->i", resid, resid) / sigma_sq
+        chunks.append(lp + ll)
+        best = max(best, float(np.max(lp + ll)))
+    acc = sum(float(np.exp(c - best).sum()) for c in chunks)
+    return best + math.log(acc)
 
 
 def trapezoid_grid(half_width: float = 12.0, points: int = 100_001) -> np.ndarray:

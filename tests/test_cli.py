@@ -442,6 +442,17 @@ def test_pf_rate_survives_a_stalled_power_iteration(tmp_path):
     assert out.splitlines()[1].split(b",")[:3] == [b"inf", b"False", b"False"]
 
 
+def test_pf_rate_reports_a_near_periodic_target_unconverged(tmp_path):
+    # the dual supremum lies at infinity: Newton's tilts drive the coupling
+    # chain towards periodic, where the power iteration stalls on most triples
+    chain = {"states": [-1, 0, 1], "transition": [[0.5, 0.0, 0.5], [0.5, 0.0, 0.5], [0.25, 0.5, 0.25]]}
+    code, out = run_pf_rate(tmp_path, {"chain": chain, "nu": 1, "snr": 2.0, "q_target": [[1.0, 0.25], [0.25, 1.0]]})
+    assert code == 0
+    value, feasible, converged = out.splitlines()[1].split(b",")[:3]
+    assert (feasible, converged) == (b"True", b"False")
+    assert abs(float(value) - math.log(4.0)) < 1e-6
+
+
 def coupling_chain_irreducible(P, values, s_support, nu) -> bool:
     """Strong connectivity, by brute force, of the chain of (s, x_0..x_nu) tuples folded onto s x x^T."""
     tuples = [(s, np.array(xs)) for s in s_support for xs in itertools.product(range(len(values)), repeat=nu + 1)]

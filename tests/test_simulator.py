@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import brute_force_log_evidence
 
 from replica_markov import (
     MarkovPrior,
@@ -10,6 +11,7 @@ from replica_markov import (
     ValidationError,
     binary_markov_kernel,
     replica_mmse,
+    simulator,
     sparse_hmm_prior,
 )
 from replica_markov.simulator import (
@@ -23,11 +25,26 @@ from replica_markov.simulator import (
     mh_mse_experiment,
     mh_posterior_chain,
     sample_instance,
-    sampled_log_evidence,
 )
 
 BINARY_SYM = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)))
 GM = ModelSpec(prior=MarkovPrior.gauss_markov(0.8, 1.0))
+# zero transitions give paths of prior weight 0, i.e. -inf log weights
+TERNARY_ZERO = ModelSpec(
+    prior=MarkovPrior.discrete(
+        TransitionMatrix((-1.0, 0.0, 1.0), np.array([[0.5, 0.0, 0.5], [0.5, 0.0, 0.5], [0.25, 0.5, 0.25]]))
+    )
+)
+MISMATCHED = ModelSpec(
+    prior=BINARY_SYM.prior, postulated_prior=MarkovPrior.discrete(binary_markov_kernel(0.2, 0.4)), sigma=1.2
+)
+SNR_PAIR = ModelSpec(prior=BINARY_SYM.prior, snr=((0.5, 0.5), (2.0, 0.5)))
+BRUTE_FORCE_CASES = {
+    **{f"binary-n{n}": (BINARY_SYM, n) for n in (1, 2, 3, 7, 12, 16)},
+    **{f"ternary-zero-n{n}": (TERNARY_ZERO, n) for n in (1, 4, 9)},
+    **{f"mismatched-n{n}": (MISMATCHED, n) for n in (1, 8, 13)},
+    **{f"snr-pair-n{n}": (SNR_PAIR, n) for n in (1, 8, 13)},
+}
 LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 
 
@@ -86,11 +103,26 @@ class TestExactEvidenceDiscrete:
         assert est.method == "exact_enumeration"
         assert abs(est.log_z - expected) < 1e-12
 
-    def test_matches_naive_monte_carlo(self):
-        inst = sample_instance(BINARY_SYM, 8, 1.0, seed=11)
-        exact = exact_log_evidence_discrete(inst, BINARY_SYM)
-        mc = sampled_log_evidence(inst, BINARY_SYM, draws=1_000_000, seed=13)
-        assert abs(exact.log_z - mc.log_z) < 3 * mc.std_err
+    @pytest.mark.parametrize("model,n", BRUTE_FORCE_CASES.values(), ids=BRUTE_FORCE_CASES.keys())
+    def test_matches_brute_force_enumeration(self, model, n):
+        # n = 1 leaves the left half empty, so the initial law is the boundary term
+        for index in range(3):
+            inst = sample_instance(model, n, 0.8, seed=101, index=index)
+            est = exact_log_evidence_discrete(inst, model)
+            assert est.meta["paths"] == len(model.prior.kernel.states) ** n
+            assert est.log_z == pytest.approx(brute_force_log_evidence(inst, model), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "model,n,entries",
+        [(BINARY_SYM, 12, 5 * 64), (TERNARY_ZERO, 8, 81)],
+        ids=["binary-13-blocks", "ternary-one-row-blocks"],
+    )
+    def test_row_blocks_agree_with_one_block(self, monkeypatch, model, n, entries):
+        # the ternary case has blocks whose every path has prior weight 0
+        inst = sample_instance(model, n, 1.0, seed=103)
+        whole = exact_log_evidence_discrete(inst, model).log_z
+        monkeypatch.setattr(simulator, "WEIGHT_BLOCK_ENTRIES", entries)
+        assert exact_log_evidence_discrete(inst, model).log_z == pytest.approx(whole, rel=1e-13, abs=0)
 
     def test_flat_likelihood_limit(self):
         sigma = 1e6
@@ -114,9 +146,9 @@ class TestExactEvidenceDiscrete:
         b = exact_log_evidence_discrete(permuted, BINARY_SYM).log_z
         assert abs(a - b) < 1e-10
 
-    def test_budget_error_names_fallback(self):
+    def test_budget_error_names_path_count_and_budget(self):
         inst = sample_instance(BINARY_SYM, 25, 1.0, seed=23)
-        with pytest.raises(EvidenceBudgetError, match="sampled_log_evidence"):
+        with pytest.raises(EvidenceBudgetError, match=r"2\^25 = 33554432 paths exceeds the 16777216-path"):
             exact_log_evidence_discrete(inst, BINARY_SYM)
 
 
