@@ -230,6 +230,8 @@ def _random_q_setup(rng: np.random.Generator):
 def _cmd_pf_deriv_check(args) -> int:
     if args.cases < 1:
         raise ConfigError([f"--cases: need at least 1 case, got {args.cases}"])
+    if not 0.0 < args.tol < math.inf:  # also rejects NaN
+        raise ConfigError([f"--tol: need a finite tolerance > 0, got {args.tol}"])
     rng = np.random.Generator(np.random.Philox(args.seed if args.seed is not None else 0))
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -7,12 +7,18 @@ input law induces the posterior mean ("decision function") q1/q0 and the
 retrochannel.  Because the laws are finite Gaussian mixtures, the output
 density, the posterior mean, and the posterior variance are all closed
 forms.  Every expectation over the true channel is a 1-D integral against
-each Gaussian output component; ``channel_moments`` evaluates all of them in
-one Gauss-Hermite pass over every component at once.
+each Gaussian output component.  ``mixture_expectation`` is the one
+Gauss-Hermite kernel: it integrates every component of every batch entry in
+one call, with one adequacy rule over all of them.  ``channel_moments``
+evaluates a ``ChannelTable`` (all (state, SNR) channels of a model) at whole
+arrays of (eta, xi) points through it; the per-channel accessors
+(``conditional_mse``, ``conditional_var``, ``mean_square_posterior_mean``,
+``cross_entropy``) are one-channel views of the same call.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,6 +33,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 QUAD_TOL = 1e-9
 QUAD_START_NODES = 64
 QUAD_MAX_NODES = 8192
+# Integrand entries (batch x components x nodes) per evaluation of the
+# integrand; larger node counts are summed block by block.
+QUAD_BLOCK_ENTRIES = 2**12
 
 
 class QuadratureError(RuntimeError):
@@ -55,11 +64,14 @@ class ScalarChannel:
 
 @dataclass(frozen=True)
 class _MixtureStats:
-    """Per-component output statistics of a law through the channel.
+    """Per-component output statistics of laws through the channel.
 
     For component c: the output U is N(out_mean, out_var); given U = u the
     input posterior within the component is N(cond_slope*u + cond_off,
-    cond_var) (a point mass has slope 0 and var 0).
+    cond_var) (a point mass has slope 0 and var 0).  The arrays broadcast
+    together.  ``mixture_expectation`` takes them with batch axes (points,
+    channels) in front and components last; ``_posterior`` takes them with
+    components first.  A padded component has log_w = -inf.
     """
 
     log_w: np.ndarray
@@ -70,67 +82,78 @@ class _MixtureStats:
     cond_var: np.ndarray
 
 
-def _mixture_stats(law: ConditionalInputLaw, s: float, tau: float) -> _MixtureStats:
-    sqrt_s = np.sqrt(s)
-    log_w, om, ov, sl, off, cv = [], [], [], [], [], []
-    for w, atom in law.components:
-        if w == 0.0:
-            continue
-        log_w.append(np.log(w))
-        if isinstance(atom, PointMass):
-            om.append(sqrt_s * atom.x)
-            ov.append(1.0 / tau)
-            sl.append(0.0)
-            off.append(atom.x)
-            cv.append(0.0)
-        else:
-            om.append(sqrt_s * atom.mean)
-            ov.append(1.0 / tau + s * atom.var)
-            gain = s * atom.var / (s * atom.var + 1.0 / tau)
-            # conditional mean m + gain*(u/sqrt(s) - m) as slope*u + offset
-            sl.append(gain / sqrt_s)
-            off.append(atom.mean * (1.0 - gain))
-            cv.append(atom.var * (1.0 / tau) / (s * atom.var + 1.0 / tau))
-    return _MixtureStats(
-        np.array(log_w),
-        np.array(om),
-        np.array(ov),
-        np.array(sl),
-        np.array(off),
-        np.array(cv),
+def _law_arrays(law: ConditionalInputLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log weights, means and variances of a law's nonzero components (a point mass has var 0)."""
+    comps = [(w, atom) for w, atom in law.components if w != 0.0]
+    return (
+        np.log([w for w, _ in comps]),
+        np.array([atom.x if isinstance(atom, PointMass) else atom.mean for _, atom in comps]),
+        np.array([0.0 if isinstance(atom, PointMass) else atom.var for _, atom in comps]),
     )
 
 
+def _stats(log_w, mean, var, s, tau) -> _MixtureStats:
+    """Statistics of atoms (mean, var) at SNR s and inverse noise variance tau, broadcast elementwise."""
+    sqrt_s = np.sqrt(s)
+    noise = 1.0 / tau
+    sv = s * var
+    # conditional mean m + gain*(u/sqrt(s) - m) as slope*u + offset
+    gain = sv / (sv + noise)
+    return _MixtureStats(
+        log_w, sqrt_s * mean, noise + sv, gain / sqrt_s, mean * (1.0 - gain), var * noise / (sv + noise)
+    )
+
+
+def _mixture_stats(law: ConditionalInputLaw, s: float, tau: float) -> _MixtureStats:
+    return _stats(*_law_arrays(law), s, tau)
+
+
 def _posterior(stats: _MixtureStats, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log q0(u), and the posterior mean and variance of X given U = u, elementwise in u."""
-    d = u[..., None] - stats.out_mean
-    logs = stats.log_w - 0.5 * (_LOG_2PI + np.log(stats.out_var)) - 0.5 * d * d / stats.out_var
-    top = logs.max(axis=-1, keepdims=True)
-    p = np.exp(logs - top)
-    total = p.sum(axis=-1, keepdims=True)
-    p /= total
-    means = stats.cond_slope * u[..., None] + stats.cond_off
-    m1 = (p * means).sum(axis=-1)
-    m2 = (p * (means**2 + stats.cond_var)).sum(axis=-1)
-    return (top + np.log(total))[..., 0], m1, m2 - m1**2
+    """log q0(u), and the posterior mean and variance of X given U = u, elementwise in u.
+
+    ``stats`` has the component axis first, its other axes broadcasting
+    against u: numpy reduces a short leading axis several times faster than
+    a short last one.  The temporaries are updated in place: they bound the
+    kernel's working set.
+    """
+    logs = u - stats.out_mean
+    logs *= logs
+    logs *= 0.5 / stats.out_var
+    np.subtract(stats.log_w - 0.5 * (_LOG_2PI + np.log(stats.out_var)), logs, out=logs)
+    top = logs.max(axis=0)
+    logs -= top
+    p = np.exp(logs, out=logs)
+    total = p.sum(axis=0)
+    means = stats.cond_slope * u + stats.cond_off
+    m1 = (p * means).sum(axis=0) / total
+    means *= means
+    means += stats.cond_var
+    means *= p
+    m2 = means.sum(axis=0) / total
+    return top + np.log(total), m1, m2 - m1 * m1
+
+
+def _law_posterior(law: ConditionalInputLaw, s: float, tau: float, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    u = np.asarray(u, dtype=float)
+    arrays = (a.reshape(a.shape + (1,) * u.ndim) for a in _law_arrays(law))
+    return _posterior(_stats(*arrays, s, tau), u)
 
 
 def output_density(ch: ScalarChannel, u, which: str = "true") -> np.ndarray | float:
     """Marginal channel-output density q0 (postulated) or p0 (true) at u."""
     if which == "true":
-        stats = _mixture_stats(ch.true_law, ch.s, ch.eta)
+        log_q0 = _law_posterior(ch.true_law, ch.s, ch.eta, u)[0]
     elif which == "postulated":
-        stats = _mixture_stats(ch.postulated_law, ch.s, ch.xi)
+        log_q0 = _law_posterior(ch.postulated_law, ch.s, ch.xi, u)[0]
     else:
         raise ValueError("which must be 'true' or 'postulated'")
-    out = np.exp(_posterior(stats, np.asarray(u, dtype=float))[0])
+    out = np.exp(log_q0)
     return float(out) if np.isscalar(u) else out
 
 
 def posterior_mean(ch: ScalarChannel, u) -> np.ndarray | float:
     """Decision function q1/q0 of the postulated channel at output u."""
-    stats = _mixture_stats(ch.postulated_law, ch.s, ch.xi)
-    out = _posterior(stats, np.asarray(u, dtype=float))[1]
+    out = _law_posterior(ch.postulated_law, ch.s, ch.xi, u)[1]
     return float(out) if np.isscalar(u) else out
 
 
@@ -141,39 +164,51 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # mixture_expectation keeps its (fn, stats) signature, which tracing wraps,
-# so the node count it converged at is reported here.  It is kept per thread
-# so that a library caller solving models on several threads of its own gets
-# each solve's own peak in SolveDiagnostics.max_nodes.
-class _NodePeak(threading.local):
+# so its call count and the node count it converged at are tallied here.  The
+# tally is kept per thread so that a library caller solving models on several
+# threads of its own gets each solve's own counts in SolveDiagnostics.
+class _KernelTally(threading.local):
+    calls = 0
     nodes = 0
 
 
-_PEAK = _NodePeak()
+_TALLY = _KernelTally()
 
 
-def take_peak_nodes() -> int:
-    """Largest node count mixture_expectation converged at on this thread since the last call."""
-    peak, _PEAK.nodes = _PEAK.nodes, 0
-    return peak
+def take_kernel_tally() -> tuple[int, int]:
+    """(calls, largest converged node count) of mixture_expectation on this thread since the last take."""
+    out = (_TALLY.calls, _TALLY.nodes)
+    _TALLY.calls = _TALLY.nodes = 0
+    return out
 
 
 def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
     """E[fn(U)] for U ~ the mixture, by Gauss-Hermite over all components at once.
 
-    ``fn`` receives the nodes of every component as one (components, nodes)
-    array and returns values of that shape, or a stack (moments, components,
-    nodes) of several integrands.  The node count starts at 64 and doubles
-    until two successive estimates of every moment agree to 1e-9 in absolute
-    terms; past 8192 nodes it raises QuadratureError.  Returns a float for
-    one integrand and an array of one entry per moment for a stack.
+    ``fn`` receives the nodes of every component as one (..., components,
+    nodes) array, with the batch axes of ``stats`` in front, and returns
+    values of that shape, or a stack (moments, ..., components, nodes) of
+    several integrands.  The node axis is fed to ``fn`` in blocks of at most
+    ``QUAD_BLOCK_ENTRIES`` entries.  The node count starts at 64 and doubles
+    until two successive estimates of every moment of every batch entry agree
+    to 1e-9 in absolute terms; past 8192 nodes it raises QuadratureError.
+    Returns a float for one unbatched integrand, else an array of shape
+    (moments, ...) or (...).
     """
+    _TALLY.calls += 1
     weights = np.exp(stats.log_w)
-    centre = stats.out_mean[:, None]
-    scale = np.sqrt(2.0 * stats.out_var)[:, None]
+    centre = stats.out_mean[..., None]
+    scale = np.sqrt(2.0 * stats.out_var)[..., None]
+    entries = math.prod(np.broadcast_shapes(centre.shape, scale.shape))
 
     def total(k: int):
         t, w = _hermgauss(k)
-        return fn(centre + scale * t) @ w @ weights
+        step = max(1, QUAD_BLOCK_ENTRIES // entries)
+        acc = 0.0
+        for i in range(0, k, step):
+            vals = fn(centre + scale * t[i : i + step])
+            acc = acc + (vals.reshape(-1, vals.shape[-1]) @ w[i : i + step]).reshape(vals.shape[:-1])
+        return (acc * weights).sum(axis=-1)
 
     nodes = QUAD_START_NODES
     prev = total(nodes)
@@ -181,7 +216,7 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
         nodes *= 2
         cur = total(nodes)
         if np.max(np.abs(cur - prev)) < QUAD_TOL:
-            _PEAK.nodes = max(_PEAK.nodes, nodes)
+            _TALLY.nodes = max(_TALLY.nodes, nodes)
             return cur if np.ndim(cur) else float(cur)
         prev = cur
     raise QuadratureError(
@@ -189,7 +224,45 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
     )
 
 
-def channel_moments(ch: ScalarChannel) -> np.ndarray:
+@dataclass(frozen=True)
+class ChannelTable:
+    """Channels (true law, postulated law, SNR) as padded component arrays.
+
+    ``true`` and ``post`` hold (log_w, mean, var) of shape (channels,
+    components): zero-weight components are dropped and shorter laws are
+    padded with log_w = -inf (a point mass at 0 of weight 0).  A solver
+    builds its model's table once and evaluates it at many (eta, xi) points.
+    """
+
+    s: np.ndarray
+    true: tuple[np.ndarray, np.ndarray, np.ndarray]
+    post: tuple[np.ndarray, np.ndarray, np.ndarray]
+    second_moment: np.ndarray  # E[X1^2] under each channel's true law
+    degenerate: np.ndarray  # lone identical point mass in both laws: error and variance exactly 0
+
+
+def _padded(arrays: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    width = max(len(a[0]) for a in arrays)
+    fill = (-np.inf, 0.0, 0.0)
+    return tuple(
+        np.array([np.pad(a[j], (0, width - len(a[j])), constant_values=fill[j]) for a in arrays])
+        for j in range(3)
+    )
+
+
+def channel_table(channels) -> ChannelTable:
+    """Table of an iterable of (true_law, postulated_law, s) triples, in order."""
+    channels = tuple(channels)
+    return ChannelTable(
+        np.array([float(s) for _, _, s in channels]),
+        _padded([_law_arrays(t) for t, _, _ in channels]),
+        _padded([_law_arrays(q) for _, q, _ in channels]),
+        np.array([t.second_moment() for t, _, _ in channels]),
+        np.array([_degenerate_same_point(t, q) for t, q, _ in channels]),
+    )
+
+
+def channel_moments(channels, eta=None, xi=None) -> np.ndarray:
     """[E g^2, E X1 g, E Var_q, -E log q0] over the true channel, in one kernel call.
 
     g = <X>_q(U) is the postulated decision function, Var_q(U) the
@@ -197,29 +270,59 @@ def channel_moments(ch: ScalarChannel) -> np.ndarray:
     follow the true channel.  Within true component c, X1 given U = u has mean
     cond_slope_c * u + cond_off_c, so the cross term integrates that mean
     against g row by row.
+
+    ``channels`` is a ChannelTable evaluated at the points (eta, xi), arrays
+    broadcast together; the result has shape (*points, channels, 4).  A
+    ScalarChannel is the one-channel view at its own (eta, xi), of shape (4,).
     """
-    true_stats = _mixture_stats(ch.true_law, ch.s, ch.eta)
-    post_stats = _mixture_stats(ch.postulated_law, ch.s, ch.xi)
-    slope, off = true_stats.cond_slope[:, None], true_stats.cond_off[:, None]
+    if isinstance(channels, ScalarChannel):
+        return _one_channel(channels)[1][0]
+    table = channels
+    eta, xi = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(xi, dtype=float))
+    s = table.s[:, None]
+    true_stats = _stats(*table.true, s, eta[..., None, None])
+    # postulated components first, then the points, channels, true components and nodes of u
+    post = (a.T.reshape(a.shape[1:] + (1,) * eta.ndim + a.shape[:1] + (1, 1)) for a in table.post)
+    post_stats = _stats(*post, s[..., None], xi[..., None, None, None])
+    slope, off = true_stats.cond_slope[..., None], true_stats.cond_off[..., None]
 
     def integrands(u):
         log_q0, g, var = _posterior(post_stats, u)
-        return np.stack((g * g, (slope * u + off) * g, var, -log_q0))
+        out = np.empty((4, *g.shape))
+        np.multiply(g, g, out=out[0])
+        np.multiply(slope, u, out=out[1])
+        out[1] += off
+        out[1] *= g
+        out[2] = var
+        np.negative(log_q0, out=out[3])
+        return out
 
-    return mixture_expectation(integrands, true_stats)
+    return np.moveaxis(mixture_expectation(integrands, true_stats), 0, -1)
+
+
+def channel_errors(table: ChannelTable, moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel E[(X1 - g)^2] = E[X1^2] - 2 E[X1 g] + E[g^2] and E[Var_q] from ``channel_moments``.
+
+    Both are exactly 0 on a degenerate channel, whose decision function
+    returns the atom exactly.
+    """
+    mse = table.second_moment - 2.0 * moments[..., 1] + moments[..., 0]
+    return np.where(table.degenerate, 0.0, mse), np.where(table.degenerate, 0.0, moments[..., 2])
+
+
+def _one_channel(ch: ScalarChannel) -> tuple[ChannelTable, np.ndarray]:
+    table = channel_table([(ch.true_law, ch.postulated_law, ch.s)])
+    return table, channel_moments(table, ch.eta, ch.xi)
 
 
 def conditional_mse(ch: ScalarChannel) -> float:
     """E[(X1 - <X>_q(U))^2] = E[X1^2] - 2 E[X1 <X>_q(U)] + E[<X>_q(U)^2] over the true channel."""
-    if _degenerate_same_point(ch):
-        return 0.0
-    e_g2, cross, _, _ = channel_moments(ch)
-    return float(ch.true_law.second_moment() - 2.0 * cross + e_g2)
+    return float(channel_errors(*_one_channel(ch))[0][0])
 
 
 def conditional_var(ch: ScalarChannel) -> float:
     """Mean retrochannel variance E_U[Var_q(X | U)] over the true output law."""
-    return 0.0 if _degenerate_same_point(ch) else float(channel_moments(ch)[2])
+    return float(channel_errors(*_one_channel(ch))[1][0])
 
 
 def mean_square_posterior_mean(ch: ScalarChannel) -> float:
@@ -232,10 +335,10 @@ def cross_entropy(ch: ScalarChannel) -> float:
     return float(channel_moments(ch)[3])
 
 
-def _degenerate_same_point(ch: ScalarChannel) -> bool:
+def _degenerate_same_point(true_law: ConditionalInputLaw, post_law: ConditionalInputLaw) -> bool:
     # Weight-1 identical point mass in both laws: the PME returns the atom
-    # exactly, so the error is identically zero (skip the quadrature).
-    t, p = ch.true_law.components, ch.postulated_law.components
+    # exactly, so the error is identically zero.
+    t, p = true_law.components, post_law.components
     return (
         len(t) == 1
         and len(p) == 1

@@ -22,7 +22,6 @@ average of E[<X|X0>^2].
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -37,12 +36,11 @@ from .markov_core import (
     joint_chain,
 )
 from .single_symbol import (
-    ScalarChannel,
-    conditional_mse,
-    conditional_var,
-    cross_entropy,
-    mean_square_posterior_mean,
-    take_peak_nodes,
+    ChannelTable,
+    channel_errors,
+    channel_moments,
+    channel_table,
+    take_kernel_tally,
 )
 
 RESIDUAL_TOL = 1e-8
@@ -103,15 +101,23 @@ class _Decoupled:
     true_laws: tuple[ConditionalInputLaw, ...]
     post_laws: tuple[ConditionalInputLaw, ...]
     second_moment: float
+    # Channel i * len(snr) + j is effective state i at SNR pair j, with
+    # stationary-times-SNR probability wp and wp * s as its weight in the
+    # fixed-point sums.
+    table: ChannelTable
+    wp: np.ndarray
+    ws: np.ndarray
 
 
-def _decouple(prior, post) -> _Decoupled:
+def _decouple(prior, post, snr) -> _Decoupled:
     effective = joint_chain if isinstance(prior, HiddenMarkovPrior) else effective_states_discrete
     eff = effective(prior)
     eff_q = eff if post is prior else effective(post)
     if eff.labels != eff_q.labels:
         raise ValidationError("postulated prior must share the true prior's state space")
-    return _Decoupled(eff.labels, eff.weights, eff.laws, eff_q.laws, eff.second_moment())
+    table = channel_table((tl, ql, s) for tl, ql in zip(eff.laws, eff_q.laws) for s, _ in snr)
+    wp = np.array([w * p for w in eff.weights for _, p in snr])
+    return _Decoupled(eff.labels, eff.weights, eff.laws, eff_q.laws, eff.second_moment(), table, wp, wp * table.s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +147,7 @@ class ModelSpec:
         ):
             raise ValidationError("postulated prior must be the same kind as the true prior")
         post = self.postulated_prior if self.postulated_prior is not None else self.prior
-        object.__setattr__(self, "_decoupled", _decouple(self.prior, post))
+        object.__setattr__(self, "_decoupled", _decouple(self.prior, post, self.snr))
 
     @property
     def is_matched(self) -> bool:
@@ -156,7 +162,8 @@ class SolveDiagnostics:
 
     scan_points: int = 0  # eta values of the geometric scan, left-end extensions included
     brackets: int = 0  # sign changes the scan found, each refined to a root
-    evaluations: int = 0  # root-function evaluations, inner xi solves included
+    evaluations: int = 0  # root-function evaluations, one per point, inner xi solves included
+    kernel_calls: int = 0  # Gauss-Hermite kernel (mixture_expectation) calls
     max_nodes: int = 0  # largest Gauss-Hermite node count any quadrature converged at
     residual: float = math.nan  # largest fixed_point_residual over the verified candidates
 
@@ -181,82 +188,68 @@ class ReplicaSolution:
     diagnostics: SolveDiagnostics = SolveDiagnostics()
 
 
-def _channels(dec: _Decoupled, snr, eta: float, xi: float):
-    for w, tl, ql in zip(dec.weights, dec.true_laws, dec.post_laws):
-        for s, p in snr:
-            yield w * p, s, ScalarChannel(eta, xi, s, tl, ql)
-
-
-def _weighted_s_mse(dec: _Decoupled, snr, eta: float, xi: float) -> float:
-    return sum(wp * s * conditional_mse(ch) for wp, s, ch in _channels(dec, snr, eta, xi))
-
-
-def _weighted_s_var(dec: _Decoupled, snr, eta: float, xi: float) -> float:
-    return sum(wp * s * conditional_var(ch) for wp, s, ch in _channels(dec, snr, eta, xi))
-
-
-def _weighted_s_mse_matched(dec: _Decoupled, snr, eta: float) -> float:
-    # Matched identity E[(X - <X>)^2] = E[X^2] - E[<X>^2] (tower property).
-    # Reported solutions are re-verified against the general-form residual.
-    acc = 0.0
-    for w, law in zip(dec.weights, dec.true_laws):
-        m2 = law.second_moment()
-        for s, p in snr:
-            ch = ScalarChannel(eta, eta, s, law, law)
-            acc += w * p * s * (m2 - mean_square_posterior_mean(ch))
-    return acc
+def _weighted_errors(dec: _Decoupled, eta, xi) -> tuple[np.ndarray, np.ndarray]:
+    """sum w p s mse and sum w p s var over every channel, at arrays of (eta, xi) points in one kernel call."""
+    mse, var = channel_errors(dec.table, channel_moments(dec.table, eta, xi))
+    return mse @ dec.ws, var @ dec.ws
 
 
 def _weighted_s_second_moment(dec: _Decoupled, snr, laws) -> float:
     return sum(w * p * s * law.second_moment() for w, law in zip(dec.weights, laws) for s, p in snr)
 
 
-def _root(f, a: float, b: float, fa: float, fb: float) -> float:
-    """Root of f in [a, b], with fa and fb of opposite signs, by Illinois regula falsi.
+def _root(f, a, b, fa, fb):
+    """Roots of f in the brackets [a, b], with fa and fb of opposite signs, by Illinois regula falsi.
 
-    The end that stays put twice running has its f value halved, so both
-    ends converge; a secant point that rounds outside (a, b) is replaced by
-    the midpoint.  Stops when the bracket is narrower than 1e-14.
+    The brackets may be arrays of independent brackets, solved in lockstep:
+    each step calls f once, on an array of one point per bracket (a bracket
+    already solved keeps its last point and ignores the value); a scalar
+    bracket calls f with a scalar.  The end that
+    stays put twice running has its f value halved, so both ends converge; a
+    secant point that rounds outside (a, b) is replaced by the midpoint.  A
+    bracket stops when it is narrower than 1e-14 or f is exactly 0.
     """
-    side = 0
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    side = np.zeros(a.shape, dtype=int)
+    active = np.ones(a.shape, dtype=bool)
+    hit = np.zeros(a.shape, dtype=bool)
+    c = 0.5 * (a + b)
     for _ in range(_ROOT_MAX_ITER):
-        if b - a < _ROOT_TOL:
+        active &= b - a >= _ROOT_TOL
+        if not active.any():
             break
-        c = (a * fb - b * fa) / (fb - fa)
-        if not a < c < b:
-            c = 0.5 * (a + b)
-        fc = f(c)
-        if fc == 0.0:
-            return c
-        if (fc > 0.0) == (fb > 0.0):
-            b, fb = c, fc
-            if side == -1:
-                fa *= 0.5
-            side = -1
-        else:
-            a, fa = c, fc
-            if side == 1:
-                fb *= 0.5
-            side = 1
-    return 0.5 * (a + b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = (a * fb - b * fa) / (fb - fa)
+        c = np.where(active, np.where((a < secant) & (secant < b), secant, 0.5 * (a + b)), c)
+        fc = np.asarray(f(c[()] if c.ndim == 0 else c), dtype=float)
+        hit |= active & (fc == 0.0)
+        active &= fc != 0.0
+        right = active & ((fc > 0.0) == (fb > 0.0))
+        left = active & ~right
+        fa = np.where(right & (side == -1), 0.5 * fa, np.where(left, fc, fa))
+        fb = np.where(left & (side == 1), 0.5 * fb, np.where(right, fc, fb))
+        a, b = np.where(left, c, a), np.where(right, c, b)
+        side = np.where(right, -1, np.where(left, 1, side))
+    return np.where(hit, c, 0.5 * (a + b))
 
 
 def _roots(f, lo: float, hi: float, points: int) -> tuple[list[float], int, int]:
     """Roots of f on a geometric grid of ``points`` points over [lo, hi].
 
-    Callers pick hi with f(hi) >= 0.  While f is positive at the lowest
-    point, a point at half of it is added (at most 60), so the grid starts
-    where f <= 0.  A grid point where f is exactly 0 is a root, and each sign
-    change between neighbours is refined by ``_root``.  Returns the roots,
+    f is called once on the whole grid, as an array.  Callers pick hi with
+    f(hi) >= 0.  While f is positive at the lowest point, a point at half of
+    it is added (at most 60), so the grid starts where f <= 0.  A grid point
+    where f is exactly 0 is a root, and each sign change between neighbours
+    is refined by ``_root``, one bracket after another.  Returns the roots,
     the number of grid points and the number of sign changes.
     """
-    xs = list(np.geomspace(lo, hi, points))
-    fs = [f(x) for x in xs]
+    xs = np.geomspace(lo, hi, points)
+    fs = np.asarray(f(xs), dtype=float)
     for _ in range(_MAX_HALVINGS):
         if fs[0] <= 0.0:
             break
-        xs.insert(0, xs[0] / 2.0)
-        fs.insert(0, f(xs[0]))
+        xs = np.concatenate((xs[:1] / 2.0, xs))
+        fs = np.concatenate((np.asarray(f(xs[:1]), dtype=float), fs))
     roots = [float(x) for x, fx in zip(xs, fs) if fx == 0.0]
     changes = [
         (a, b, fa, fb)
@@ -269,9 +262,9 @@ def _roots(f, lo: float, hi: float, points: int) -> tuple[list[float], int, int]
 
 def fixed_point_residual(model: ModelSpec, beta: float, eta: float, xi: float) -> float:
     """Max absolute residual of the (eta, xi) system at the given point."""
-    dec = model._decoupled
-    r1 = abs(eta - 1.0 / (1.0 + beta * _weighted_s_mse(dec, model.snr, eta, xi)))
-    r2 = abs(xi - 1.0 / (model.sigma**2 + beta * _weighted_s_var(dec, model.snr, eta, xi)))
+    s_mse, s_var = _weighted_errors(model._decoupled, eta, xi)
+    r1 = abs(eta - 1.0 / (1.0 + beta * s_mse))
+    r2 = abs(xi - 1.0 / (model.sigma**2 + beta * s_var))
     return float(max(r1, r2))
 
 
@@ -284,52 +277,78 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
     models nest the same solve: for each eta, xi solves its own equation on
     [1/(sigma^2 + beta sum w p s E_q[X^2|x0]), 1/sigma^2], and eta solves
     eta = 1/(1 + beta sum w p s mse(eta, xi(eta))).  The eta interval is
-    scanned at 16 geometric points; each sign change is refined by Illinois
-    regula falsi to a bracket narrower than 1e-14.  Roots are deduplicated at
-    1e-6 resolution and verified against the general-form residual below
-    1e-8; the result carries the diagnostics of the solve.
+    scanned at 16 geometric points, all in one kernel call per root-function
+    sweep; each sign change is refined by Illinois regula falsi to a bracket
+    narrower than 1e-14.  The inner xi solves of all the points of one sweep
+    run in lockstep, left-end halvings included, as one vectorized Illinois.
+    Roots are deduplicated at 1e-6 resolution and verified against the
+    general-form residual below 1e-8; the result carries the diagnostics of
+    the solve.
     """
     if not beta > 0:
         raise ValidationError("beta must be > 0")
     dec = model._decoupled
     snr, sigma_sq = model.snr, model.sigma**2
-    evaluations = itertools.count()
-    take_peak_nodes()
+    evaluations = 0
+    take_kernel_tally()
     # Error and variance sums are nonnegative; clamping their rounding at 0
     # keeps f >= 0 at the right end of every bracket.
 
     if model.is_matched:
 
         def f(eta):
-            next(evaluations)
-            return eta - 1.0 / (1.0 + beta * max(_weighted_s_mse_matched(dec, snr, eta), 0.0))
+            nonlocal evaluations
+            evaluations += np.size(eta)
+            # Matched identity E[(X - <X>)^2] = E[X^2] - E[<X>^2] (tower property).
+            # Reported solutions are re-verified against the general-form residual.
+            e_g2 = channel_moments(dec.table, eta, eta)[..., 0]
+            return eta - 1.0 / (1.0 + beta * np.maximum((dec.table.second_moment - e_g2) @ dec.ws, 0.0))
 
         def xi_at(eta):
             return eta
 
     else:
         xi_lo = 1.0 / (sigma_sq + beta * _weighted_s_second_moment(dec, snr, dec.post_laws))
+        xi_hi = 1.0 / sigma_sq
+
+        def h(eta, xi):
+            nonlocal evaluations
+            evaluations += np.broadcast(eta, xi).size
+            return xi - 1.0 / (sigma_sq + beta * np.maximum(_weighted_errors(dec, eta, xi)[1], 0.0))
 
         def xi_at(eta):
-            def h(xi):
-                next(evaluations)
-                return xi - 1.0 / (sigma_sq + beta * max(_weighted_s_var(dec, snr, eta, xi), 0.0))
-
-            roots, _, _ = _roots(h, xi_lo, 1.0 / sigma_sq, 2)
-            if not roots:
-                raise SolverError(f"no xi solves the postulated-noise equation at eta={eta}")
-            return roots[0]
+            # _roots(xi -> h(eta, xi), xi_lo, xi_hi, 2)[0][0] for every eta at once
+            rows = np.ravel(eta)
+            ends = h(rows[:, None], np.array([xi_lo, xi_hi]))
+            lo, f_lo, f_hi = np.full(rows.shape, xi_lo), ends[:, 0], ends[:, 1]
+            b, fb = np.full(rows.shape, xi_hi), f_hi.copy()
+            for _ in range(_MAX_HALVINGS):
+                up = ~(f_lo <= 0.0)
+                if not up.any():
+                    break
+                b[up], fb[up] = lo[up], f_lo[up]
+                lo[up] /= 2.0
+                f_lo[up] = h(rows[up], lo[up])
+            xi = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, xi_hi, np.nan))
+            refine = np.isnan(xi) & (f_lo < 0.0) & (fb > 0.0)
+            if refine.any():
+                sub = rows[refine]
+                xi[refine] = _root(lambda x: h(sub, x), lo[refine], b[refine], f_lo[refine], fb[refine])
+            if np.isnan(xi).any():
+                raise SolverError(f"no xi solves the postulated-noise equation at eta={rows[np.isnan(xi)][0]}")
+            return xi.reshape(np.shape(eta))
 
         def f(eta):
-            next(evaluations)
-            return eta - 1.0 / (1.0 + beta * max(_weighted_s_mse(dec, snr, eta, xi_at(eta)), 0.0))
+            nonlocal evaluations
+            evaluations += np.size(eta)
+            return eta - 1.0 / (1.0 + beta * np.maximum(_weighted_errors(dec, eta, xi_at(eta))[0], 0.0))
 
     eta_lo = 1.0 / (1.0 + beta * _weighted_s_second_moment(dec, snr, dec.true_laws))
     roots, points, brackets = _roots(f, eta_lo, 1.0, _SCAN_POINTS)
     found: list[tuple[float, float]] = []
-    for eta, xi in ((eta, float(xi_at(eta))) for eta in roots):
+    for eta, xi in zip(roots, xi_at(np.array(roots)) if roots else ()):
         if not any(abs(eta - e) < _CLUSTER_TOL and abs(xi - x) < _CLUSTER_TOL for e, x in found):
-            found.append((eta, xi))
+            found.append((eta, float(xi)))
     residuals = [fixed_point_residual(model, beta, e, x) for e, x in found]
     verified = sorted(pair for pair, r in zip(found, residuals) if r < RESIDUAL_TOL)
     if not verified:
@@ -337,24 +356,24 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
             f"no fixed point converged for beta={beta} "
             f"(scan points: {points}, brackets: {brackets})"
         )
+    calls, nodes = take_kernel_tally()
     diagnostics = SolveDiagnostics(
         scan_points=points,
         brackets=brackets,
-        evaluations=next(evaluations),  # the number of earlier next() calls
-        max_nodes=take_peak_nodes(),
+        evaluations=evaluations,
+        kernel_calls=calls,
+        max_nodes=nodes,
         residual=max(r for r in residuals if r < RESIDUAL_TOL),
     )
     return FixedPoints(verified, diagnostics)
 
 
-def free_energy_term(model: ModelSpec, state_index: int, eta: float, xi: float, beta: float) -> float:
-    """G(x0) in nats for one effective state at a fixed-point candidate."""
+def _free_energy_terms(model: ModelSpec, eta: float, xi: float, beta: float) -> np.ndarray:
+    """G(x0) in nats for every effective state, in one kernel call."""
     dec = model._decoupled
     sigma_sq = model.sigma**2
-    ce = sum(
-        p * cross_entropy(ScalarChannel(eta, xi, s, dec.true_laws[state_index], dec.post_laws[state_index]))
-        for s, p in model.snr
-    )
+    cross_entropy = channel_moments(dec.table, eta, xi)[:, 3]
+    ce = cross_entropy.reshape(len(dec.weights), len(model.snr)) @ np.array([p for _, p in model.snr])
     const = (
         ((xi - 1.0) - np.log(xi)) / (2.0 * beta)
         - 0.5 * np.log(2.0 * np.pi / xi)
@@ -366,9 +385,13 @@ def free_energy_term(model: ModelSpec, state_index: int, eta: float, xi: float, 
     return ce + const
 
 
+def free_energy_term(model: ModelSpec, state_index: int, eta: float, xi: float, beta: float) -> float:
+    """G(x0) in nats for one effective state at a fixed-point candidate."""
+    return float(_free_energy_terms(model, eta, xi, beta)[state_index])
+
+
 def _free_energy_at(model: ModelSpec, beta, eta, xi) -> float:
-    weights = model._decoupled.weights
-    return float(sum(w * free_energy_term(model, i, eta, xi, beta) for i, w in enumerate(weights)))
+    return float(model._decoupled.weights @ _free_energy_terms(model, eta, xi, beta))
 
 
 def free_energy(model: ModelSpec, beta: float) -> ReplicaSolution:
@@ -384,14 +407,15 @@ def free_energy(model: ModelSpec, beta: float) -> ReplicaSolution:
     if model.is_matched:
         mutual = fmin - _LOG_2PIE / (2.0 * beta)
         mmse = _mmse_at(model, eta, xi)
+    calls, nodes = take_kernel_tally()
     diag = candidates.diagnostics
-    diag = replace(diag, max_nodes=max(diag.max_nodes, take_peak_nodes()))
+    diag = replace(diag, kernel_calls=diag.kernel_calls + calls, max_nodes=max(diag.max_nodes, nodes))
     return ReplicaSolution(beta, eta, xi, fmin, mutual, mmse, scored, diag)
 
 
 def _mmse_at(model: ModelSpec, eta: float, xi: float) -> float:
     dec = model._decoupled
-    msq = sum(wp * mean_square_posterior_mean(ch) for wp, _s, ch in _channels(dec, model.snr, eta, xi))
+    msq = channel_moments(dec.table, eta, xi)[:, 0] @ dec.wp
     m2 = dec.second_moment
     val = m2 - msq
     if val < -1e-8 or val > m2 + 1e-8:

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -314,10 +315,15 @@ class TestMainEntry:
         assert main(["replica", "sweep", "--config", str(cfg), "--verify", "--out", str(verified)]) == 0
         assert plain.read_bytes() == verified.read_bytes()
 
-    @pytest.mark.parametrize("cases", ["0", "-2"])
-    def test_pf_deriv_check_needs_a_case(self, capsys, cases):
-        assert main(["pf", "deriv-check", "--cases", cases]) == 2
-        assert "config error: --cases:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--cases", "0"), ("--cases", "-2"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0")],
+        ids=["0", "-2", "tol-nan", "tol--1", "tol-0"],
+    )
+    def test_pf_deriv_check_needs_a_case(self, capsys, flag, value):
+        # a case count below 1 or a tolerance that is not finite and > 0 is bad input, not a numeric failure
+        assert main(["pf", "deriv-check", flag, value]) == 2
+        assert f"config error: {flag}:" in capsys.readouterr().err
 
 
 BAD_EXPERIMENTS = {
@@ -515,6 +521,88 @@ def test_pf_rate_exits_0_on_valid_input_and_2_otherwise(tmp_path, doc):
         P, np.array(doc["chain"]["states"], float), {v for v, p in doc["snr"] if p > 0}, doc["nu"]
     )
     assert run_pf_rate(tmp_path, doc)[0] == (0 if valid else 2)
+
+
+SWEEP_BETAS = (0.5, 1.0, 2.0)
+
+
+@st.composite
+def sweep_priors(draw, like=None):
+    """A 2-3 state chain, a sparse HMM or a Gauss-Markov prior (the family of ``like`` when given)."""
+    kind = like["type"] if like else draw(st.sampled_from(["discrete_markov", "sparse_hmm", "gauss_markov"]))
+    if kind == "discrete_markov":
+        k = len(like["states"]) if like else draw(st.integers(2, 3))
+        rows = [draw(st.sampled_from(stochastic_vectors(k, QUARTERS))) for _ in range(k)]
+        return {"type": kind, "states": [-1, 1] if k == 2 else [-1, 0, 1], "transition": rows}
+    if kind == "sparse_hmm":
+        kappa, gamma = draw(st.sampled_from([0.1, 0.3, 0.5])), draw(st.sampled_from([0.3, 0.8, 1.0]))
+        return {"type": kind, "kappa": kappa, "gamma": gamma}
+    nu, sigma0_sq = draw(st.sampled_from([0.2, 0.5, 0.8])), draw(st.sampled_from([0.5, 1.0]))
+    return {"type": kind, "nu": nu, "sigma0_sq": sigma0_sq}
+
+
+@st.composite
+def sweep_documents(draw):
+    prior = draw(sweep_priors())
+    model = {"prior": prior, "sigma": draw(st.sampled_from([0.8, 1.0, 1.2]))}
+    n = draw(st.integers(1, 2))
+    values = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n, unique=True))
+    model["snr"] = [[v, 1.0 / n] for v in values]
+    if draw(st.booleans()):
+        model["postulated_prior"] = draw(sweep_priors(like=prior))
+    return {"version": 1, "model": model, "sweep": {"betas": list(SWEEP_BETAS)}, "tasks": ["replica"]}
+
+
+def stationary_second_moment(prior) -> float:
+    if prior["type"] == "sparse_hmm":
+        return prior["kappa"]  # N(0, 1) emitted at the stationary activity rate
+    if prior["type"] == "gauss_markov":
+        return prior["sigma0_sq"] / (1.0 - prior["nu"] ** 2)
+    P, x = np.array(prior["transition"]), np.array(prior["states"], float)
+    k = len(x)
+    pi = np.linalg.lstsq(np.vstack([P.T - np.eye(k), np.ones(k)]), np.eye(k + 1)[k], rcond=None)[0]
+    return float(pi @ x**2)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=sweep_documents())
+def test_replica_sweep_exits_0_or_2_and_rows_obey_invariants(tmp_path, doc):
+    cfg, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    cfg.write_text(json.dumps(doc))
+    code = main(["replica", "sweep", "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 2)
+    if code == 2:
+        return
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [float(r["beta"]) for r in rows] == list(SWEEP_BETAS)
+    assert all(0.0 < float(r["eta"]) <= 1.0 for r in rows)
+    matched = [r for r in rows if r["mutual_info"]]
+    second_moment = stationary_second_moment(doc["model"]["prior"])
+    assert all(0.0 <= float(r["mmse"]) <= second_moment + 1e-12 for r in matched)
+    mi = [float(r["mutual_info"]) for r in matched]
+    assert all(a >= b - 1e-12 for a, b in zip(mi, mi[1:]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the beta=2 scan lowers eta to 0.05, where the postulated [0.5, 0.5] row's decision function is "
+    "too steep for Gauss-Hermite at 8192 nodes: QuadratureError, exit 3",
+)
+def test_replica_sweep_with_a_deterministic_postulated_row_exits_0(tmp_path):
+    # a valid document the property test's generator can draw (one in about 1500 in random runs)
+    prior = {"type": "discrete_markov", "states": [-1, 1], "transition": [[0.5, 0.5], [0.25, 0.75]]}
+    postulated = {"type": "discrete_markov", "states": [-1, 1], "transition": [[0.5, 0.5], [1.0, 0.0]]}
+    model = {"prior": prior, "sigma": 0.8, "snr": [[2.0, 1.0]], "postulated_prior": postulated}
+    doc = {"version": 1, "model": model, "sweep": {"betas": list(SWEEP_BETAS)}, "tasks": ["replica"]}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["replica", "sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]) == 0
 
 
 def test_cli_import_leaves_out_scipy_optimize():

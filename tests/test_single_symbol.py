@@ -17,7 +17,8 @@ from replica_markov import (
     output_density,
     posterior_mean,
 )
-from replica_markov.single_symbol import _mixture_stats, mixture_expectation
+from replica_markov import single_symbol
+from replica_markov.single_symbol import _mixture_stats, channel_table, mixture_expectation
 from oracles import binary_output_density, scalar_posterior_mean_binary
 
 
@@ -25,16 +26,31 @@ def binary_law(p_plus: float) -> ConditionalInputLaw:
     return ConditionalInputLaw.point_masses([-1.0, 1.0], [1.0 - p_plus, p_plus])
 
 
-def random_channel(rng) -> ScalarChannel:
-    comps = []
-    k = rng.integers(1, 4)
+def random_law(rng, zero_weights: bool = False) -> ConditionalInputLaw:
+    """1-3 components, each a point mass or a Gaussian atom; optionally some of weight 0."""
+    k = int(rng.integers(1, 4))
     weights = rng.dirichlet(np.ones(k))
+    if zero_weights and k > 1:
+        weights[rng.random(k) < 0.4] = 0.0
+        weights = weights / weights.sum() if weights.sum() > 0 else np.eye(k)[0]
+    comps = []
     for w in weights:
         if rng.random() < 0.5:
             comps.append((float(w), PointMass(float(rng.normal()))))
         else:
             comps.append((float(w), GaussianAtom(float(rng.normal()), float(rng.uniform(0.2, 2.0)))))
-    law = ConditionalInputLaw(tuple(comps))
+    return ConditionalInputLaw(tuple(comps))
+
+
+def random_table_channels(rng) -> list:
+    """(true law, postulated law, s) for 1-3 states under a two-point SNR law."""
+    snr = rng.uniform(0.3, 3.0, size=2)
+    states = int(rng.integers(1, 4))
+    return [(random_law(rng, True), random_law(rng, True), float(s)) for _ in range(states) for s in snr]
+
+
+def random_channel(rng) -> ScalarChannel:
+    law = random_law(rng)
     return ScalarChannel.matched(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)), law)
 
 
@@ -218,6 +234,57 @@ class TestQuadratureKernel:
         stats = _mixture_stats(binary_law(0.5), 1.0, 1.0)
         with pytest.raises(QuadratureError):
             mixture_expectation(lambda u: (u > 1.0).astype(float), stats)
+
+    def test_batched_moments_equal_stacked_one_channel_moments(self, monkeypatch):
+        # Tables mixing point masses and Gaussian atoms, zero-weight components,
+        # unequal component counts (padding) and a two-point SNR law, evaluated
+        # at 5 (eta, xi) points in one call.  Starting at 1024 nodes, every entry
+        # of both sides converges at 2048, so they may differ only by rounding;
+        # from the default start a one-channel call may stop at a lower level
+        # than the batch it would share, which moves it by up to ~5e-12 here.
+        rng = np.random.default_rng(23)
+        cases = [(random_table_channels(rng), rng.uniform(0.2, 1.5, 5), rng.uniform(0.2, 1.5, 5)) for _ in range(12)]
+        laws = [[law for t, q, _ in channels for law in (t, q)] for channels, _, _ in cases]
+        nonzero = [[sum(w > 0 for w, _ in law.components) for law in table] for table in laws]
+        assert any(len(set(n)) > 1 for n in nonzero)  # padded tables
+        assert any(len(law.components) > k for table, n in zip(laws, nonzero) for law, k in zip(table, n))
+
+        def stacked(channels, etas, xis):
+            return np.array(
+                [[channel_moments(ScalarChannel(e, x, s, t, q)) for t, q, s in channels] for e, x in zip(etas, xis)]
+            )
+
+        for channels, etas, xis in cases:
+            batched = channel_moments(channel_table(channels), etas, xis)
+            assert batched.shape == (5, len(channels), 4)
+            assert np.max(np.abs(batched - stacked(channels, etas, xis))) < 1e-10
+        monkeypatch.setattr(single_symbol, "QUAD_START_NODES", 1024)
+        for channels, etas, xis in cases:
+            batched = channel_moments(channel_table(channels), etas, xis)
+            assert np.max(np.abs(batched - stacked(channels, etas, xis))) < 1e-12
+
+    def test_node_blocks_agree_with_one_block(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        table = channel_table(random_table_channels(rng))
+        etas, xis = rng.uniform(0.2, 1.5, (3, 1)), rng.uniform(0.2, 1.5, 4)  # 3 x 4 points
+        monkeypatch.setattr(single_symbol, "QUAD_BLOCK_ENTRIES", 2**40)
+        whole = channel_moments(table, etas, xis)
+        shapes = []
+        entries = 12 * table.true[0].size
+
+        def block_shapes(fn, stats):
+            def recorded(u):
+                shapes.append(u.shape)
+                return fn(u)
+
+            return mixture_expectation(recorded, stats)
+
+        monkeypatch.setattr(single_symbol, "mixture_expectation", block_shapes)
+        monkeypatch.setattr(single_symbol, "QUAD_BLOCK_ENTRIES", 3 * entries)  # 3 nodes a block, a short last one
+        blocks = channel_moments(table, etas, xis)
+        assert whole.shape == blocks.shape == (3, 4, len(table.s), 4)
+        assert max(s[-1] for s in shapes) == 3 and max(np.prod(s) for s in shapes) <= 3 * entries
+        assert np.max(np.abs(blocks - whole) / np.maximum(np.abs(whole), 1.0)) < 1e-13
 
     def test_moments_agree_with_accessors(self):
         rng = np.random.default_rng(17)

@@ -371,6 +371,30 @@ class TestDiagnostics:
         assert diag.evaluations > 3 * diag.scan_points
         assert diag.residual == max(fixed_point_residual(model, 1.0, e, x) for e, x in sols)
 
+    # mixture_expectation calls of solve_fixed_point when every channel at
+    # every evaluated point was a call of its own, nested xi solves included
+    PARENT_KERNEL_CALLS = {
+        ("mismatched", 0.75): 370,
+        ("mismatched", 1.5): 392,
+        ("binary_two_snr", 0.75): 92,
+        ("binary_two_snr", 1.5): 92,
+    }
+
+    @pytest.mark.parametrize("key", PARENT_KERNEL_CALLS, ids=[f"{n}-{b}" for n, b in PARENT_KERNEL_CALLS])
+    def test_kernel_calls_counted_and_cut_to_a_third(self, key, monkeypatch):
+        from replica_markov import single_symbol
+
+        name, beta = key
+        calls = []
+        orig = single_symbol.mixture_expectation
+        monkeypatch.setattr(single_symbol, "mixture_expectation", lambda *a: calls.append(1) or orig(*a))
+        diag = solve_fixed_point(TestGoldenValues.model(name), beta).diagnostics
+        assert diag.kernel_calls == len(calls)
+        assert 3 * diag.kernel_calls <= self.PARENT_KERNEL_CALLS[key]
+        # free_energy adds the free-energy and MMSE assembly, one call each
+        sol = free_energy(TestGoldenValues.model(name), beta)
+        assert sol.diagnostics.kernel_calls == diag.kernel_calls + (2 if name == "binary_two_snr" else 1)
+
 
 class TestDecoupleOnce:
     DERIVATIONS = ("stationary_distribution", "joint_chain", "effective_states_discrete")
