@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .markov_core import ValidationError, sparse_hmm_prior
-from .simulator import _rng, sample_prior_path
+from .simulator import _rng, measurement_count, sample_prior_path
 from .solver import ModelSpec, free_energy
 
 C0 = 10.0  # residual variance c before the first iteration
@@ -60,7 +60,8 @@ class AmpConfig:
 
     @property
     def m(self) -> int:
-        return math.ceil(self.n / self.beta)
+        """The measurement count every oracle uses: round(n / beta), ties up."""
+        return measurement_count(self.n, self.beta)
 
 
 def threshold_funcs(theta, c: float, kappa: float):
@@ -149,7 +150,7 @@ def amp_experiment(config: AmpConfig, replica_reference: float | None = None) ->
         state = turbo_amp(y, A, config, x_true=x)
         traces[t] = state.mse_trace
     finals = traces[:, -1]
-    if replica_reference is None:
-        replica_reference = replica_mmse_reference(config.kappa, config.gamma, config.beta)
+    if replica_reference is None:  # evaluated at the achieved load n/m, the one the trials ran at
+        replica_reference = replica_mmse_reference(config.kappa, config.gamma, config.n / config.m)
     stderr = float(finals.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
     return AmpExperimentResult(float(finals.mean()), stderr, replica_reference, traces)

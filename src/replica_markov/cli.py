@@ -169,32 +169,29 @@ def _load_config(path: str, seed_override: int | None, task_override=None) -> Ex
     return validate_config(doc)
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config(args.config, args.seed)
-    if args.units:
+def _dump_instances(config: ExperimentConfig, directory: str):
+    os.makedirs(directory, exist_ok=True)
+    for bi, beta in enumerate(config.betas):
+        seed = _row_seed(config.seed, bi)
+        for i in range(config.trials):
+            inst = sample_instance(config.model, config.n, beta, seed, index=i)
+            with open(os.path.join(directory, f"beta{bi}_inst{i}.json"), "w") as fh:
+                fh.write(inst.to_json())
+
+
+def _cmd_sweep(args, task: str | None = None) -> int:
+    """``replica sweep``, or ``simulate exact|mh`` with the document's tasks replaced by ``task``."""
+    config = _load_config(args.config, args.seed, task_override=None if task is None else [task])
+    if getattr(args, "units", None):
         config = replace(config, units=args.units)
     rows = run_sweep(config)
     _write_out(rows_to_csv(rows), args.out)
+    if getattr(args, "dump_instances", None):
+        _dump_instances(config, args.dump_instances)
     if any(row.errors for row in rows):
         sys.stderr.write("numeric failures: " + "; ".join(r.errors for r in rows if r.errors) + "\n")
         return 3
     return 0
-
-
-def _cmd_simulate(args, task: str) -> int:
-    config = _load_config(args.config, args.seed, task_override=[task])
-    rows = run_sweep(config)
-    _write_out(rows_to_csv(rows), args.out)
-    if getattr(args, "dump_instances", None):
-        os.makedirs(args.dump_instances, exist_ok=True)
-        for bi, beta in enumerate(config.betas):
-            seed = _row_seed(config.seed, bi)
-            for i in range(config.trials):
-                inst = sample_instance(config.model, config.n, beta, seed, index=i)
-                path = os.path.join(args.dump_instances, f"beta{bi}_inst{i}.json")
-                with open(path, "w") as fh:
-                    fh.write(inst.to_json())
-    return 3 if any(row.errors for row in rows) else 0
 
 
 def _cmd_simulate_amp(args) -> int:
@@ -306,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "exact":
             p.add_argument("--dump-instances", default=None, help="directory for instance JSON dumps")
         _common_flags(p)
-        p.set_defaults(func=lambda a, t=task: _cmd_simulate(a, t))
+        p.set_defaults(func=lambda a, t=task: _cmd_sweep(a, t))
     amp_p = ssub.add_parser("amp")
     amp_p.add_argument("--config", required=True)
     _common_flags(amp_p)

@@ -23,7 +23,7 @@ from .markov_core import (
     sparse_hmm_prior,
 )
 from .perron import MAX_NU, QStateSpace, enumerate_q_states, q_transition_matrix
-from .solver import ModelSpec, _normalize_snr
+from .solver import ModelSpec, _check_sigma, _normalize_snr
 
 SCHEMA_VERSION = 1
 TASKS = ("replica", "exact_sim", "mh", "amp")
@@ -103,15 +103,16 @@ def _build_emission(doc, path, errs: _Collector):
             continue
         if kind == "point":
             x = errs.expect(comp, cpath, "x", (int, float), required=True)
-            if x is not None:
-                comps.append((float(w), PointMass(float(x))))
+            atom = None if x is None else _built(errs, cpath, lambda: PointMass(float(x)))
         elif kind == "gaussian":
             mean = errs.expect(comp, cpath, "mean", (int, float), default=0.0)
             var = errs.expect(comp, cpath, "var", (int, float), required=True)
-            if var is not None:
-                comps.append((float(w), GaussianAtom(float(mean), float(var))))
+            atom = None if var is None else _built(errs, cpath, lambda: GaussianAtom(float(mean), float(var)))
         else:
             errs.add(f"{cpath}.type", f"unknown component type {kind!r}")
+            continue
+        if atom is not None:
+            comps.append((float(w), atom))
     if len(errs.errors) > mark:
         return None
     return _built(errs, path, lambda: ConditionalInputLaw(tuple(comps)))
@@ -218,16 +219,16 @@ def _build_betas(doc, errs: _Collector):
         if not isinstance(betas, list) or not betas:
             errs.add("sweep.betas", "expected a nonempty list")
             return None
-        if any(not isinstance(b, (int, float)) or b <= 0 for b in betas):
-            errs.add("sweep.betas", "beta values must be positive numbers")
+        if not all(_is_finite_number(b) and b > 0 for b in betas):
+            errs.add("sweep.betas", "beta values must be finite positive numbers")
             return None
         return tuple(sorted(float(b) for b in betas))
     start = doc.get("start")
     stop = doc.get("stop")
     step = doc.get("step")
     for key, v in (("start", start), ("stop", stop), ("step", step)):
-        if not isinstance(v, (int, float)):
-            errs.add(f"sweep.{key}", "missing or non-numeric")
+        if not _is_finite_number(v):
+            errs.add(f"sweep.{key}", "missing, non-numeric or not finite")
             return None
     if step <= 0:
         errs.add("sweep.step", "step must be > 0")
@@ -259,7 +260,8 @@ def validate_config(document: dict) -> ExperimentConfig:
             postulated, _ = _build_prior(model_doc["postulated_prior"], "model.postulated_prior", errs)
         snr = _build_snr(model_doc.get("snr"), "model.snr", errs)
         sigma = errs.expect(model_doc, "model", "sigma", (int, float), default=1.0)
-        if prior is not None and snr is not None and not errs.errors:
+        sigma = _built(errs, "model.sigma", lambda: _check_sigma(sigma))
+        if prior is not None and snr is not None and sigma is not None and not errs.errors:
             model = _built(
                 errs, "model", lambda: ModelSpec(prior=prior, postulated_prior=postulated, snr=snr, sigma=float(sigma))
             )
@@ -296,15 +298,15 @@ def validate_config(document: dict) -> ExperimentConfig:
             errs.add("trials", "simulation tasks need trials >= 1")
     if "amp" in tasks and sparse_params is None and model is not None:
         errs.add("tasks", "the amp task requires a sparse_hmm prior")
-    if "exact_sim" in tasks and model is not None:
-        evidence_prior = model.postulated_prior if model.postulated_prior is not None else model.prior
-        if not isinstance(evidence_prior, MarkovPrior):
-            errs.add("tasks", "the exact_sim task requires a discrete or Gauss-Markov prior")
-        elif evidence_prior.is_gauss_markov and model.sigma != 1.0:
-            errs.add("model.sigma", "the exact_sim task's Gauss-Markov closed form needs sigma = 1")
-    if "mh" in tasks and model is not None:
-        prior = model.prior
-        if not (isinstance(prior, MarkovPrior) and not prior.is_gauss_markov):
+    if model is not None:
+        # exact_sim and mh work with the postulated posterior: the postulated prior when given
+        post = model.postulated_prior if model.postulated_prior is not None else model.prior
+        if "exact_sim" in tasks:
+            if not isinstance(post, MarkovPrior):
+                errs.add("tasks", "the exact_sim task requires a discrete or Gauss-Markov prior")
+            elif post.is_gauss_markov and model.sigma != 1.0:
+                errs.add("model.sigma", "the exact_sim task's Gauss-Markov closed form needs sigma = 1")
+        if "mh" in tasks and not (isinstance(post, MarkovPrior) and not post.is_gauss_markov):
             errs.add("tasks", "the mh task requires a discrete Markov prior")
     if errs.errors:
         raise ConfigError(errs.errors)

@@ -9,6 +9,7 @@ point mass at zero mixed with a unit Gaussian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ class LawValidationError(ValueError):
 class PointMass:
     x: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise LawValidationError(f"point mass needs a finite x, got {self.x}")
+
 
 @dataclass(frozen=True)
 class GaussianAtom:
@@ -31,8 +36,8 @@ class GaussianAtom:
     var: float
 
     def __post_init__(self):
-        if not self.var > 0.0:
-            raise LawValidationError(f"gaussian atom needs var > 0, got {self.var}")
+        if not (math.isfinite(self.mean) and 0.0 < self.var < math.inf):
+            raise LawValidationError(f"gaussian atom needs a finite mean and var > 0, got {self.mean}, {self.var}")
 
 
 Atom = PointMass | GaussianAtom
@@ -49,12 +54,12 @@ class ConditionalInputLaw:
             raise LawValidationError("mixture needs at least one component")
         total = 0.0
         for w, atom in self.components:
-            if w < 0.0:
-                raise LawValidationError(f"negative mixture weight {w}")
+            if not w >= 0.0:  # also rejects NaN
+                raise LawValidationError(f"mixture weight {w} is not a nonnegative number")
             if not isinstance(atom, (PointMass, GaussianAtom)):
                 raise LawValidationError(f"unknown atom type {type(atom)!r}")
             total += w
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise LawValidationError(f"mixture weights sum to {total!r}, not 1")
 
     @staticmethod

@@ -9,6 +9,7 @@ single-symbol analysis needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,8 @@ class TransitionMatrix:
         k = len(self.states)
         if P.shape != (k, k):
             raise ValidationError(f"transition matrix shape {P.shape} != ({k}, {k})")
-        if np.any(P < 0.0):
-            raise ValidationError("transition matrix has negative entries")
+        if not np.all(P >= 0.0):  # also rejects NaN
+            raise ValidationError("transition matrix entries must be nonnegative numbers")
         row_err = np.abs(P.sum(axis=1) - 1.0)
         if np.any(row_err > STOCHASTIC_TOL):
             bad = int(np.argmax(row_err))
@@ -57,9 +58,12 @@ class TransitionMatrix:
     def state_values(self) -> np.ndarray:
         """State labels as floats (for chains whose labels are signal values)."""
         try:
-            return np.array([float(s) for s in self.states])
+            values = np.array([float(s) for s in self.states])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"states {self.states!r} are not numeric") from exc
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"states {self.states!r} are not all finite")
+        return values
 
 
 def binary_markov_kernel(alpha: float, delta: float) -> TransitionMatrix:
@@ -93,14 +97,14 @@ class MarkovPrior:
             init = np.asarray(init, dtype=float)
             if init.shape != (self.kernel.dim,):
                 raise ValidationError("initial distribution length mismatch")
-            if np.any(init < 0) or abs(init.sum() - 1.0) > STOCHASTIC_TOL:
+            if not (np.all(init >= 0) and abs(init.sum() - 1.0) <= STOCHASTIC_TOL):  # also rejects NaN
                 raise ValidationError("initial distribution must be a probability vector")
             object.__setattr__(self, "initial", init)
         else:
             if not (0.0 < self.nu < 1.0):
                 raise ValidationError(f"gauss_markov needs nu in (0, 1), got {self.nu}")
-            if self.sigma0_sq is None or not self.sigma0_sq > 0.0:
-                raise ValidationError("gauss_markov needs sigma0_sq > 0")
+            if self.sigma0_sq is None or not 0.0 < self.sigma0_sq < math.inf:
+                raise ValidationError(f"gauss_markov needs a finite sigma0_sq > 0, got {self.sigma0_sq}")
 
     @property
     def is_gauss_markov(self) -> bool:

@@ -1,4 +1,4 @@
-"""Ground-truth oracles: sampled instances, exact evidence, and MCMC posteriors.
+"""Ground-truth oracles: sampled instances, exact evidence, and MH posterior means.
 
 The empirical free energy is the Monte-Carlo average of -(1/n) log Z over
 independently sampled instances, where log Z = log q(y | Phi) is computed
@@ -8,8 +8,8 @@ Phi Sigma_X Phi^T + I) with Sigma_X[i,j] = sigma0^2 nu^|i-j| / (1 - nu^2)).
 The enumeration meets in the middle: the prior couples a left and a right
 half-path only through the boundary transition pi[u_last, v_first], and one
 matrix product gives the residual cross terms of all pairs.
-Posterior-mean estimation uses single-site Metropolis flips for discrete
-priors and a tuned random-walk proposal for the Gauss-Markov prior.
+Posterior means come from one Metropolis-Hastings sampler: single-site flips
+on a discrete prior, with many chains run in lockstep.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, instance index), so results are bit-identical for a given seed
@@ -249,30 +249,6 @@ def empirical_free_energy(model: ModelSpec, n: int, beta: float, trials: int, se
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
-@dataclass(frozen=True)
-class MhResult:
-    posterior_mean: np.ndarray
-    posterior_mean_stderr: np.ndarray
-    mse: float
-    acceptance_rate: float
-    warnings: tuple[str, ...] = ()
-
-
-def _batch_means_stderr(samples: np.ndarray, n_batches: int = 32) -> np.ndarray:
-    """Autocorrelation-aware standard error of the mean along axis 0."""
-    t = samples.shape[0]
-    size = max(1, t // n_batches)
-    usable = size * (t // size)
-    batches = samples[:usable].reshape(-1, size, *samples.shape[1:]).mean(axis=1)
-    return batches.std(axis=0, ddof=1) / math.sqrt(batches.shape[0])
-
-
-def _check_schedule(steps: int, burn_in: int):
-    """MH averages the steps after burn-in, so at least one must remain."""
-    if not steps > burn_in >= 0:
-        raise ValidationError("need steps > burn_in >= 0")
-
-
 def _mh_discrete_batch(
     phis: np.ndarray,
     ys: np.ndarray,
@@ -342,87 +318,20 @@ def _mh_discrete_batch(
     return post, accepted / (steps * C), samples
 
 
-def mh_posterior_chain(
-    inst: LinearModelInstance, model: ModelSpec, steps: int, burn_in: int, seed: int
-) -> MhResult:
-    """Metropolis-Hastings posterior-mean estimate for one instance.
-
-    Discrete priors use single-site flips with acceptance
-    min(1, exp(d log posterior)); the Gauss-Markov prior uses a random-walk
-    proposal x' = x + eps * N(0, I) with eps tuned during burn-in toward
-    20-50% acceptance.
-    """
-    _check_schedule(steps, burn_in)
-    prior = model.prior
-    rng = _rng(seed, inst.index, 0x3C)
-    phi = inst.design_matrix()
-    sigma_sq = model.sigma**2
-    if isinstance(prior, MarkovPrior) and not prior.is_gauss_markov:
-        post, rate, samples = _mh_discrete_batch(
-            phi[None], inst.y[None], *_log_tables(prior, "MH"), sigma_sq, steps, burn_in, rng, keep_samples=True
-        )
-        post = post[0]
-        stderr = _batch_means_stderr(samples[:, 0, :])
-    elif isinstance(prior, MarkovPrior):
-        post, rate, stderr = _mh_gauss_markov(inst, prior, phi, sigma_sq, steps, burn_in, rng)
-    else:
-        raise ValidationError("MH sampling supports discrete and Gauss-Markov priors")
-    warnings = ()
-    if not 0.01 <= rate <= 0.99:
-        warnings = (f"acceptance rate {rate:.4f} outside [0.01, 0.99] after tuning",)
-    mse = float(np.sum((inst.x - post) ** 2) / inst.n)
-    return MhResult(post, stderr, mse, rate, warnings)
-
-
-def _mh_gauss_markov(inst, prior, phi, sigma_sq, steps, burn_in, rng):
-    n = inst.n
-    nu, s0 = prior.nu, prior.sigma0_sq
-    var0 = prior.stationary_variance()
-
-    def log_post(x, r):
-        lp = -0.5 * x[0] ** 2 / var0 - 0.5 * np.sum((x[1:] - nu * x[:-1]) ** 2) / s0
-        return lp - 0.5 * (r @ r) / sigma_sq
-
-    x = np.zeros(n)
-    r = inst.y - phi @ x
-    lp = log_post(x, r)
-    eps = 0.5
-    accepted = 0
-    window_acc = 0
-    mean_acc = np.zeros(n)
-    kept = []
-    for step in range(steps):
-        prop = x + eps * rng.standard_normal(n)
-        r_prop = inst.y - phi @ prop
-        lp_prop = log_post(prop, r_prop)
-        if math.log(rng.random()) < lp_prop - lp:
-            x, r, lp = prop, r_prop, lp_prop
-            accepted += 1
-            window_acc += 1
-        if step < burn_in and (step + 1) % 100 == 0:
-            rate = window_acc / 100
-            if rate < 0.2:
-                eps *= 0.8
-            elif rate > 0.5:
-                eps *= 1.25
-            window_acc = 0
-        if step >= burn_in:
-            mean_acc += x
-            if (step - burn_in) % 10 == 0:
-                kept.append(x.copy())
-    post = mean_acc / (steps - burn_in)
-    return post, accepted / steps, _batch_means_stderr(np.array(kept))
-
-
 def mh_mse_experiment(
     model: ModelSpec, n: int, beta: float, instances: int, steps: int, burn_in: int, seed: int
 ) -> tuple[float, float, float]:
-    """Average MH posterior MSE over instances (discrete priors, lockstep chains).
+    """Average MH posterior MSE over instances, one lockstep chain per instance.
 
-    Returns (mean MSE, standard error, overall acceptance rate).
+    Instances come from the true prior with unit noise; the chains sample the
+    postulated posterior (postulated discrete prior, noise variance sigma^2),
+    the one exact enumeration and the replica prediction describe.  Returns
+    (mean MSE, standard error, overall acceptance rate).
     """
-    _check_schedule(steps, burn_in)
-    tables = _log_tables(model.prior, "the batched MH experiment")
+    if not steps > burn_in >= 0:  # MH averages the steps after burn-in, so at least one must remain
+        raise ValidationError("need steps > burn_in >= 0")
+    prior = model.postulated_prior if model.postulated_prior is not None else model.prior
+    tables = _log_tables(prior, "the batched MH experiment")
     insts = [sample_instance(model, n, beta, seed, index=i) for i in range(instances)]
     phis = np.stack([inst.design_matrix() for inst in insts])
     ys = np.stack([inst.y for inst in insts])

@@ -72,6 +72,12 @@ def _normalize_snr(snr) -> tuple[tuple[float, float], ...]:
     return pairs
 
 
+def _check_sigma(sigma) -> float:
+    if not 0 < sigma < math.inf:  # also rejects NaN
+        raise ValidationError(f"sigma must be finite and > 0, got {sigma}")
+    return sigma
+
+
 def _priors_equal(a, b) -> bool:
     if type(a) is not type(b):
         return False
@@ -140,8 +146,7 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "snr", _normalize_snr(self.snr))
-        if not self.sigma > 0:
-            raise ValidationError("sigma must be > 0")
+        _check_sigma(self.sigma)
         if self.postulated_prior is not None and type(self.postulated_prior) is not type(
             self.prior
         ):

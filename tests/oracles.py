@@ -7,6 +7,7 @@ never through the library's quadrature, solver or enumeration paths.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,20 @@ def brute_force_log_evidence(inst, model) -> float:
         best = max(best, float(np.max(lp + ll)))
     acc = sum(float(np.exp(c - best).sum()) for c in chunks)
     return best + math.log(acc)
+
+
+def brute_force_posterior_mean(inst, model) -> np.ndarray:
+    """E[x | y] under the (postulated) discrete prior and noise sigma^2, every path at once (small n)."""
+    prior = model.postulated_prior if model.postulated_prior is not None else model.prior
+    kern = prior.kernel
+    values = kern.state_values()
+    paths = np.array(list(itertools.product(range(kern.dim), repeat=inst.n)))
+    with np.errstate(divide="ignore"):
+        lp = np.log(prior.initial)[paths[:, 0]] + np.log(kern.P)[paths[:, :-1], paths[:, 1:]].sum(axis=1)
+    resid = inst.y[None, :] - values[paths] @ inst.design_matrix().T
+    lw = lp - 0.5 * np.einsum("ij,ij->i", resid, resid) / model.sigma**2
+    w = np.exp(lw - lw.max())
+    return w @ values[paths] / w.sum()
 
 
 def trapezoid_grid(half_width: float = 12.0, points: int = 100_001) -> np.ndarray:

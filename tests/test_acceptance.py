@@ -37,13 +37,15 @@ from replica_markov.perron import (
     q_transition_matrix,
 )
 from replica_markov.simulator import (
+    _log_tables,
+    _mh_discrete_batch,
+    _rng,
     empirical_free_energy,
     mh_mse_experiment,
-    mh_posterior_chain,
     sample_instance,
 )
 from replica_markov.single_symbol import ScalarChannel, conditional_mse, conditional_var, output_density
-from oracles import scalar_awgn_mi_binary
+from oracles import brute_force_posterior_mean, scalar_awgn_mi_binary
 
 SEED = 20260809
 BINARY_SYM = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)))
@@ -237,18 +239,18 @@ def test_09_turbo_amp_vs_replica_mmse():
 def test_10_metropolis_hastings():
     t0 = time.perf_counter()
     inst = sample_instance(BINARY_SYM, 2, 1.0, seed=SEED)
-    res = mh_posterior_chain(inst, BINARY_SYM, steps=100_000, burn_in=10_000, seed=SEED)
-    vals = np.array([-1.0, 1.0])
-    paths = np.array([[a, b] for a in range(2) for b in range(2)])
-    kern = BINARY_SYM.prior.kernel
-    lp = np.log([0.5, 0.5])[paths[:, 0]] + np.log(kern.P)[paths[:, 0], paths[:, 1]]
-    phi = inst.design_matrix()
-    resid = inst.y[None, :] - vals[paths] @ phi.T
-    ll = -0.5 * np.einsum("ij,ij->i", resid, resid)
-    w = np.exp(lp + ll - (lp + ll).max())
-    w /= w.sum()
-    exact = (w[:, None] * vals[paths]).sum(axis=0)
-    chain_ok = bool(np.all(np.abs(exact - res.posterior_mean) <= 3 * res.posterior_mean_stderr))
+    chains = 16
+    post, _rate, _ = _mh_discrete_batch(
+        np.repeat(inst.design_matrix()[None], chains, axis=0),
+        np.repeat(inst.y[None], chains, axis=0),
+        *_log_tables(BINARY_SYM.prior, "MH"),
+        1.0,
+        100_000,
+        10_000,
+        _rng(SEED),
+    )
+    se = post.std(axis=0, ddof=1) / math.sqrt(chains)  # spread of the replicate chain means
+    chain_ok = bool(np.all(np.abs(brute_force_posterior_mean(inst, BINARY_SYM) - post.mean(axis=0)) <= 3 * se))
     mse, _se, _rate = mh_mse_experiment(
         BINARY_SYM, 10, 1.0, instances=100, steps=120_000, burn_in=20_000, seed=SEED
     )

@@ -11,6 +11,7 @@ from replica_markov.amp import (
     turbo_amp,
 )
 from replica_markov.markov_core import ValidationError
+from replica_markov.simulator import measurement_count
 
 
 class TestThresholdFuncs:
@@ -97,8 +98,11 @@ class TestTurboAmp:
         with pytest.raises(ValidationError):
             AmpConfig(kappa=0.5, gamma=0.5, iterations=0)
 
-    def test_m_is_ceiling(self):
-        assert AmpConfig(kappa=0.3, gamma=0.8, n=10, beta=3.0).m == 4
+    def test_m_is_the_shared_measurement_count(self):
+        # n=10 at beta=3: round(10/3) = 3 measurements, as in every other oracle (ceil gave 4)
+        cfg = AmpConfig(kappa=0.3, gamma=0.8, n=10, beta=3.0)
+        assert cfg.m == measurement_count(10, 3.0) == 3
+        assert sample_sparse_instance(cfg, 0)[1].shape == (3, 10)
 
 
 class TestAmpExperiment:
@@ -121,6 +125,10 @@ class TestAmpExperiment:
         cfg = AmpConfig(kappa=0.5, gamma=1.0, n=400, beta=0.25, trials=4, iterations=10, seed=8)
         res = amp_experiment(cfg, replica_reference=0.0)
         assert res.mean_mse < 0.5  # prior variance kappa
+
+    def test_default_reference_at_achieved_load(self):
+        cfg = AmpConfig(kappa=0.5, gamma=1.0, n=10, beta=3.0, trials=2, iterations=2, seed=10)
+        assert amp_experiment(cfg).replica_mmse == replica_mmse_reference(0.5, 1.0, 10 / 3)
 
     def test_reference_attached(self):
         ref = replica_mmse_reference(0.5, 1.0, 1.0)

@@ -274,6 +274,13 @@ class TestMainEntry:
         assert "exact_sim:" in body  # failure recorded in the errors column
         assert body.splitlines()[1].split(",")[3] != ""  # replica fields still present
 
+    def test_simulate_numeric_failure_reported_on_stderr(self, tmp_path, capsys):
+        # simulate shares replica sweep's report: 2^25 paths exceed the enumeration budget
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(base_doc(tasks=["exact_sim"], n=25, trials=2)))
+        assert main(["simulate", "exact", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 3
+        assert "numeric failures: exact_sim:" in capsys.readouterr().err
+
     def test_simulate_mh_subcommand(self, tmp_path):
         cfg = tmp_path / "mh.json"
         cfg.write_text(json.dumps(base_doc(n=4, trials=4, mh={"steps": 3000, "burn_in": 500})))
@@ -373,6 +380,48 @@ BAD_EXPERIMENTS = {
         "model.sigma",
         {"model": {"prior": {"type": "gauss_markov", "nu": 0.5, "sigma0_sq": 1.0}, "sigma": 1.2},
          "tasks": ["exact_sim"]},
+    ),
+    "mh-gauss-markov": (
+        "tasks",
+        {"model": {"prior": {"type": "gauss_markov", "nu": 0.5, "sigma0_sq": 1.0}}, "tasks": ["mh"]},
+    ),
+    # JSON's NaN, Infinity and 1e400 parse as floats; each is rejected where its value is checked
+    "betas-nan": ("sweep.betas", {"sweep": {"betas": [math.nan]}}),
+    "betas-infinite": ("sweep.betas", {"sweep": {"betas": [math.inf]}}),
+    "stop-infinite": ("sweep.stop", {"sweep": {"start": 0.5, "stop": math.inf, "step": 0.5}}),
+    "step-nan": ("sweep.step", {"sweep": {"start": 0.5, "stop": 1.0, "step": math.nan}}),
+    "sigma-infinite": ("model.sigma", {"model": {"prior": base_doc()["model"]["prior"], "sigma": math.inf}}),
+    "sigma0-sq-infinite": (
+        "model.prior",
+        {"model": {"prior": {"type": "gauss_markov", "nu": 0.5, "sigma0_sq": math.inf}}},
+    ),
+    "emission-var-infinite": (
+        "model.prior.emissions[1][0]",
+        {"model": {"prior": {"type": "hidden_markov", "states": [0, 1], "transition": [[0.7, 0.3], [0.3, 0.7]],
+                             "emissions": [[{"weight": 1.0, "type": "point", "x": 0.0}],
+                                           [{"weight": 1.0, "type": "gaussian", "var": math.inf}]]}}},
+    ),
+    "point-x-nan": (
+        "model.prior.emissions[0][0]",
+        {"model": {"prior": {"type": "hidden_markov", "states": [0, 1], "transition": [[0.7, 0.3], [0.3, 0.7]],
+                             "emissions": [[{"weight": 1.0, "type": "point", "x": math.nan}],
+                                           [{"weight": 1.0, "type": "gaussian", "var": 1.0}]]}}},
+    ),
+    "emission-weight-nan": (
+        "model.prior.emissions[0]",
+        {"model": {"prior": {"type": "hidden_markov", "states": [0, 1], "transition": [[0.7, 0.3], [0.3, 0.7]],
+                             "emissions": [[{"weight": math.nan, "type": "point", "x": 0.0}],
+                                           [{"weight": 1.0, "type": "gaussian", "var": 1.0}]]}}},
+    ),
+    "states-infinite": (
+        "model",
+        {"model": {"prior": {"type": "discrete_markov", "states": [-1, math.inf],
+                             "transition": [[0.7, 0.3], [0.3, 0.7]]}}},
+    ),
+    "transition-nan": (
+        "model.prior.transition",
+        {"model": {"prior": {"type": "discrete_markov", "states": [-1, 1],
+                             "transition": [[math.nan, 1.0], [0.3, 0.7]]}}},
     ),
 }
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import brute_force_log_evidence
+from oracles import brute_force_log_evidence, brute_force_posterior_mean
 
 from replica_markov import (
     MarkovPrior,
@@ -23,7 +23,6 @@ from replica_markov.simulator import (
     log_evidence,
     measurement_count,
     mh_mse_experiment,
-    mh_posterior_chain,
     sample_instance,
 )
 
@@ -218,35 +217,38 @@ class TestEmpiricalFreeEnergy:
         assert 2.0 < ratio < 8.0
 
 
+def replicate_chain_means(inst, model, chains, steps, burn_in, seed):
+    """Posterior mean of one instance from replicate lockstep chains; its error is the spread of the chain means."""
+    post, rate, _ = simulator._mh_discrete_batch(
+        np.repeat(inst.design_matrix()[None], chains, axis=0),
+        np.repeat(inst.y[None], chains, axis=0),
+        *simulator._log_tables(model.prior, "MH"),
+        model.sigma**2,
+        steps,
+        burn_in,
+        simulator._rng(seed),
+    )
+    return post.mean(axis=0), post.std(axis=0, ddof=1) / math.sqrt(chains), rate
+
+
 class TestMetropolisHastings:
     def test_two_site_matches_enumeration(self):
         inst = sample_instance(BINARY_SYM, 2, 1.0, seed=59)
-        res = mh_posterior_chain(inst, BINARY_SYM, steps=100_000, burn_in=10_000, seed=61)
-        phi = inst.design_matrix()
-        vals = np.array([-1.0, 1.0])
-        paths = np.array([[a, b] for a in range(2) for b in range(2)])
-        lp = np.log([0.5, 0.5])[paths[:, 0]] + np.log(BINARY_SYM.prior.kernel.P)[paths[:, 0], paths[:, 1]]
-        resid = inst.y[None, :] - vals[paths] @ phi.T
-        ll = -0.5 * np.einsum("ij,ij->i", resid, resid)
-        w = np.exp(lp + ll - (lp + ll).max())
-        w /= w.sum()
-        exact = (w[:, None] * vals[paths]).sum(axis=0)
-        assert np.all(np.abs(exact - res.posterior_mean) <= 3 * res.posterior_mean_stderr)
-        assert not res.warnings
+        mean, se, rate = replicate_chain_means(inst, BINARY_SYM, chains=16, steps=100_000, burn_in=10_000, seed=61)
+        assert np.all(np.abs(brute_force_posterior_mean(inst, BINARY_SYM) - mean) <= 3 * se)
+        assert 0.01 <= rate <= 0.99
 
     def test_zero_coupling_recovers_prior_mean(self):
         inst = sample_instance(BINARY_SYM, 4, 1.0, seed=67)
         zeroed = LinearModelInstance(
             inst.n, inst.m, inst.beta, np.zeros_like(inst.A), inst.S, inst.x, inst.y, inst.seed
         )
-        res = mh_posterior_chain(zeroed, BINARY_SYM, steps=100_000, burn_in=10_000, seed=71)
-        assert np.all(np.abs(res.posterior_mean) <= 4 * res.posterior_mean_stderr + 0.02)
+        mean, se, _ = replicate_chain_means(zeroed, BINARY_SYM, chains=16, steps=100_000, burn_in=10_000, seed=71)
+        assert np.all(np.abs(mean) <= 4 * se + 0.02)
 
     def test_detailed_balance_three_state_target(self):
         # n=1 with a 3-letter alphabet: empirical marginals over 10^6 total
         # steps (12 replicate chains) must match the enumerated posterior
-        from replica_markov.simulator import _mh_discrete_batch, _rng
-
         kern = TransitionMatrix((-1.0, 0.0, 1.0), np.full((3, 3), 1.0 / 3.0))
         model = ModelSpec(prior=MarkovPrior.discrete(kern))
         inst = sample_instance(model, 1, 1.0, seed=73)
@@ -255,7 +257,7 @@ class TestMetropolisHastings:
         ll = np.array([-0.5 * float(np.sum((inst.y - phi[:, 0] * v) ** 2)) for v in vals])
         w = np.exp(ll - ll.max()) / np.exp(ll - ll.max()).sum()
         chains, steps, burn = 12, 84_000, 4_000
-        post, rate, samples = _mh_discrete_batch(
+        post, rate, samples = simulator._mh_discrete_batch(
             np.repeat(phi[None], chains, axis=0),
             np.repeat(inst.y[None], chains, axis=0),
             vals,
@@ -264,7 +266,7 @@ class TestMetropolisHastings:
             1.0,
             steps,
             burn,
-            _rng(79),
+            simulator._rng(79),
             keep_samples=True,
         )
         assert 0.01 <= rate <= 0.99
@@ -272,18 +274,6 @@ class TestMetropolisHastings:
             freq = (samples[:, :, 0] == v).mean(axis=0)  # per chain
             se = freq.std(ddof=1) / math.sqrt(chains)
             assert abs(freq.mean() - w[k]) <= max(3 * se, 0.004)
-
-    def test_gauss_markov_chain_matches_conjugate_posterior(self):
-        inst = sample_instance(GM, 3, 1.0, seed=83)
-        res = mh_posterior_chain(inst, GM, steps=200_000, burn_in=40_000, seed=89)
-        phi = inst.design_matrix()
-        nu, s0 = 0.8, 1.0
-        var = s0 / (1 - nu**2)
-        sig = var * nu ** np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
-        post_cov = np.linalg.inv(phi.T @ phi + np.linalg.inv(sig))
-        post_mean = post_cov @ phi.T @ inst.y
-        assert np.all(np.abs(post_mean - res.posterior_mean) <= 4 * res.posterior_mean_stderr)
-        assert 0.01 <= res.acceptance_rate <= 0.99
 
     def test_batch_experiment_close_to_replica_mmse(self):
         # the n=10 posterior-mean MSE sits ~7% above the large-system value,
@@ -295,11 +285,23 @@ class TestMetropolisHastings:
         assert abs(mse - ref) / ref < 0.15
         assert 0.05 < rate < 0.95
 
-    def test_step_contract(self):
-        inst = sample_instance(BINARY_SYM, 2, 1.0, seed=59)
-        with pytest.raises(Exception):
-            mh_posterior_chain(inst, BINARY_SYM, steps=10, burn_in=10, seed=1)
-
     def test_experiment_needs_a_step_after_burn_in(self):
         with pytest.raises(ValidationError, match="burn_in"):
             mh_mse_experiment(BINARY_SYM, 4, 1.0, instances=2, steps=10, burn_in=20, seed=1)
+
+    def test_experiment_samples_the_postulated_posterior(self):
+        # the chains use the postulated prior and noise, as exact enumeration does
+        n, instances, steps, burn_in, seed = 6, 5, 2_000, 500, 13
+        mse, se, rate = mh_mse_experiment(MISMATCHED, n, 1.0, instances, steps, burn_in, seed)
+        insts = [sample_instance(MISMATCHED, n, 1.0, seed, index=i) for i in range(instances)]
+        post, hand_rate, _ = simulator._mh_discrete_batch(
+            np.stack([inst.design_matrix() for inst in insts]),
+            np.stack([inst.y for inst in insts]),
+            *simulator._log_tables(MISMATCHED.postulated_prior, "MH"),
+            MISMATCHED.sigma**2,
+            steps,
+            burn_in,
+            simulator._rng(seed, 0x3C),
+        )
+        mses = np.sum((np.stack([inst.x for inst in insts]) - post) ** 2, axis=1) / n
+        assert (mse, se, rate) == (float(mses.mean()), float(mses.std(ddof=1) / math.sqrt(instances)), hand_rate)
