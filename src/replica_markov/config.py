@@ -27,6 +27,7 @@ from .solver import ModelSpec, _check_sigma, _normalize_snr
 
 SCHEMA_VERSION = 1
 TASKS = ("replica", "exact_sim", "mh", "amp")
+_MAX_SWEEP_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -236,7 +237,11 @@ def _build_betas(doc, errs: _Collector):
     if start <= 0 or stop < start:
         errs.add("sweep", "need 0 < start <= stop")
         return None
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step  # may overflow to inf; the range has round(span) + 1 points
+    if not span < _MAX_SWEEP_POINTS - 0.5:
+        errs.add("sweep", f"start/stop/step give more than {_MAX_SWEEP_POINTS} points")
+        return None
+    count = int(round(span)) + 1
     betas = tuple(round(start + i * step, 12) for i in range(count) if start + i * step <= stop + 1e-9)
     return betas
 
@@ -299,8 +304,8 @@ def validate_config(document: dict) -> ExperimentConfig:
     if "amp" in tasks and sparse_params is None and model is not None:
         errs.add("tasks", "the amp task requires a sparse_hmm prior")
     if model is not None:
-        # exact_sim and mh work with the postulated posterior: the postulated prior when given
-        post = model.postulated_prior if model.postulated_prior is not None else model.prior
+        # exact_sim and mh work with the postulated posterior
+        post = model.postulated
         if "exact_sim" in tasks:
             if not isinstance(post, MarkovPrior):
                 errs.add("tasks", "the exact_sim task requires a discrete or Gauss-Markov prior")

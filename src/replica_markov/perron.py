@@ -145,21 +145,8 @@ def q_transition_matrix(
     return P
 
 
-@dataclass(frozen=True, eq=False)
-class TiltedMatrix:
-    base: np.ndarray
-    tilt: np.ndarray
-    tilted: np.ndarray
-
-
 def _trace_terms(tilt: np.ndarray, space: QStateSpace) -> np.ndarray:
     return np.tensordot(space.states, tilt, axes=2)
-
-
-def tilted_matrix(base: np.ndarray, tilt: np.ndarray, space: QStateSpace) -> TiltedMatrix:
-    base = np.asarray(base, float)
-    tilt = np.asarray(tilt, float)
-    return TiltedMatrix(base, tilt, base * np.exp(_trace_terms(tilt, space))[None, :])
 
 
 @dataclass(frozen=True, eq=False)

@@ -179,7 +179,7 @@ def exact_log_evidence_discrete(inst: LinearModelInstance, model: ModelSpec) -> 
     log-sum-exp runs over row blocks of at most WEIGHT_BLOCK_ENTRIES pair
     weights, each combined by its own max.
     """
-    prior = model.postulated_prior if model.postulated_prior is not None else model.prior
+    prior = model.postulated
     values, log_init, log_pi = _log_tables(prior, "exact enumeration")
     k, n = len(values), inst.n
     total = k**n
@@ -233,7 +233,7 @@ def gaussian_log_evidence(inst: LinearModelInstance, nu: float, sigma0_sq: float
 
 def log_evidence(inst: LinearModelInstance, model: ModelSpec) -> EvidenceEstimate:
     """Dispatch to the exact method available for the model's prior family."""
-    prior = model.postulated_prior if model.postulated_prior is not None else model.prior
+    prior = model.postulated
     if isinstance(prior, MarkovPrior) and prior.is_gauss_markov:
         if model.sigma != 1.0:
             raise ValidationError("gaussian closed form assumes matched unit noise")
@@ -330,7 +330,7 @@ def mh_mse_experiment(
     """
     if not steps > burn_in >= 0:  # MH averages the steps after burn-in, so at least one must remain
         raise ValidationError("need steps > burn_in >= 0")
-    prior = model.postulated_prior if model.postulated_prior is not None else model.prior
+    prior = model.postulated
     tables = _log_tables(prior, "the batched MH experiment")
     insts = [sample_instance(model, n, beta, seed, index=i) for i in range(instances)]
     phis = np.stack([inst.design_matrix() for inst in insts])

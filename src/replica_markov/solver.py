@@ -23,11 +23,10 @@ average of E[<X|X0>^2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laws import ConditionalInputLaw
 from .markov_core import (
     HiddenMarkovPrior,
     MarkovPrior,
@@ -102,11 +101,11 @@ def _priors_equal(a, b) -> bool:
 
 @dataclass(frozen=True)
 class _Decoupled:
-    labels: tuple
     weights: np.ndarray
-    true_laws: tuple[ConditionalInputLaw, ...]
-    post_laws: tuple[ConditionalInputLaw, ...]
     second_moment: float
+    # sum w p s E[X^2|x0] under the true and the postulated laws: the scan bounds
+    true_s_moment: float
+    post_s_moment: float
     # Channel i * len(snr) + j is effective state i at SNR pair j, with
     # stationary-times-SNR probability wp and wp * s as its weight in the
     # fixed-point sums.
@@ -123,7 +122,11 @@ def _decouple(prior, post, snr) -> _Decoupled:
         raise ValidationError("postulated prior must share the true prior's state space")
     table = channel_table((tl, ql, s) for tl, ql in zip(eff.laws, eff_q.laws) for s, _ in snr)
     wp = np.array([w * p for w in eff.weights for _, p in snr])
-    return _Decoupled(eff.labels, eff.weights, eff.laws, eff_q.laws, eff.second_moment(), table, wp, wp * table.s)
+    true_s, post_s = (
+        sum(w * p * s * law.second_moment() for w, law in zip(eff.weights, laws) for s, p in snr)
+        for laws in (eff.laws, eff_q.laws)
+    )
+    return _Decoupled(eff.weights, eff.second_moment(), true_s, post_s, table, wp, wp * table.s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +154,12 @@ class ModelSpec:
             self.prior
         ):
             raise ValidationError("postulated prior must be the same kind as the true prior")
-        post = self.postulated_prior if self.postulated_prior is not None else self.prior
-        object.__setattr__(self, "_decoupled", _decouple(self.prior, post, self.snr))
+        object.__setattr__(self, "_decoupled", _decouple(self.prior, self.postulated, self.snr))
+
+    @property
+    def postulated(self) -> MarkovPrior | HiddenMarkovPrior:
+        """The prior the postulated posterior uses: ``postulated_prior``, or the true prior when none is given."""
+        return self.postulated_prior if self.postulated_prior is not None else self.prior
 
     @property
     def is_matched(self) -> bool:
@@ -174,11 +181,14 @@ class SolveDiagnostics:
 
 
 class FixedPoints(list):
-    """Sorted (eta, xi) fixed points, with the diagnostics of the solve that found them."""
+    """Sorted (eta, xi) fixed points with the diagnostics of their solve; ``free_energies`` and
+    ``posterior_mean_sq`` (sum w p E[<X|X0>^2], the MMSE term) follow the order of the points."""
 
-    def __init__(self, points, diagnostics: SolveDiagnostics):
+    def __init__(self, points, diagnostics: SolveDiagnostics, free_energies, posterior_mean_sq):
         super().__init__(points)
         self.diagnostics = diagnostics
+        self.free_energies = tuple(free_energies)
+        self.posterior_mean_sq = tuple(posterior_mean_sq)
 
 
 @dataclass(frozen=True)
@@ -199,17 +209,12 @@ def _weighted_errors(dec: _Decoupled, eta, xi) -> tuple[np.ndarray, np.ndarray]:
     return mse @ dec.ws, var @ dec.ws
 
 
-def _weighted_s_second_moment(dec: _Decoupled, snr, laws) -> float:
-    return sum(w * p * s * law.second_moment() for w, law in zip(dec.weights, laws) for s, p in snr)
-
-
 def _root(f, a, b, fa, fb):
     """Roots of f in the brackets [a, b], with fa and fb of opposite signs, by Illinois regula falsi.
 
-    The brackets may be arrays of independent brackets, solved in lockstep:
-    each step calls f once, on an array of one point per bracket (a bracket
-    already solved keeps its last point and ignores the value); a scalar
-    bracket calls f with a scalar.  The end that
+    The brackets are arrays of independent brackets, solved in lockstep: each
+    step calls f once, on an array of one point per bracket (a bracket
+    already solved keeps its last point and ignores the value).  The end that
     stays put twice running has its f value halved, so both ends converge; a
     secant point that rounds outside (a, b) is replaced by the midpoint.  A
     bracket stops when it is narrower than 1e-14 or f is exactly 0.
@@ -226,7 +231,7 @@ def _root(f, a, b, fa, fb):
         with np.errstate(divide="ignore", invalid="ignore"):
             secant = (a * fb - b * fa) / (fb - fa)
         c = np.where(active, np.where((a < secant) & (secant < b), secant, 0.5 * (a + b)), c)
-        fc = np.asarray(f(c[()] if c.ndim == 0 else c), dtype=float)
+        fc = np.asarray(f(c), dtype=float)
         hit |= active & (fc == 0.0)
         active &= fc != 0.0
         right = active & ((fc > 0.0) == (fb > 0.0))
@@ -244,9 +249,9 @@ def _roots(f, lo: float, hi: float, points: int) -> tuple[list[float], int, int]
     f is called once on the whole grid, as an array.  Callers pick hi with
     f(hi) >= 0.  While f is positive at the lowest point, a point at half of
     it is added (at most 60), so the grid starts where f <= 0.  A grid point
-    where f is exactly 0 is a root, and each sign change between neighbours
-    is refined by ``_root``, one bracket after another.  Returns the roots,
-    the number of grid points and the number of sign changes.
+    where f is exactly 0 is a root, and the sign changes between neighbours
+    are refined together by one lockstep ``_root``.  Returns the roots, the
+    number of grid points and the number of sign changes.
     """
     xs = np.geomspace(lo, hi, points)
     fs = np.asarray(f(xs), dtype=float)
@@ -255,22 +260,40 @@ def _roots(f, lo: float, hi: float, points: int) -> tuple[list[float], int, int]
             break
         xs = np.concatenate((xs[:1] / 2.0, xs))
         fs = np.concatenate((np.asarray(f(xs[:1]), dtype=float), fs))
-    roots = [float(x) for x, fx in zip(xs, fs) if fx == 0.0]
-    changes = [
-        (a, b, fa, fb)
-        for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:])
-        if fa < 0.0 < fb or fb < 0.0 < fa
-    ]
-    roots += [float(_root(f, *c)) for c in changes]
-    return roots, len(xs), len(changes)
+    roots = [float(x) for x in xs[fs == 0.0]]
+    change = ((fs[:-1] < 0.0) & (fs[1:] > 0.0)) | ((fs[1:] < 0.0) & (fs[:-1] > 0.0))
+    roots += _root(f, xs[:-1][change], xs[1:][change], fs[:-1][change], fs[1:][change]).tolist()
+    return roots, len(xs), int(change.sum())
+
+
+def _assess(model: ModelSpec, beta: float, eta, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual, G(x0) and sum w p E[<X>^2] at arrays of (eta, xi) points, in one kernel call.
+
+    The residual is the larger absolute residual of the two fixed-point
+    equations; G(x0), in nats, has a trailing axis over the effective states.
+    """
+    dec = model._decoupled
+    moments = channel_moments(dec.table, eta, xi)
+    mse, var = channel_errors(dec.table, moments)
+    residual = np.maximum(
+        abs(eta - 1.0 / (1.0 + beta * (mse @ dec.ws))),
+        abs(xi - 1.0 / (model.sigma**2 + beta * (var @ dec.ws))),
+    )
+    ce = moments[..., 3].reshape(moments.shape[:-2] + (len(dec.weights), -1)) @ np.array([p for _, p in model.snr])
+    const = (
+        ((xi - 1.0) - np.log(xi)) / (2.0 * beta)
+        - 0.5 * np.log(2.0 * np.pi / xi)
+        - xi / (2.0 * eta)
+        + model.sigma**2 * xi * (eta - xi) / (2.0 * beta * eta)
+        + _LOG_2PI / (2.0 * beta)
+        + xi / (2.0 * beta * eta)
+    )
+    return residual, ce + np.asarray(const)[..., None], moments[..., 0] @ dec.wp
 
 
 def fixed_point_residual(model: ModelSpec, beta: float, eta: float, xi: float) -> float:
     """Max absolute residual of the (eta, xi) system at the given point."""
-    s_mse, s_var = _weighted_errors(model._decoupled, eta, xi)
-    r1 = abs(eta - 1.0 / (1.0 + beta * s_mse))
-    r2 = abs(xi - 1.0 / (model.sigma**2 + beta * s_var))
-    return float(max(r1, r2))
+    return float(_assess(model, beta, eta, xi)[0])
 
 
 def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
@@ -286,14 +309,15 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
     sweep; each sign change is refined by Illinois regula falsi to a bracket
     narrower than 1e-14.  The inner xi solves of all the points of one sweep
     run in lockstep, left-end halvings included, as one vectorized Illinois.
-    Roots are deduplicated at 1e-6 resolution and verified against the
-    general-form residual below 1e-8; the result carries the diagnostics of
-    the solve.
+    Roots are deduplicated at 1e-6 resolution and assessed in one kernel
+    call: verified against the general-form residual below 1e-8, and scored
+    by free energy and MMSE term.  The result carries those scores and the
+    diagnostics of the solve.
     """
     if not beta > 0:
         raise ValidationError("beta must be > 0")
     dec = model._decoupled
-    snr, sigma_sq = model.snr, model.sigma**2
+    sigma_sq = model.sigma**2
     evaluations = 0
     take_kernel_tally()
     # Error and variance sums are nonnegative; clamping their rounding at 0
@@ -313,7 +337,7 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
             return eta
 
     else:
-        xi_lo = 1.0 / (sigma_sq + beta * _weighted_s_second_moment(dec, snr, dec.post_laws))
+        xi_lo = 1.0 / (sigma_sq + beta * dec.post_s_moment)
         xi_hi = 1.0 / sigma_sq
 
         def h(eta, xi):
@@ -348,15 +372,17 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
             evaluations += np.size(eta)
             return eta - 1.0 / (1.0 + beta * np.maximum(_weighted_errors(dec, eta, xi_at(eta))[0], 0.0))
 
-    eta_lo = 1.0 / (1.0 + beta * _weighted_s_second_moment(dec, snr, dec.true_laws))
+    eta_lo = 1.0 / (1.0 + beta * dec.true_s_moment)
     roots, points, brackets = _roots(f, eta_lo, 1.0, _SCAN_POINTS)
     found: list[tuple[float, float]] = []
     for eta, xi in zip(roots, xi_at(np.array(roots)) if roots else ()):
         if not any(abs(eta - e) < _CLUSTER_TOL and abs(xi - x) < _CLUSTER_TOL for e, x in found):
             found.append((eta, float(xi)))
-    residuals = [fixed_point_residual(model, beta, e, x) for e, x in found]
-    verified = sorted(pair for pair, r in zip(found, residuals) if r < RESIDUAL_TOL)
-    if not verified:
+    keep = []
+    if found:
+        residuals, terms, msq = _assess(model, beta, *np.array(found).T)
+        keep = sorted(np.flatnonzero(residuals < RESIDUAL_TOL), key=found.__getitem__)
+    if not keep:
         raise SolverError(
             f"no fixed point converged for beta={beta} "
             f"(scan points: {points}, brackets: {brackets})"
@@ -368,64 +394,36 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
         evaluations=evaluations,
         kernel_calls=calls,
         max_nodes=nodes,
-        residual=max(r for r in residuals if r < RESIDUAL_TOL),
+        residual=float(residuals[keep].max()),
     )
-    return FixedPoints(verified, diagnostics)
-
-
-def _free_energy_terms(model: ModelSpec, eta: float, xi: float, beta: float) -> np.ndarray:
-    """G(x0) in nats for every effective state, in one kernel call."""
-    dec = model._decoupled
-    sigma_sq = model.sigma**2
-    cross_entropy = channel_moments(dec.table, eta, xi)[:, 3]
-    ce = cross_entropy.reshape(len(dec.weights), len(model.snr)) @ np.array([p for _, p in model.snr])
-    const = (
-        ((xi - 1.0) - np.log(xi)) / (2.0 * beta)
-        - 0.5 * np.log(2.0 * np.pi / xi)
-        - xi / (2.0 * eta)
-        + sigma_sq * xi * (eta - xi) / (2.0 * beta * eta)
-        + _LOG_2PI / (2.0 * beta)
-        + xi / (2.0 * beta * eta)
-    )
-    return ce + const
+    return FixedPoints([found[i] for i in keep], diagnostics, [float(dec.weights @ terms[i]) for i in keep], msq[keep])
 
 
 def free_energy_term(model: ModelSpec, state_index: int, eta: float, xi: float, beta: float) -> float:
     """G(x0) in nats for one effective state at a fixed-point candidate."""
-    return float(_free_energy_terms(model, eta, xi, beta)[state_index])
-
-
-def _free_energy_at(model: ModelSpec, beta, eta, xi) -> float:
-    return float(model._decoupled.weights @ _free_energy_terms(model, eta, xi, beta))
+    return float(_assess(model, beta, eta, xi)[1][state_index])
 
 
 def free_energy(model: ModelSpec, beta: float) -> ReplicaSolution:
     """Free energy (nats per signal component) at the minimizing fixed point.
 
     Matched models also carry mutual information C = F - log(2 pi e)/(2 beta)
-    and the average MMSE from the decoupled second-moment identity.
+    and the average MMSE from the decoupled second-moment identity.  Every
+    value is read off the solve's own assessment of its fixed points.
     """
     candidates = solve_fixed_point(model, beta)
-    scored = tuple((eta, xi, _free_energy_at(model, beta, eta, xi)) for eta, xi in candidates)
-    eta, xi, fmin = min(scored, key=lambda t: t[2])
+    scored = tuple((eta, xi, fe) for (eta, xi), fe in zip(candidates, candidates.free_energies))
+    best = min(range(len(scored)), key=lambda i: scored[i][2])
+    eta, xi, fmin = scored[best]
     mutual = mmse = None
     if model.is_matched:
         mutual = fmin - _LOG_2PIE / (2.0 * beta)
-        mmse = _mmse_at(model, eta, xi)
-    calls, nodes = take_kernel_tally()
-    diag = candidates.diagnostics
-    diag = replace(diag, kernel_calls=diag.kernel_calls + calls, max_nodes=max(diag.max_nodes, nodes))
-    return ReplicaSolution(beta, eta, xi, fmin, mutual, mmse, scored, diag)
-
-
-def _mmse_at(model: ModelSpec, eta: float, xi: float) -> float:
-    dec = model._decoupled
-    msq = channel_moments(dec.table, eta, xi)[:, 0] @ dec.wp
-    m2 = dec.second_moment
-    val = m2 - msq
-    if val < -1e-8 or val > m2 + 1e-8:
-        raise SolverError(f"MMSE {val} escapes [0, {m2}] beyond numerical tolerance")
-    return float(min(max(val, 0.0), m2))
+        m2 = model._decoupled.second_moment
+        mmse = m2 - candidates.posterior_mean_sq[best]
+        if mmse < -1e-8 or mmse > m2 + 1e-8:
+            raise SolverError(f"MMSE {mmse} escapes [0, {m2}] beyond numerical tolerance")
+        mmse = float(min(max(mmse, 0.0), m2))
+    return ReplicaSolution(beta, eta, xi, fmin, mutual, mmse, scored, candidates.diagnostics)
 
 
 def mutual_information(model: ModelSpec, beta: float, units: str = "nats") -> float:

@@ -23,7 +23,7 @@ def brute_force_log_evidence(inst, model) -> float:
     split: every one of the k^n paths is built and its m-dimensional
     residual computed directly.
     """
-    prior = model.postulated_prior if model.postulated_prior is not None else model.prior
+    prior = model.postulated
     kern = prior.kernel
     values = kern.state_values()
     with np.errstate(divide="ignore"):
@@ -53,7 +53,7 @@ def brute_force_log_evidence(inst, model) -> float:
 
 def brute_force_posterior_mean(inst, model) -> np.ndarray:
     """E[x | y] under the (postulated) discrete prior and noise sigma^2, every path at once (small n)."""
-    prior = model.postulated_prior if model.postulated_prior is not None else model.prior
+    prior = model.postulated
     kern = prior.kernel
     values = kern.state_values()
     paths = np.array(list(itertools.product(range(kern.dim), repeat=inst.n)))

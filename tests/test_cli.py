@@ -390,6 +390,8 @@ BAD_EXPERIMENTS = {
     "betas-infinite": ("sweep.betas", {"sweep": {"betas": [math.inf]}}),
     "stop-infinite": ("sweep.stop", {"sweep": {"start": 0.5, "stop": math.inf, "step": 0.5}}),
     "step-nan": ("sweep.step", {"sweep": {"start": 0.5, "stop": 1.0, "step": math.nan}}),
+    "range-too-long": ("sweep", {"sweep": {"start": 0.1, "stop": 1e12, "step": 0.1}}),
+    "range-overflows": ("sweep", {"sweep": {"start": 1e-300, "stop": 1e300, "step": 1e-300}}),
     "sigma-infinite": ("model.sigma", {"model": {"prior": base_doc()["model"]["prior"], "sigma": math.inf}}),
     "sigma0-sq-infinite": (
         "model.prior",

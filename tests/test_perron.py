@@ -21,8 +21,8 @@ from replica_markov.perron import (
     pf_log_hessian,
     q_transition_matrix,
     rate_function,
-    tilted_matrix,
     _max_cycle_mean,
+    _tilted_pf,
 )
 
 # A silent NaN or a division through a zero eigenvector entry is a defect here.
@@ -230,9 +230,9 @@ class TestPfDecomposition:
         kern = binary_markov_kernel(0.3, 0.4)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
         base = q_transition_matrix(space, kern)
-        tm = tilted_matrix(base, np.zeros((2, 2)), space)
-        assert np.array_equal(tm.tilted, base)
-        assert abs(pf_decomposition(tm.tilted).rho - 1.0) < 1e-12
+        t_max, scaled, triple = _tilted_pf(base, np.zeros((2, 2)), space)
+        assert t_max == 0.0 and np.array_equal(scaled, base)
+        assert abs(triple.rho - 1.0) < 1e-12
 
     def test_periodic_cycle_matrix(self):
         # power iteration must handle the periodic case via the diagonal shift
@@ -553,7 +553,8 @@ class TestRateFunction:
         base = q_transition_matrix(space, kern)
         for _ in range(10):
             t = 0.5 * rng.standard_normal((2, 2))
-            tm = tilted_matrix(base, 0.5 * (t + t.T), space)
-            rho = pf_decomposition(tm.tilted).rho
-            sums = tm.tilted.sum(axis=1)
+            t_max, scaled, triple = _tilted_pf(base, 0.5 * (t + t.T), space)
+            # rho and the row sums of the tilted matrix, scaled back by e^{t_max}
+            rho = math.exp(t_max) * triple.rho
+            sums = math.exp(t_max) * scaled.sum(axis=1)
             assert sums.min() - 1e-12 <= rho <= sums.max() + 1e-12

@@ -313,6 +313,18 @@ class TestRootHelpers:
         assert (points, brackets) == (16, 3)
         assert np.allclose(sorted(roots), [0.1, 0.3, 0.7], rtol=0.0, atol=1e-14)
 
+    def test_brackets_refined_in_lockstep(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(np.size(x))
+            return (x - 0.1) * (x - 0.3) * (x - 0.7)
+
+        roots, _, brackets = _roots(f, 0.05, 1.0, 16)
+        assert brackets == 3
+        assert sizes[0] == 16 and len(sizes) > 1 and set(sizes[1:]) == {3}
+        assert np.allclose(sorted(roots), [0.1, 0.3, 0.7], rtol=0.0, atol=1e-14)
+
     def test_root_at_bracket_end(self):
         for root, lo in ((1.0, 0.5), (0.5, 0.5)):
             roots, _, brackets = _roots(lambda x, r=root: x - r, lo, 1.0, 16)
@@ -391,9 +403,28 @@ class TestDiagnostics:
         diag = solve_fixed_point(TestGoldenValues.model(name), beta).diagnostics
         assert diag.kernel_calls == len(calls)
         assert 3 * diag.kernel_calls <= self.PARENT_KERNEL_CALLS[key]
-        # free_energy adds the free-energy and MMSE assembly, one call each
+        # free_energy reads its scores and MMSE off the solve's assessment
         sol = free_energy(TestGoldenValues.model(name), beta)
-        assert sol.diagnostics.kernel_calls == diag.kernel_calls + (2 if name == "binary_two_snr" else 1)
+        assert sol.diagnostics.kernel_calls == diag.kernel_calls + 0
+
+    @pytest.mark.parametrize("name", ["binary_sym", "mismatched", "binary_two_snr"])
+    def test_one_assessment_per_solve(self, name, monkeypatch):
+        from replica_markov import solver
+
+        calls = []
+        orig = solver._assess
+        monkeypatch.setattr(solver, "_assess", lambda *a: calls.append(np.size(a[2])) or orig(*a))
+        free_energy(TestGoldenValues.model(name), 1.0)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("name", ["binary_sym", "mismatched", "binary_two_snr"])
+    def test_solve_scores_equal_the_public_views(self, name):
+        model, beta = TestGoldenValues.model(name), 0.75
+        sol = free_energy(model, beta)
+        terms = [free_energy_term(model, i, sol.eta, sol.xi, beta) for i in range(len(model._decoupled.weights))]
+        assert abs(sol.free_energy - model._decoupled.weights @ terms) <= 1e-15 * abs(sol.free_energy)
+        residual = fixed_point_residual(model, beta, sol.eta, sol.xi)
+        assert abs(sol.diagnostics.residual - residual) <= 1e-15 * abs(residual)
 
 
 class TestDecoupleOnce:
