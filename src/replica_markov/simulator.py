@@ -32,6 +32,8 @@ from .solver import ModelSpec
 ENUMERATION_BUDGET = 1 << 24
 WEIGHT_BLOCK_ENTRIES = 1 << 20
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# stands in for log(x/0) in the MH ratio tables: finite, so it sums with -inf to -inf, not NaN
+_LEAVE_FORBIDDEN = 1e300
 
 
 class EvidenceBudgetError(RuntimeError):
@@ -98,13 +100,20 @@ class LinearModelInstance:
 
 
 def _sample_discrete_chain(kern, initial, n: int, rng) -> np.ndarray:
-    """State indices of one chain path of length n."""
-    cum = np.cumsum(kern.P, axis=1)
-    idx = np.empty(n, dtype=np.int64)
-    idx[0] = np.searchsorted(np.cumsum(initial), rng.random(), side="right")
-    for t in range(1, n):
-        idx[t] = (cum[idx[t - 1]] < rng.random()).sum()
-    return idx
+    """State indices of one chain path of length n.
+
+    Step t's uniform u picks the next state of every state s at once, as the
+    number of entries of the cumulative row s below u; the walk then only
+    follows those tables.
+    """
+    u = rng.random(n)
+    nexts = (np.cumsum(kern.P, axis=1)[None] < u[1:, None, None]).sum(axis=2).tolist()
+    state = int(np.searchsorted(np.cumsum(initial), u[0], side="right"))
+    path = [state]
+    for nxt in nexts:
+        state = nxt[state]
+        path.append(state)
+    return np.array(path, dtype=np.int64)
 
 
 def sample_prior_path(prior, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -249,6 +258,32 @@ def empirical_free_energy(model: ModelSpec, n: int, beta: float, trials: int, se
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
+def _mh_tables(values: np.ndarray, log_init: np.ndarray, log_pi: np.ndarray):
+    """Per-move lookup tables of the single-site sampler, indexed by (old state, jump).
+
+    A proposal moves a site from state ``old`` to ``(old + jump) % k``.
+    State index k is a sentinel beyond both ends of the path: its log row is
+    the initial law and its log column is 0.  ``ratio_in[left, old, jump]``
+    and ``ratio_out[old, jump, right]`` are the log prior ratios of the
+    transitions into and out of the site, ``dv[old, jump]`` is the change
+    of value and ``to[old, jump]`` the new state.  A path the prior forbids
+    (the uniform start can hold one) gives 0/0 and x/0 ratios.  0/0 is
+    stored as -inf and x/0 as ``_LEAVE_FORBIDDEN``, so a move whose two
+    ratios hold a 0/0, or an x/0 and a 0/x, sums to -inf and is rejected,
+    as the NaN of the plain differences was; no other decision changes.
+    """
+    k = len(values)
+    log_tab = np.zeros((k + 1, k + 1))
+    log_tab[:k, :k] = log_pi
+    log_tab[k, :k] = log_init
+    to = (np.arange(k)[:, None] + np.arange(k)) % k
+    with np.errstate(invalid="ignore"):
+        ratio_in = log_tab[:, to] - log_tab[:, :k, None]
+        ratio_out = log_tab[to] - log_tab[:k, None]
+    fix = dict(nan=-np.inf, posinf=_LEAVE_FORBIDDEN, neginf=-np.inf)
+    return np.nan_to_num(ratio_in, **fix), np.nan_to_num(ratio_out, **fix), values[to] - values[:, None], to
+
+
 def _mh_discrete_batch(
     phis: np.ndarray,
     ys: np.ndarray,
@@ -265,13 +300,20 @@ def _mh_discrete_batch(
 
     phis: (C, m, n); ys: (C, m).  Returns per-chain posterior means, overall
     acceptance rate, and (optionally) thinned post-burn-in samples for
-    error estimation.
+    error estimation.  Each step reads its prior ratios, value change and
+    new state from ``_mh_tables``, the proposed column from a (C, n, m) copy
+    of phis, and carries ||r||^2 of the residual from the last accepted move.
     """
     C, m, n = phis.shape
     k = len(values)
-    idx = rng.integers(0, k, size=(C, n))
-    x = values[idx]
-    r = ys - np.einsum("cmn,cn->cm", phis, x)
+    ratio_in, ratio_out, dv, to = _mh_tables(values, log_init, log_pi)
+    padded = np.full((C, n + 2), k)  # sentinel state at both ends
+    padded[:, 1:-1] = rng.integers(0, k, size=(C, n))
+    idx = padded[:, 1:-1]
+    flat = padded.reshape(-1)
+    cols_of = np.ascontiguousarray(phis.transpose(0, 2, 1)).reshape(C * n, m)  # row c*n + l is column l of chain c
+    r = ys - np.einsum("cmn,cn->cm", phis, values[idx])
+    norm = np.einsum("cm,cm->c", r, r)
     mean_acc = np.zeros((C, n))
     kept = []
     accepted = 0
@@ -283,35 +325,26 @@ def _mh_discrete_batch(
         sites = rng.integers(0, n, size=(cnt, C))
         jumps = rng.integers(1, k, size=(cnt, C)) if k > 2 else np.ones((cnt, C), dtype=np.int64)
         logu = np.log(rng.random(size=(cnt, C)))
+        at = sites + rows * (n + 2) + 1
+        before, after, col_at = at - 1, at + 1, sites + rows * n
         for t in range(cnt):
             step = done + t
-            l = sites[t]
-            old = idx[rows, l]
-            new = (old + jumps[t]) % k
-            d_prior = np.zeros(C)
-            has_left = l > 0
-            left = idx[rows, np.maximum(l - 1, 0)]
-            d_prior += np.where(
-                has_left,
-                log_pi[left, new] - log_pi[left, old],
-                log_init[new] - log_init[old],
-            )
-            has_right = l < n - 1
-            right = idx[rows, np.minimum(l + 1, n - 1)]
-            d_prior += np.where(has_right, log_pi[new, right] - log_pi[old, right], 0.0)
-            cols = np.take_along_axis(phis, l[:, None, None], axis=2)[:, :, 0]
-            dv = values[new] - values[old]
-            r_new = r - cols * dv[:, None]
-            d_lik = 0.5 * (np.einsum("cm,cm->c", r, r) - np.einsum("cm,cm->c", r_new, r_new)) / sigma_sq
-            acc = logu[t] < d_prior + d_lik
-            idx[rows[acc], l[acc]] = new[acc]
-            r[acc] = r_new[acc]
-            accepted += int(acc.sum())
+            pos = at[t]
+            jump = jumps[t]
+            old = flat[pos]
+            d_prior = ratio_in[flat[before[t]], old, jump] + ratio_out[old, jump, flat[after[t]]]
+            r_new = r - cols_of[col_at[t]] * dv[old, jump][:, None]
+            norm_new = np.einsum("cm,cm->c", r_new, r_new)
+            acc = logu[t] < d_prior + 0.5 * (norm - norm_new) / sigma_sq
+            flat[pos] = np.where(acc, to[old, jump], old)
+            np.copyto(r, r_new, where=acc[:, None])
+            np.copyto(norm, norm_new, where=acc)
+            accepted += int(np.count_nonzero(acc))
             if step >= burn_in:
                 cur = values[idx]
                 mean_acc += cur
                 if keep_samples and (step - burn_in) % 10 == 0:
-                    kept.append(cur.copy())
+                    kept.append(cur)
         done += cnt
     post = mean_acc / (steps - burn_in)
     samples = np.array(kept) if keep_samples else None

@@ -65,6 +65,75 @@ def brute_force_posterior_mean(inst, model) -> np.ndarray:
     return w @ values[paths] / w.sum()
 
 
+def reference_mh_batch(phis, ys, values, log_init, log_pi, sigma_sq, steps, burn_in, rng, keep_samples=False):
+    """Lockstep single-site Metropolis with per-step branches on the path ends.
+
+    The branching form of ``simulator._mh_discrete_batch``: it draws the
+    same random blocks and recomputes both residual norms on every step, so
+    accept decisions must agree move for move.
+    """
+    C, m, n = phis.shape
+    k = len(values)
+    idx = rng.integers(0, k, size=(C, n))
+    x = values[idx]
+    r = ys - np.einsum("cmn,cn->cm", phis, x)
+    mean_acc = np.zeros((C, n))
+    kept = []
+    accepted = 0
+    rows = np.arange(C)
+    block = 1024
+    done = 0
+    while done < steps:
+        cnt = min(block, steps - done)
+        sites = rng.integers(0, n, size=(cnt, C))
+        jumps = rng.integers(1, k, size=(cnt, C)) if k > 2 else np.ones((cnt, C), dtype=np.int64)
+        logu = np.log(rng.random(size=(cnt, C)))
+        for t in range(cnt):
+            step = done + t
+            l = sites[t]
+            old = idx[rows, l]
+            new = (old + jumps[t]) % k
+            d_prior = np.zeros(C)
+            has_left = l > 0
+            left = idx[rows, np.maximum(l - 1, 0)]
+            with np.errstate(invalid="ignore"):  # 0/0 prior ratios of a forbidden start: NaN rejects
+                d_prior += np.where(
+                    has_left,
+                    log_pi[left, new] - log_pi[left, old],
+                    log_init[new] - log_init[old],
+                )
+                has_right = l < n - 1
+                right = idx[rows, np.minimum(l + 1, n - 1)]
+                d_prior += np.where(has_right, log_pi[new, right] - log_pi[old, right], 0.0)
+            cols = np.take_along_axis(phis, l[:, None, None], axis=2)[:, :, 0]
+            dv = values[new] - values[old]
+            r_new = r - cols * dv[:, None]
+            d_lik = 0.5 * (np.einsum("cm,cm->c", r, r) - np.einsum("cm,cm->c", r_new, r_new)) / sigma_sq
+            acc = logu[t] < d_prior + d_lik
+            idx[rows[acc], l[acc]] = new[acc]
+            r[acc] = r_new[acc]
+            accepted += int(acc.sum())
+            if step >= burn_in:
+                cur = values[idx]
+                mean_acc += cur
+                if keep_samples and (step - burn_in) % 10 == 0:
+                    kept.append(cur.copy())
+        done += cnt
+    post = mean_acc / (steps - burn_in)
+    samples = np.array(kept) if keep_samples else None
+    return post, accepted / (steps * C), samples
+
+
+def reference_chain_path(kern, initial, n, rng) -> np.ndarray:
+    """State indices of one chain path, one scalar uniform draw per site."""
+    cum = np.cumsum(kern.P, axis=1)
+    idx = np.empty(n, dtype=np.int64)
+    idx[0] = np.searchsorted(np.cumsum(initial), rng.random(), side="right")
+    for t in range(1, n):
+        idx[t] = (cum[idx[t - 1]] < rng.random()).sum()
+    return idx
+
+
 def trapezoid_grid(half_width: float = 12.0, points: int = 100_001) -> np.ndarray:
     return np.linspace(-half_width, half_width, points)
 

@@ -289,6 +289,21 @@ class TestMainEntry:
         row = out.read_text().splitlines()[1].split(",")
         assert row[10] != ""  # mh_mse populated
 
+    @pytest.mark.filterwarnings("error")
+    def test_simulate_mh_zero_transition_chain_is_silent(self, tmp_path, capsys):
+        # a uniform start can hold the forbidden transition 0.3 -> -1, where a move may have prior ratio 0/0
+        prior = {
+            "type": "discrete_markov",
+            "states": [-1, 0.3, 1],
+            "transition": [[0.6, 0.2, 0.2], [0, 0.5, 0.5], [0.2, 0.2, 0.6]],
+        }
+        cfg = tmp_path / "mh.json"
+        cfg.write_text(json.dumps(base_doc(model={"prior": prior}, n=8, trials=16, mh={"steps": 400, "burn_in": 100})))
+        out = tmp_path / "mh.csv"
+        assert main(["simulate", "mh", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[1].split(",")[10] != ""
+
     def test_instance_dump_round_trips(self, tmp_path):
         from replica_markov.simulator import LinearModelInstance
 

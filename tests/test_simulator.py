@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import brute_force_log_evidence, brute_force_posterior_mean
+from oracles import brute_force_log_evidence, brute_force_posterior_mean, reference_chain_path, reference_mh_batch
 
 from replica_markov import (
     MarkovPrior,
@@ -13,6 +13,7 @@ from replica_markov import (
     replica_mmse,
     simulator,
     sparse_hmm_prior,
+    stationary_distribution,
 )
 from replica_markov.simulator import (
     EvidenceBudgetError,
@@ -32,6 +33,12 @@ GM = ModelSpec(prior=MarkovPrior.gauss_markov(0.8, 1.0))
 TERNARY_ZERO = ModelSpec(
     prior=MarkovPrior.discrete(
         TransitionMatrix((-1.0, 0.0, 1.0), np.array([[0.5, 0.0, 0.5], [0.5, 0.0, 0.5], [0.25, 0.5, 0.25]]))
+    )
+)
+# one zero transition and a non-dyadic state: a uniform MH start can hold the forbidden pair (0.3, -1)
+TERNARY_ONE_ZERO = ModelSpec(
+    prior=MarkovPrior.discrete(
+        TransitionMatrix((-1.0, 0.3, 1.0), np.array([[0.6, 0.2, 0.2], [0.0, 0.5, 0.5], [0.2, 0.2, 0.6]]))
     )
 )
 MISMATCHED = ModelSpec(
@@ -80,6 +87,22 @@ class TestSampling:
         model = ModelSpec(prior=sparse_hmm_prior(0.3, 0.8))
         inst = sample_instance(model, 100_000, 100_000.0, seed=3)
         assert abs(float(np.mean(inst.x != 0.0)) - 0.3) < 0.01
+
+    @pytest.mark.parametrize(
+        "prior",
+        [BINARY_SYM.prior, TERNARY_ONE_ZERO.prior, sparse_hmm_prior(0.3, 0.3)],
+        ids=["binary", "ternary", "sparse-hmm-hidden"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 2000])
+    def test_chain_path_equals_the_scalar_draw_walk(self, prior, n):
+        if isinstance(prior, MarkovPrior):
+            kern, initial = prior.kernel, prior.initial
+        else:
+            kern, initial = prior.hidden, stationary_distribution(prior.hidden).weights
+        rng, ref_rng = simulator._rng(17, n), simulator._rng(17, n)
+        path = simulator._sample_discrete_chain(kern, initial, n, rng)
+        assert np.array_equal(path, reference_chain_path(kern, initial, n, ref_rng))
+        assert rng.random() == ref_rng.random()  # same stream position afterwards
 
     def test_json_round_trip(self):
         inst = sample_instance(BINARY_SYM, 6, 1.0, seed=5)
@@ -274,6 +297,34 @@ class TestMetropolisHastings:
             freq = (samples[:, :, 0] == v).mean(axis=0)  # per chain
             se = freq.std(ddof=1) / math.sqrt(chains)
             assert abs(freq.mean() - w[k]) <= max(3 * se, 0.004)
+
+    @pytest.mark.parametrize(
+        "model,n",
+        [
+            (BINARY_SYM, 10),
+            (MISMATCHED, 10),
+            (TERNARY_ONE_ZERO, 8),
+            (TERNARY_ZERO, 8),
+            (BINARY_SYM, 1),
+            (TERNARY_ONE_ZERO, 2),
+        ],
+        ids=["binary", "mismatched", "ternary-one-zero", "ternary-zero-column", "binary-n1", "ternary-one-zero-n2"],
+    )
+    def test_table_step_makes_the_branching_loops_moves(self, model, n):
+        insts = [sample_instance(model, n, 1.0, seed=83, index=i) for i in range(16)]
+        args = (
+            np.stack([inst.design_matrix() for inst in insts]),
+            np.stack([inst.y for inst in insts]),
+            *simulator._log_tables(model.postulated, "MH"),
+            model.sigma**2,
+            3000,
+            500,
+        )
+        post, rate, samples = simulator._mh_discrete_batch(*args, simulator._rng(89), keep_samples=True)
+        ref_post, ref_rate, ref_samples = reference_mh_batch(*args, simulator._rng(89), keep_samples=True)
+        assert np.array_equal(post, ref_post)
+        assert rate == ref_rate
+        assert np.array_equal(samples, ref_samples)
 
     def test_batch_experiment_close_to_replica_mmse(self):
         # the n=10 posterior-mean MSE sits ~7% above the large-system value,
