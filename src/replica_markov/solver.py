@@ -175,8 +175,8 @@ class SolveDiagnostics:
     scan_points: int = 0  # eta values of the geometric scan, left-end extensions included
     brackets: int = 0  # sign changes the scan found, each refined to a root
     evaluations: int = 0  # root-function evaluations, one per point, inner xi solves included
-    kernel_calls: int = 0  # Gauss-Hermite kernel (mixture_expectation) calls
-    max_nodes: int = 0  # largest Gauss-Hermite node count any quadrature converged at
+    kernel_calls: int = 0  # quadrature kernel (mixture_expectation) calls
+    max_nodes: int = 0  # largest trapezoid node count (2^k + 1) any quadrature converged at
     residual: float = math.nan  # largest fixed_point_residual over the verified candidates
 
 
@@ -212,12 +212,13 @@ def _weighted_errors(dec: _Decoupled, eta, xi) -> tuple[np.ndarray, np.ndarray]:
 def _root(f, a, b, fa, fb):
     """Roots of f in the brackets [a, b], with fa and fb of opposite signs, by Illinois regula falsi.
 
-    The brackets are arrays of independent brackets, solved in lockstep: each
-    step calls f once, on an array of one point per bracket (a bracket
-    already solved keeps its last point and ignores the value).  The end that
-    stays put twice running has its f value halved, so both ends converge; a
-    secant point that rounds outside (a, b) is replaced by the midpoint.  A
-    bracket stops when it is narrower than 1e-14 or f is exactly 0.
+    The brackets are 1-D arrays of independent brackets, solved in lockstep:
+    each step makes one call f(x, idx), where idx indexes the brackets still
+    active and x holds one point of each of them; a solved bracket is not
+    evaluated again and keeps its last point.  The end that stays put twice
+    running has its f value halved, so both ends converge; a secant point
+    that rounds outside (a, b) is replaced by the midpoint.  A bracket stops
+    when it is narrower than 1e-14 or f is exactly 0.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     side = np.zeros(a.shape, dtype=int)
@@ -231,7 +232,9 @@ def _root(f, a, b, fa, fb):
         with np.errstate(divide="ignore", invalid="ignore"):
             secant = (a * fb - b * fa) / (fb - fa)
         c = np.where(active, np.where((a < secant) & (secant < b), secant, 0.5 * (a + b)), c)
-        fc = np.asarray(f(c), dtype=float)
+        idx = np.flatnonzero(active)
+        fc = np.zeros(a.shape)
+        fc[idx] = f(c[idx], idx)
         hit |= active & (fc == 0.0)
         active &= fc != 0.0
         right = active & ((fc > 0.0) == (fb > 0.0))
@@ -262,7 +265,7 @@ def _roots(f, lo: float, hi: float, points: int) -> tuple[list[float], int, int]
         fs = np.concatenate((np.asarray(f(xs[:1]), dtype=float), fs))
     roots = [float(x) for x in xs[fs == 0.0]]
     change = ((fs[:-1] < 0.0) & (fs[1:] > 0.0)) | ((fs[1:] < 0.0) & (fs[:-1] > 0.0))
-    roots += _root(f, xs[:-1][change], xs[1:][change], fs[:-1][change], fs[1:][change]).tolist()
+    roots += _root(lambda x, _: f(x), xs[:-1][change], xs[1:][change], fs[:-1][change], fs[1:][change]).tolist()
     return roots, len(xs), int(change.sum())
 
 
@@ -362,7 +365,7 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
             refine = np.isnan(xi) & (f_lo < 0.0) & (fb > 0.0)
             if refine.any():
                 sub = rows[refine]
-                xi[refine] = _root(lambda x: h(sub, x), lo[refine], b[refine], f_lo[refine], fb[refine])
+                xi[refine] = _root(lambda x, idx: h(sub[idx], x), lo[refine], b[refine], f_lo[refine], fb[refine])
             if np.isnan(xi).any():
                 raise SolverError(f"no xi solves the postulated-noise equation at eta={rows[np.isnan(xi)][0]}")
             return xi.reshape(np.shape(eta))

@@ -232,3 +232,20 @@ def sparse_hmm_hand_path(kappa: float, gamma: float, beta: float):
     free = (1.0 - kappa) * (ent0 + const) + kappa * (ent1 + const)
     mmse = kappa - ((1.0 - kappa) * r0 + kappa * r1)
     return eta, free, mmse
+
+
+def scipy_gaussian_log_evidence(inst, nu: float, sigma0_sq: float) -> float:
+    """log N(y; 0, Phi Sigma_X Phi^T + I) for the Gauss-Markov prior, through scipy's Cholesky.
+
+    The same closed form as ``simulator.gaussian_log_evidence``, factored and
+    solved by ``scipy.linalg.cho_factor``/``cho_solve`` (LAPACK potrf/potrs)
+    instead of numpy.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    lags = np.abs(np.subtract.outer(np.arange(inst.n), np.arange(inst.n)))
+    phi = inst.A * np.sqrt(inst.S)
+    K = phi @ (sigma0_sq * nu**lags / (1.0 - nu**2)) @ phi.T + np.eye(inst.m)
+    c, low = cho_factor(K, lower=True)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+    return -0.5 * (inst.m * _LOG_2PI + logdet + float(inst.y @ cho_solve((c, low), inst.y)))

@@ -655,26 +655,26 @@ def test_replica_sweep_exits_0_or_2_and_rows_obey_invariants(tmp_path, doc):
     assert all(a >= b - 1e-12 for a, b in zip(mi, mi[1:]))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the beta=2 scan lowers eta to 0.05, where the postulated [0.5, 0.5] row's decision function is "
-    "too steep for Gauss-Hermite at 8192 nodes: QuadratureError, exit 3",
-)
 def test_replica_sweep_with_a_deterministic_postulated_row_exits_0(tmp_path):
-    # a valid document the property test's generator can draw (one in about 1500 in random runs)
+    # a valid document the property test's generator can draw (one in about 1500 in random runs); at
+    # beta=2 the scan lowers eta to 0.05, where the decision function of the postulated row [1, 0] is
+    # a steep step that the evenly spaced trapezoid nodes resolve
     prior = {"type": "discrete_markov", "states": [-1, 1], "transition": [[0.5, 0.5], [0.25, 0.75]]}
     postulated = {"type": "discrete_markov", "states": [-1, 1], "transition": [[0.5, 0.5], [1.0, 0.0]]}
     model = {"prior": prior, "sigma": 0.8, "snr": [[2.0, 1.0]], "postulated_prior": postulated}
     doc = {"version": 1, "model": model, "sweep": {"betas": list(SWEEP_BETAS)}, "tasks": ["replica"]}
-    cfg = tmp_path / "sweep.json"
+    cfg, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
     cfg.write_text(json.dumps(doc))
-    assert main(["replica", "sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert main(["replica", "sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [float(r["beta"]) for r in rows] == list(SWEEP_BETAS)
+    assert all(math.isfinite(float(r[col])) for r in rows for col in ("eta", "xi", "free_energy"))
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # scipy.optimize costs about 16 MB of resident memory and 0.1 s at import
+def test_cli_import_loads_no_scipy():
+    # importing scipy (scipy.special alone) took about 0.3 s of every CLI call's set-up
     src = str(Path(replica_markov.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, replica_markov.cli; print('scipy.optimize' in sys.modules)"
+    code = "import sys, replica_markov.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import brute_force_log_evidence, brute_force_posterior_mean, reference_chain_path, reference_mh_batch
+from oracles import (
+    brute_force_log_evidence,
+    brute_force_posterior_mean,
+    reference_chain_path,
+    reference_mh_batch,
+    scipy_gaussian_log_evidence,
+)
 
 from replica_markov import (
     MarkovPrior,
@@ -216,6 +222,22 @@ class TestGaussianEvidence:
         approx = exact_log_evidence_discrete(inst, disc)
         exact = gaussian_log_evidence(inst, nu, s0)
         assert abs(approx.log_z - exact.log_z) < 1e-2
+
+    @pytest.mark.parametrize(
+        "nu, n, betas, seed, trials",
+        [
+            (0.1, 64, (0.5, 1.0, 2.0), 20260809, 500),  # the instances of acceptance 05a
+            (0.95, 400, (2.0,), 43, 4),  # ill-conditioned: Sigma_X has condition number ~1500
+        ],
+        ids=["acceptance-05a", "nu-0.95"],
+    )
+    def test_numpy_cholesky_matches_scipy(self, nu, n, betas, seed, trials):
+        model = ModelSpec(prior=MarkovPrior.gauss_markov(nu, 1.0))
+        for beta in betas:
+            for i in range(trials):
+                inst = sample_instance(model, n, beta, seed, index=i)
+                want = scipy_gaussian_log_evidence(inst, nu, 1.0)
+                assert abs(gaussian_log_evidence(inst, nu, 1.0).log_z - want) <= 1e-12 * abs(want)
 
     def test_dispatch(self):
         inst = sample_instance(GM, 4, 1.0, seed=41)

@@ -214,23 +214,39 @@ class TestInvariants:
 
 
 class TestQuadratureKernel:
-    def test_one_call_per_level_over_all_components(self):
+    def test_each_level_evaluates_only_its_new_midpoints(self):
         law = ConditionalInputLaw(((0.4, PointMass(-1.0)), (0.6, GaussianAtom(2.0, 0.5))))
         stats = _mixture_stats(law, 1.5, 0.8)
-        shapes = []
+        calls = []
 
         def second_moment(u):
-            shapes.append(u.shape)
+            calls.append(u)
             return u * u
 
         got = mixture_expectation(second_moment, stats)
         want = float(np.exp(stats.log_w) @ (stats.out_mean**2 + stats.out_var))
-        assert shapes == [(2, 64), (2, 128)]
+        assert [u.shape for u in calls] == [(2, 65), (2, 64)]
+        # standardized, the two levels' nodes together are the 129-node grid, each node once
+        t = np.hstack([(u - stats.out_mean[:, None]) / np.sqrt(2.0 * stats.out_var)[:, None] for u in calls])
+        half = single_symbol._HALF_WIDTH
+        assert np.allclose(np.sort(t, axis=1), np.linspace(-half, half, 129), rtol=0.0, atol=1e-12)
         assert abs(got - want) < 1e-12
+
+    def test_gaussian_mixture_moments_in_closed_form(self):
+        # E U^4 = sum w (m^4 + 6 m^2 v + 3 v^2) and E cos(aU) = sum w cos(a m) exp(-a^2 v / 2)
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            stats = _mixture_stats(random_law(rng), float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)))
+            w, m, v = np.exp(stats.log_w), stats.out_mean, stats.out_var
+            a = float(rng.uniform(0.5, 3.0))
+            fourth = float(w @ (m**4 + 6.0 * m**2 * v + 3.0 * v**2))
+            assert abs(mixture_expectation(lambda u: u**4, stats) - fourth) <= 1e-13 * fourth
+            cosine = float(w @ (np.cos(a * m) * np.exp(-0.5 * a * a * v)))
+            assert abs(mixture_expectation(lambda u: np.cos(a * u), stats) - cosine) < 1e-13
 
     def test_step_integrand_raises(self):
         # a step at one component's mean sits off-centre in the other
-        # component, so successive node counts never agree to 1e-9
+        # component, so successive levels never agree to 1e-9
         stats = _mixture_stats(binary_law(0.5), 1.0, 1.0)
         with pytest.raises(QuadratureError):
             mixture_expectation(lambda u: (u > 1.0).astype(float), stats)
@@ -238,10 +254,10 @@ class TestQuadratureKernel:
     def test_batched_moments_equal_stacked_one_channel_moments(self, monkeypatch):
         # Tables mixing point masses and Gaussian atoms, zero-weight components,
         # unequal component counts (padding) and a two-point SNR law, evaluated
-        # at 5 (eta, xi) points in one call.  Starting at 1024 nodes, every entry
-        # of both sides converges at 2048, so they may differ only by rounding;
+        # at 5 (eta, xi) points in one call.  Starting at 1025 nodes, every entry
+        # of both sides converges at 2049, so they may differ only by rounding;
         # from the default start a one-channel call may stop at a lower level
-        # than the batch it would share, which moves it by up to ~5e-12 here.
+        # than the batch it would share (here that moves it by at most 2e-15).
         rng = np.random.default_rng(23)
         cases = [(random_table_channels(rng), rng.uniform(0.2, 1.5, 5), rng.uniform(0.2, 1.5, 5)) for _ in range(12)]
         laws = [[law for t, q, _ in channels for law in (t, q)] for channels, _, _ in cases]
@@ -258,7 +274,7 @@ class TestQuadratureKernel:
             batched = channel_moments(channel_table(channels), etas, xis)
             assert batched.shape == (5, len(channels), 4)
             assert np.max(np.abs(batched - stacked(channels, etas, xis))) < 1e-10
-        monkeypatch.setattr(single_symbol, "QUAD_START_NODES", 1024)
+        monkeypatch.setattr(single_symbol, "_START_LEVEL", 10)
         for channels, etas, xis in cases:
             batched = channel_moments(channel_table(channels), etas, xis)
             assert np.max(np.abs(batched - stacked(channels, etas, xis))) < 1e-12
