@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -278,6 +279,7 @@ def _common_flags(p):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache  # parse_args returns a fresh Namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="replica-markov")
     sub = parser.add_subparsers(dest="group", required=True)

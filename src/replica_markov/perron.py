@@ -121,9 +121,12 @@ def q_transition_matrix(
         raise ValidationError("s_dist support must equal the SNR alphabet")
     val_to_row = {float(v): i for i, v in enumerate(values)}
     p_marg = stationary_distribution(true_kernel).weights if p_marginal is None else np.asarray(p_marginal, float)
-    q_marg = (
-        stationary_distribution(postulated_kernel).weights if q_marginal is None else np.asarray(q_marginal, float)
-    )
+    if q_marginal is not None:
+        q_marg = np.asarray(q_marginal, float)
+    elif postulated_kernel is true_kernel and p_marginal is None:
+        q_marg = p_marg
+    else:
+        q_marg = stationary_distribution(postulated_kernel).weights
 
     rows = [val_to_row[v] for v in space.x_alphabet]
     s_vec = np.array([s_prob[s] for s in space.s_alphabet])
@@ -171,14 +174,18 @@ def _pf_2x2(M: np.ndarray) -> PfTriple:
 
 
 def pf_decomposition(M: np.ndarray, tol: float = 1e-13, max_iter: int = 100) -> PfTriple:
-    """Perron eigen-triple by power iteration on the shifted matrix M + cI.
+    """Perron eigen-triple by power iteration on (M + cI)^8.
 
     The shift makes every irreducible nonnegative matrix aperiodic without
-    changing eigenvectors; rho is recovered as the Rayleigh quotient
-    lam M psi / (lam psi) at convergence.  When one entry dwarfs rho, the
-    shift (half the largest row sum) leaves a subdominant eigenvalue within a
-    hair of rho + c; after max_iter steps the triple comes from dense
-    eigendecompositions instead, under the same residual check.
+    changing eigenvectors.  Three squarings give (M + cI)^8, scaled to
+    largest entry 1 before and after each so that no scale of M overflows
+    or underflows; one step on it contracts the error as much as eight steps
+    on M + cI.  rho is recovered as the Rayleigh quotient lam M psi / (lam psi)
+    at convergence.  When one entry dwarfs rho, the shift (half the largest
+    row sum) leaves a subdominant eigenvalue within a hair of rho + c; after
+    max_iter steps of M + cI (max_iter // 8 steps on its eighth power) the
+    triple comes from dense eigendecompositions instead, under the same
+    residual check.
     """
     M = np.asarray(M, dtype=float)
     if np.any(M < 0):
@@ -192,10 +199,14 @@ def pf_decomposition(M: np.ndarray, tol: float = 1e-13, max_iter: int = 100) -> 
         return _pf_2x2(M)
     shift = 0.5 * float(M.sum(axis=1).max())
     Ms = M + shift * np.eye(n)
+    Ms /= Ms.max()
+    for _ in range(3):
+        Ms = Ms @ Ms
+        Ms /= Ms.max()
     psi = np.full(n, 1.0 / n)
     lam = np.full(n, 1.0 / n)
     rho = 0.0
-    for _ in range(max_iter):
+    for _ in range(max_iter // 8):
         psi_n = Ms @ psi
         psi_n /= psi_n.sum()
         lam_n = lam @ Ms

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import replica_markov
-from replica_markov.cli import ResultRow, main, rows_to_csv, run_sweep
+from replica_markov import cli
+from replica_markov.cli import ResultRow, build_parser, main, rows_to_csv, run_sweep
 from replica_markov.config import ConfigError, validate_config
 from replica_markov.markov_core import is_irreducible
 
@@ -523,6 +524,25 @@ def test_pf_rate_reports_a_near_periodic_target_unconverged(tmp_path):
     value, feasible, converged = out.splitlines()[1].split(b",")[:3]
     assert (feasible, converged) == (b"True", b"False")
     assert abs(float(value) - math.log(4.0)) < 1e-6
+
+
+def test_one_parser_serves_every_call_without_carrying_options(tmp_path, monkeypatch):
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(base_doc()))
+
+    def run(argv) -> bytes:
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    sweep = ["replica", "sweep", "--config", str(cfg)]
+    deriv = ["pf", "deriv-check", "--cases", "2"]
+    # the second call of each pair omits an option the first one set
+    pairs = [(run([*sweep, "--units", "bits"]), run(sweep)), (run([*deriv, "--seed", "5"]), run(deriv))]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    for (with_option, without), argv in zip(pairs, [sweep, deriv]):
+        assert without == run(argv) != with_option
 
 
 def coupling_chain_irreducible(P, values, s_support, nu) -> bool:

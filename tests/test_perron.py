@@ -1,8 +1,11 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from replica_markov import (
     IrreducibilityError,
@@ -190,6 +193,9 @@ class TestTransitionMatrix:
         space, base = ternary_setup(nu)
         oracle = tuple_loop_transition_matrix(space, TERNARY, TERNARY, TERNARY_SNR)
         assert np.max(np.abs(base - oracle)) < 1e-14
+        # a copy of the kernel takes the path that solves for each stationary law separately
+        copy = TransitionMatrix(TERNARY.state_values(), TERNARY.P.copy())
+        assert np.array_equal(base, q_transition_matrix(space, TERNARY, copy, s_dist=TERNARY_SNR))
 
     @pytest.mark.parametrize("nu", [1, 2, 3])
     def test_matches_tuple_loop_with_postulated_kernel(self, nu):
@@ -269,6 +275,38 @@ class TestPfDecomposition:
         assert np.all(triple.psi > 0) and np.all(triple.lam > 0)
         assert np.max(np.abs(M @ triple.psi - triple.rho * triple.psi)) <= 1e-15 * triple.rho * np.max(triple.psi)
         assert np.max(np.abs(triple.lam @ M - triple.rho * triple.lam)) <= 1e-15 * triple.rho * np.max(triple.lam)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 81),
+        seed=st.integers(0, 2**32 - 1),
+        zero_frac=st.floats(0.0, 0.95),
+        decades=st.floats(0.0, 150.0),
+    )
+    def test_power_iteration_triple_on_column_scaled_chains(self, n, seed, zero_frac, decades):
+        # A stochastic matrix with zero entries, made irreducible by a random
+        # n-cycle, times column scalings spread over 10^-decades..1 as tilts
+        # produce.  Matrices whose shifted spectrum has no gap (subdominant
+        # |lambda + c| above 0.7 (rho + c)) are left to the dense fallback and
+        # not drawn; on the rest the power iteration must converge by itself.
+        rng = np.random.default_rng(seed)
+        B = rng.random((n, n)) * (rng.random((n, n)) >= zero_frac)
+        cycle = rng.permutation(n)
+        B[cycle, np.roll(cycle, 1)] = rng.uniform(0.05, 1.0, n)
+        M = B / B.sum(axis=1, keepdims=True) * 10.0 ** -rng.uniform(0.0, decades, n)
+        vals = np.linalg.eig(M)[0]
+        rho_eig = float(np.max(vals.real))
+        shift = 0.5 * M.sum(axis=1).max()
+        assume(np.max(np.abs(np.delete(vals, np.argmax(vals.real)) + shift)) <= 0.7 * (rho_eig + shift))
+        with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as dense:
+            triple = pf_decomposition(M)
+        assert dense.call_count == 0
+        rho, lam, psi = triple.rho, triple.lam, triple.psi
+        assert np.all(psi > 0) and np.all(lam > 0)
+        assert abs(lam @ psi - 1.0) < 1e-12
+        assert np.max(np.abs(M @ psi - rho * psi)) < 1e-10 * rho * psi.sum()
+        assert np.max(np.abs(lam @ M - rho * lam)) < 1e-10 * rho * lam.sum()
+        assert abs(rho - rho_eig) < 1e-12 * rho_eig
 
     def test_rejects_negative_and_reducible(self):
         with pytest.raises(ValidationError):
