@@ -70,7 +70,7 @@ class _Collector:
                 self.add(f"{path}.{key}" if path else key, "missing required field")
             return default
         val = doc[key]
-        if not isinstance(val, types):
+        if isinstance(val, bool) or not isinstance(val, types):  # JSON true/false would pass as int
             tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
             self.add(f"{path}.{key}" if path else key, f"expected {tn}, got {type(val).__name__}")
             return default
@@ -301,6 +301,8 @@ def validate_config(document: dict) -> ExperimentConfig:
             errs.add("n", "simulation tasks need n >= 1")
         if trials < 1:
             errs.add("trials", "simulation tasks need trials >= 1")
+        elif trials < 2 and any(t in tasks for t in ("exact_sim", "mh")):
+            errs.add("trials", "the exact_sim and mh tasks need trials >= 2 for a standard error")
     if "amp" in tasks and sparse_params is None and model is not None:
         errs.add("tasks", "the amp task requires a sparse_hmm prior")
     if model is not None:
@@ -338,8 +340,9 @@ def validate_rate_config(document: dict) -> tuple[QStateSpace, np.ndarray, np.nd
     if not isinstance(document, dict):
         raise ConfigError(["config: expected a JSON object"])
     errs = _Collector()
-    if document.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        errs.add("version", f"unsupported schema version (expected {SCHEMA_VERSION})")
+    version = errs.expect(document, "", "version", int, default=SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        errs.add("version", f"unsupported schema version {version} (expected {SCHEMA_VERSION})")
     chain = errs.expect(document, "", "chain", dict, required=True)
     kernel = None
     if chain is not None:

@@ -240,32 +240,26 @@ class EffectiveStates:
         return float(sum(w * law.second_moment() for w, law in zip(self.weights, self.laws)))
 
 
-def effective_states_discrete(prior: MarkovPrior) -> EffectiveStates:
-    if prior.is_gauss_markov:
-        # The row law N(nu*x0, sigma0^2) enters every decoupled quantity only
-        # through its variance, so a single zero-mean state suffices.
-        return EffectiveStates(
-            ("gauss",), np.array([1.0]), (ConditionalInputLaw.gaussian(0.0, prior.sigma0_sq),)
-        )
-    kern = prior.kernel
-    values = kern.state_values()
-    lam = stationary_distribution(kern)
-    laws = tuple(ConditionalInputLaw.point_masses(values, kern.P[i]) for i in range(kern.dim))
-    return EffectiveStates(kern.states, lam.weights, laws)
+def effective_states(prior: MarkovPrior | HiddenMarkovPrior) -> EffectiveStates:
+    """Reduce a prior to effective states for the single-symbol analysis.
 
-
-def joint_chain(h: HiddenMarkovPrior) -> EffectiveStates:
-    """Reduce an HMM to effective states for the single-symbol analysis.
-
-    The pair (X_n, Upsilon_n) is a Markov chain with kernel
+    For an HMM the pair (X_n, Upsilon_n) is a Markov chain with kernel
     P(x1, u1 | x0, u0) = p(x1 | u1) * pi(u0, u1); the conditional input law
     and all decoupled quantities depend only on u0, so the effective states
     are the hidden states with their stationary weights, and the law for
-    state u0 is the mixture sum_u1 pi(u0, u1) * p(. | u1).
+    state u0 is the mixture sum_u1 pi(u0, u1) * p(. | u1).  A discrete chain
+    is the hidden chain whose states emit their own values, so its laws are
+    the kernel rows as point masses.  A Gauss-Markov row law N(nu*x0,
+    sigma0^2) enters every decoupled quantity only through its variance, so a
+    single zero-mean state suffices.
     """
-    lam = stationary_distribution(h.hidden)
-    laws = []
-    for i in range(h.hidden.dim):
-        row = h.hidden.P[i]
-        laws.append(ConditionalInputLaw.mix(zip(row, h.emissions)))
-    return EffectiveStates(h.hidden.states, lam.weights, tuple(laws))
+    if isinstance(prior, HiddenMarkovPrior):
+        chain, emissions = prior.hidden, prior.emissions
+    elif prior.is_gauss_markov:
+        return EffectiveStates(("gauss",), np.array([1.0]), (ConditionalInputLaw.gaussian(0.0, prior.sigma0_sq),))
+    else:
+        chain = prior.kernel
+        emissions = tuple(ConditionalInputLaw.point_masses([v], [1.0]) for v in chain.state_values())
+    lam = stationary_distribution(chain)
+    laws = tuple(ConditionalInputLaw.mix(zip(row, emissions)) for row in chain.P)
+    return EffectiveStates(chain.states, lam.weights, laws)

@@ -91,16 +91,14 @@ def q_transition_matrix(
     true_kernel: TransitionMatrix,
     postulated_kernel: TransitionMatrix | None = None,
     s_dist=None,
-    p_marginal=None,
-    q_marginal=None,
 ) -> np.ndarray:
     """Transition matrix of the coupling-matrix chain in the stationary regime.
 
     Entry (i, j) aggregates, over the preimage tuples of states i and j, the
     joint weight P_S(s') P_S(s) p(x0') pi(x0', x0) prod_k q(xk') pitilde(xk', xk)
     normalized by the state-i marginal.  The time-(n-1) marginals p and q
-    default to the stationary distributions of the true and postulated
-    kernels (the stationary-start convention).  Over tuples the weights are
+    are the stationary distributions of the true and postulated kernels (the
+    stationary-start convention).  Over tuples the weights are
     Kronecker products, kron(P_S, p, q, ..., q) and
     kron(1 P_S^T, pi, pitilde, ..., pitilde), folded onto the states by the
     one-hot membership matrix of ``space.ids``.
@@ -120,13 +118,8 @@ def q_transition_matrix(
     if set(s_prob) != set(space.s_alphabet):
         raise ValidationError("s_dist support must equal the SNR alphabet")
     val_to_row = {float(v): i for i, v in enumerate(values)}
-    p_marg = stationary_distribution(true_kernel).weights if p_marginal is None else np.asarray(p_marginal, float)
-    if q_marginal is not None:
-        q_marg = np.asarray(q_marginal, float)
-    elif postulated_kernel is true_kernel and p_marginal is None:
-        q_marg = p_marg
-    else:
-        q_marg = stationary_distribution(postulated_kernel).weights
+    p_marg = stationary_distribution(true_kernel).weights
+    q_marg = p_marg if postulated_kernel is true_kernel else stationary_distribution(postulated_kernel).weights
 
     rows = [val_to_row[v] for v in space.x_alphabet]
     s_vec = np.array([s_prob[s] for s in space.s_alphabet])

@@ -251,7 +251,9 @@ def log_evidence(inst: LinearModelInstance, model: ModelSpec) -> EvidenceEstimat
 
 
 def empirical_free_energy(model: ModelSpec, n: int, beta: float, trials: int, seed: int) -> tuple[float, float]:
-    """Mean and standard error of -(1/n) log Z over seeded instances."""
+    """Mean and standard error of -(1/n) log Z over seeded instances (at least 2)."""
+    if trials < 2:
+        raise ValidationError(f"a standard error needs trials >= 2, got {trials}")
     vals = np.array(
         [-log_evidence(sample_instance(model, n, beta, seed, index=i), model).log_z / n for i in range(trials)]
     )
@@ -359,10 +361,13 @@ def mh_mse_experiment(
     Instances come from the true prior with unit noise; the chains sample the
     postulated posterior (postulated discrete prior, noise variance sigma^2),
     the one exact enumeration and the replica prediction describe.  Returns
-    (mean MSE, standard error, overall acceptance rate).
+    (mean MSE, standard error over at least 2 instances, overall acceptance
+    rate).
     """
     if not steps > burn_in >= 0:  # MH averages the steps after burn-in, so at least one must remain
         raise ValidationError("need steps > burn_in >= 0")
+    if instances < 2:
+        raise ValidationError(f"a standard error needs instances >= 2, got {instances}")
     prior = model.postulated
     tables = _log_tables(prior, "the batched MH experiment")
     insts = [sample_instance(model, n, beta, seed, index=i) for i in range(instances)]

@@ -31,8 +31,7 @@ from .markov_core import (
     HiddenMarkovPrior,
     MarkovPrior,
     ValidationError,
-    effective_states_discrete,
-    joint_chain,
+    effective_states,
 )
 from .single_symbol import (
     ChannelTable,
@@ -90,13 +89,7 @@ def _priors_equal(a, b) -> bool:
             and np.array_equal(a.kernel.P, b.kernel.P)
             and np.array_equal(a.initial, b.initial)
         )
-    if isinstance(a, HiddenMarkovPrior):
-        return (
-            a.hidden.states == b.hidden.states
-            and np.array_equal(a.hidden.P, b.hidden.P)
-            and a.emissions == b.emissions
-        )
-    return False
+    return a.hidden.states == b.hidden.states and np.array_equal(a.hidden.P, b.hidden.P) and a.emissions == b.emissions
 
 
 @dataclass(frozen=True)
@@ -115,9 +108,8 @@ class _Decoupled:
 
 
 def _decouple(prior, post, snr) -> _Decoupled:
-    effective = joint_chain if isinstance(prior, HiddenMarkovPrior) else effective_states_discrete
-    eff = effective(prior)
-    eff_q = eff if post is prior else effective(post)
+    eff = effective_states(prior)
+    eff_q = eff if post is prior else effective_states(post)
     if eff.labels != eff_q.labels:
         raise ValidationError("postulated prior must share the true prior's state space")
     table = channel_table((tl, ql, s) for tl, ql in zip(eff.laws, eff_q.laws) for s, _ in snr)
@@ -246,27 +238,43 @@ def _root(f, a, b, fa, fb):
     return np.where(hit, c, 0.5 * (a + b))
 
 
-def _roots(f, lo: float, hi: float, points: int) -> tuple[list[float], int, int]:
-    """Roots of f on a geometric grid of ``points`` points over [lo, hi].
+def _roots(f, lo, hi, points: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Roots of f on rows of geometric grids: row r has ``points`` points over [lo[r], hi[r]].
 
-    f is called once on the whole grid, as an array.  Callers pick hi with
-    f(hi) >= 0.  While f is positive at the lowest point, a point at half of
-    it is added (at most 60), so the grid starts where f <= 0.  A grid point
-    where f is exactly 0 is a root, and the sign changes between neighbours
-    are refined together by one lockstep ``_root``.  Returns the roots, the
-    number of grid points and the number of sign changes.
+    f(x, rows) evaluates row rows[i] at x[i], for arrays x and rows of one
+    shape.  The grids of all rows go to f in one call; callers pick hi with
+    f(hi) >= 0.  While f is positive (or NaN) at the lowest point of a row, a
+    point at half of it is added to that row (at most 60 times), one call
+    per step over those rows only, so every grid starts where f <= 0.  A grid
+    point where f is exactly 0 is a root, and the sign changes between
+    neighbours of every row are refined together by one lockstep ``_root``.
+    Returns the roots of each row in ascending order, and the number of grid
+    points and of sign changes of each row.
     """
-    xs = np.geomspace(lo, hi, points)
-    fs = np.asarray(f(xs), dtype=float)
+    xs = np.geomspace(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), points).T
+    every = np.arange(len(xs))
+    fs = np.asarray(f(xs, np.repeat(every[:, None], points, axis=1)), dtype=float)
+    x0, f0 = xs[:, 0], fs[:, 0]
+    counts = np.full(len(xs), points)
     for _ in range(_MAX_HALVINGS):
-        if fs[0] <= 0.0:
+        up = ~(f0 <= 0.0)
+        if not up.any():
             break
-        xs = np.concatenate((xs[:1] / 2.0, xs))
-        fs = np.concatenate((np.asarray(f(xs[:1]), dtype=float), fs))
-    roots = [float(x) for x in xs[fs == 0.0]]
-    change = ((fs[:-1] < 0.0) & (fs[1:] > 0.0)) | ((fs[1:] < 0.0) & (fs[:-1] > 0.0))
-    roots += _root(lambda x, _: f(x), xs[:-1][change], xs[1:][change], fs[:-1][change], fs[1:][change]).tolist()
-    return roots, len(xs), int(change.sum())
+        counts += up
+        x, fx = np.full(len(xs), np.nan), np.full(len(xs), np.nan)
+        x[up] = x0[up] / 2.0
+        fx[up] = f(x[up], every[up])
+        xs, fs = np.column_stack((x, xs)), np.column_stack((fx, fs))  # NaN where a row was not extended
+        x0, f0 = np.where(up, x, x0), np.where(up, fx, f0)
+    change = ((fs[:, :-1] < 0.0) & (fs[:, 1:] > 0.0)) | ((fs[:, 1:] < 0.0) & (fs[:, :-1] > 0.0))
+    row, col = np.nonzero(change)
+    refined = _root(lambda x, idx: f(x, row[idx]), xs[row, col], xs[row, col + 1], fs[row, col], fs[row, col + 1])
+    at, on = np.nonzero(fs == 0.0)
+    rows, roots = np.concatenate((at, row)), np.concatenate((xs[at, on], refined))
+    roots = roots[np.lexsort((roots, rows))]
+    ends = np.cumsum(np.bincount(rows, minlength=len(xs))).tolist()
+    per_row = [roots[a:b] for a, b in zip([0, *ends], ends)]
+    return per_row, counts, change.sum(axis=1)
 
 
 def _assess(model: ModelSpec, beta: float, eta, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,16 +310,19 @@ def fixed_point_residual(model: ModelSpec, beta: float, eta: float, xi: float) -
 def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
     """All (eta, xi) fixed points: a scan for sign changes, then a bracketed root in each.
 
-    Matched models enforce xi = eta and solve f(eta) = eta - 1/(1 + beta M(eta))
-    on [1/(1 + beta sum w p s E[X^2|x0]), 1]; f <= 0 at the left end and
-    f >= 0 at the right, so the interval always holds a root.  Mismatched
-    models nest the same solve: for each eta, xi solves its own equation on
-    [1/(sigma^2 + beta sum w p s E_q[X^2|x0]), 1/sigma^2], and eta solves
-    eta = 1/(1 + beta sum w p s mse(eta, xi(eta))).  The eta interval is
-    scanned at 16 geometric points, all in one kernel call per root-function
-    sweep; each sign change is refined by Illinois regula falsi to a bracket
-    narrower than 1e-14.  The inner xi solves of all the points of one sweep
-    run in lockstep, left-end halvings included, as one vectorized Illinois.
+    One root function serves every model,
+
+        f(eta) = eta - 1/(1 + beta sum w p s mse(eta, xi(eta))),
+
+    where xi(eta) = eta for a matched model (the postulated posterior is the
+    true one).  Otherwise xi(eta) is the first root of its own equation
+    xi = 1/(sigma^2 + beta sum w p s var(eta, xi)) on
+    [1/(sigma^2 + beta sum w p s E_q[X^2|x0]), 1/sigma^2].  Both are solved
+    by ``_roots``: eta as one row of 16 geometric points over
+    [1/(1 + beta sum w p s E[X^2|x0]), 1], and the xi of every eta of one
+    call as rows of 2 points each, in lockstep.  Each grid's left end is
+    halved while its equation is still positive there, and each sign change
+    is refined by Illinois regula falsi to a bracket narrower than 1e-14.
     Roots are deduplicated at 1e-6 resolution and assessed in one kernel
     call: verified against the general-form residual below 1e-8, and scored
     by free energy and MMSE term.  The result carries those scores and the
@@ -328,14 +339,6 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
 
     if model.is_matched:
 
-        def f(eta):
-            nonlocal evaluations
-            evaluations += np.size(eta)
-            # Matched identity E[(X - <X>)^2] = E[X^2] - E[<X>^2] (tower property).
-            # Reported solutions are re-verified against the general-form residual.
-            e_g2 = channel_moments(dec.table, eta, eta)[..., 0]
-            return eta - 1.0 / (1.0 + beta * np.maximum((dec.table.second_moment - e_g2) @ dec.ws, 0.0))
-
         def xi_at(eta):
             return eta
 
@@ -343,44 +346,32 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
         xi_lo = 1.0 / (sigma_sq + beta * dec.post_s_moment)
         xi_hi = 1.0 / sigma_sq
 
-        def h(eta, xi):
-            nonlocal evaluations
-            evaluations += np.broadcast(eta, xi).size
-            return xi - 1.0 / (sigma_sq + beta * np.maximum(_weighted_errors(dec, eta, xi)[1], 0.0))
-
         def xi_at(eta):
-            # _roots(xi -> h(eta, xi), xi_lo, xi_hi, 2)[0][0] for every eta at once
+            """Each eta's first root xi of the postulated-noise equation, as one row of ``_roots``."""
             rows = np.ravel(eta)
-            ends = h(rows[:, None], np.array([xi_lo, xi_hi]))
-            lo, f_lo, f_hi = np.full(rows.shape, xi_lo), ends[:, 0], ends[:, 1]
-            b, fb = np.full(rows.shape, xi_hi), f_hi.copy()
-            for _ in range(_MAX_HALVINGS):
-                up = ~(f_lo <= 0.0)
-                if not up.any():
-                    break
-                b[up], fb[up] = lo[up], f_lo[up]
-                lo[up] /= 2.0
-                f_lo[up] = h(rows[up], lo[up])
-            xi = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, xi_hi, np.nan))
-            refine = np.isnan(xi) & (f_lo < 0.0) & (fb > 0.0)
-            if refine.any():
-                sub = rows[refine]
-                xi[refine] = _root(lambda x, idx: h(sub[idx], x), lo[refine], b[refine], f_lo[refine], fb[refine])
+
+            def h(xi, r):
+                nonlocal evaluations
+                evaluations += np.size(xi)
+                return xi - 1.0 / (sigma_sq + beta * np.maximum(_weighted_errors(dec, rows[r], xi)[1], 0.0))
+
+            roots = _roots(h, np.full(rows.shape, xi_lo), np.full(rows.shape, xi_hi), 2)[0]
+            xi = np.array([r[0] if r.size else np.nan for r in roots])
             if np.isnan(xi).any():
                 raise SolverError(f"no xi solves the postulated-noise equation at eta={rows[np.isnan(xi)][0]}")
             return xi.reshape(np.shape(eta))
 
-        def f(eta):
-            nonlocal evaluations
-            evaluations += np.size(eta)
-            return eta - 1.0 / (1.0 + beta * np.maximum(_weighted_errors(dec, eta, xi_at(eta))[0], 0.0))
+    def f(eta, _rows):
+        nonlocal evaluations
+        evaluations += np.size(eta)
+        return eta - 1.0 / (1.0 + beta * np.maximum(_weighted_errors(dec, eta, xi_at(eta))[0], 0.0))
 
     eta_lo = 1.0 / (1.0 + beta * dec.true_s_moment)
-    roots, points, brackets = _roots(f, eta_lo, 1.0, _SCAN_POINTS)
+    (roots,), (points,), (brackets,) = _roots(f, [eta_lo], [1.0], _SCAN_POINTS)
     found: list[tuple[float, float]] = []
-    for eta, xi in zip(roots, xi_at(np.array(roots)) if roots else ()):
+    for eta, xi in zip(roots.tolist(), xi_at(roots).tolist() if roots.size else ()):
         if not any(abs(eta - e) < _CLUSTER_TOL and abs(xi - x) < _CLUSTER_TOL for e, x in found):
-            found.append((eta, float(xi)))
+            found.append((eta, xi))
     keep = []
     if found:
         residuals, terms, msq = _assess(model, beta, *np.array(found).T)
@@ -392,8 +383,8 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
         )
     calls, nodes = take_kernel_tally()
     diagnostics = SolveDiagnostics(
-        scan_points=points,
-        brackets=brackets,
+        scan_points=int(points),
+        brackets=int(brackets),
         evaluations=evaluations,
         kernel_calls=calls,
         max_nodes=nodes,

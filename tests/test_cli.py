@@ -489,6 +489,86 @@ def test_bad_pf_rate_exits_2_naming_its_path(tmp_path, capsys, path, overrides):
     assert f"config error: {path}:" in capsys.readouterr().err
 
 
+HMM_PRIOR = {
+    "type": "hidden_markov", "states": [0, 1], "transition": [[0.7, 0.3], [0.3, 0.7]],
+    "emissions": [[{"weight": 1.0, "type": "point", "x": 0.0}],
+                  [{"weight": 1.0, "type": "gaussian", "mean": 0.0, "var": 1.0}]],
+}
+
+
+def with_field(doc: dict, keys: tuple, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
+# JSON true and false load as Python bools, which are ints: each numeric field must still reject them
+BOOLEAN_FIELDS = {
+    "version": ("version", ("version",), base_doc()),
+    "sigma": ("model.sigma", ("model", "sigma"), base_doc()),
+    "n": ("n", ("n",), base_doc()),
+    "seed": ("seed", ("seed",), base_doc()),
+    "trials": ("trials", ("trials",), base_doc(tasks=["exact_sim"])),
+    "mh-steps": ("mh.steps", ("mh", "steps"), base_doc(mh={"steps": 400, "burn_in": 0})),
+    "amp-iterations": ("amp.iterations", ("amp", "iterations"), base_doc(amp={"iterations": 4})),
+    "alpha": ("model.prior.alpha", ("model", "prior", "alpha"), base_doc()),
+    "gamma": (
+        "model.prior.gamma",
+        ("model", "prior", "gamma"),
+        base_doc(model={"prior": {"type": "sparse_hmm", "kappa": 0.3, "gamma": 0.5}}),
+    ),
+    "sigma0-sq": (
+        "model.prior.sigma0_sq",
+        ("model", "prior", "sigma0_sq"),
+        base_doc(model={"prior": {"type": "gauss_markov", "nu": 0.5, "sigma0_sq": 1.0}}),
+    ),
+    **{
+        f"emission-{key}": (
+            f"model.prior.emissions[{i}][0].{key}",
+            ("model", "prior", "emissions", i, 0, key),
+            base_doc(model={"prior": HMM_PRIOR}),
+        )
+        for i, key in ((0, "weight"), (0, "x"), (1, "mean"), (1, "var"))
+    },
+    "rate-version": ("version", ("version",), RATE_DOC),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("path,keys,doc", BOOLEAN_FIELDS.values(), ids=BOOLEAN_FIELDS.keys())
+def test_json_boolean_exits_2_naming_its_path(tmp_path, capsys, path, keys, doc, value):
+    cfg = tmp_path / "bool.json"
+    cfg.write_text(json.dumps(doc))
+    command = ["pf", "rate"] if doc is RATE_DOC else ["replica", "sweep"]
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "ok.csv")]) == 0
+    capsys.readouterr()
+    cfg.write_text(json.dumps(with_field(doc, keys, value)))
+    assert main([*command, "--config", str(cfg)]) == 2
+    assert f"config error: {path}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task,command", [("exact_sim", "exact"), ("mh", "mh")])
+def test_a_standard_error_needs_two_trials(tmp_path, capsys, task, command):
+    cfg, out = tmp_path / "sim.json", tmp_path / "rows.csv"
+    doc = base_doc(tasks=[task], n=4, mh={"steps": 400, "burn_in": 100})
+    cfg.write_text(json.dumps({**doc, "trials": 1}))
+    assert main(["simulate", command, "--config", str(cfg)]) == 2
+    assert "config error: trials:" in capsys.readouterr().err
+    cfg.write_text(json.dumps({**doc, "trials": 2}))
+    assert main(["simulate", command, "--config", str(cfg), "--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    stderr = row["sim_free_energy_stderr" if task == "exact_sim" else "mh_mse_stderr"]
+    assert math.isfinite(float(stderr))
+
+
+def test_amp_runs_a_single_trial():
+    doc = base_doc(model={"prior": {"type": "sparse_hmm", "kappa": 0.3, "gamma": 0.8}}, tasks=["amp"], trials=1)
+    assert validate_config(doc).trials == 1
+
+
 def run_pf_rate(tmp_path, doc) -> tuple[int, bytes]:
     cfg, out = tmp_path / "rate.json", tmp_path / "rate.csv"
     cfg.write_text(json.dumps(doc))

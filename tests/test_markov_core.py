@@ -11,12 +11,11 @@ from replica_markov import (
     TransitionMatrix,
     ValidationError,
     binary_markov_kernel,
+    effective_states,
     is_irreducible,
-    joint_chain,
     sparse_hmm_prior,
     stationary_distribution,
 )
-from replica_markov.markov_core import effective_states_discrete
 
 
 def power_iteration_oracle(P: np.ndarray, iters: int = 10_000) -> np.ndarray:
@@ -128,9 +127,9 @@ class TestPriors:
 
 class TestJointChain:
     def test_sparse_hmm_stationary_weights(self):
-        eff = joint_chain(sparse_hmm_prior(0.3, 0.8))
+        eff = effective_states(sparse_hmm_prior(0.3, 0.8))
         assert np.allclose(eff.weights, [0.7, 0.3], atol=1e-12)
-        eff = joint_chain(sparse_hmm_prior(0.5, 1.0))
+        eff = effective_states(sparse_hmm_prior(0.5, 1.0))
         assert np.allclose(eff.weights, [0.5, 0.5], atol=1e-12)
 
     def test_deterministic_emission_reduces_to_hidden_chain(self):
@@ -140,14 +139,14 @@ class TestJointChain:
             ConditionalInputLaw.point_masses([-1.0], [1.0]),
             ConditionalInputLaw.point_masses([1.0], [1.0]),
         )
-        eff = joint_chain(HiddenMarkovPrior(hidden, emissions))
+        eff = effective_states(HiddenMarkovPrior(hidden, emissions))
         for i in range(2):
             weights = {atom.x: w for w, atom in eff.laws[i].components}
             assert abs(weights[-1.0] - hidden.P[i, 0]) < 1e-12
             assert abs(weights[1.0] - hidden.P[i, 1]) < 1e-12
 
     def test_sparse_law_given_inactive_state(self):
-        eff = joint_chain(sparse_hmm_prior(0.3, 0.8))
+        eff = effective_states(sparse_hmm_prior(0.3, 0.8))
         comps = eff.laws[0].components
         point = [(w, a) for w, a in comps if isinstance(a, PointMass)]
         gauss = [(w, a) for w, a in comps if isinstance(a, GaussianAtom)]
@@ -159,25 +158,34 @@ class TestJointChain:
         rng = np.random.default_rng(3)
         hidden = random_irreducible(rng, 3)
         emissions = tuple(ConditionalInputLaw.gaussian(float(i), 1.0) for i in range(3))
-        eff = joint_chain(HiddenMarkovPrior(hidden, emissions))
+        eff = effective_states(HiddenMarkovPrior(hidden, emissions))
         assert np.array_equal(eff.weights, stationary_distribution(hidden).weights)
 
     def test_second_moment_sparse_is_kappa(self):
         for kappa, gamma in ((0.3, 0.8), (0.5, 1.0), (0.7, 0.4)):
-            eff = joint_chain(sparse_hmm_prior(kappa, gamma))
+            eff = effective_states(sparse_hmm_prior(kappa, gamma))
             assert abs(eff.second_moment() - kappa) < 1e-12
 
 
 class TestEffectiveStatesDiscrete:
     def test_rows_become_point_mass_laws(self):
-        eff = effective_states_discrete(MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)))
+        eff = effective_states(MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)))
         assert eff.labels == (-1.0, 1.0)
         law = eff.laws[0]
         weights = {atom.x: w for w, atom in law.components}
         assert abs(weights[-1.0] - 0.7) < 1e-12 and abs(weights[1.0] - 0.3) < 1e-12
 
+    def test_chain_is_the_hidden_chain_emitting_its_own_values(self):
+        kern = TransitionMatrix((-1.0, 0.5, 2.0), np.array([[0.6, 0.0, 0.4], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]]))
+        own = tuple(ConditionalInputLaw.point_masses([v], [1.0]) for v in kern.states)
+        eff = effective_states(MarkovPrior.discrete(kern))
+        hidden = effective_states(HiddenMarkovPrior(kern, own))
+        assert eff.labels == hidden.labels and eff.laws == hidden.laws
+        assert np.array_equal(eff.weights, hidden.weights)
+        assert eff.laws[0] == ConditionalInputLaw.point_masses(kern.states, kern.P[0])
+
     def test_gauss_markov_single_state(self):
-        eff = effective_states_discrete(MarkovPrior.gauss_markov(0.5, 2.0))
+        eff = effective_states(MarkovPrior.gauss_markov(0.5, 2.0))
         assert len(eff.labels) == 1
         assert eff.second_moment() == 2.0
 

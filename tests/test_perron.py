@@ -211,10 +211,11 @@ class TestTransitionMatrix:
         assert space.states.shape == (space.size, 3, 3)
 
     def test_zero_marginal_guarded(self):
+        # an SNR value of probability 0 leaves its coupling states without weight
         kern = binary_markov_kernel(0.3, 0.3)
-        space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        with pytest.raises(ValidationError):
-            q_transition_matrix(space, kern, p_marginal=[1.0, 0.0], q_marginal=[0.0, 1.0])
+        space = enumerate_q_states([1.0, 2.0], [-1.0, 1.0], 1)
+        with pytest.raises(ValidationError, match="zero marginal"):
+            q_transition_matrix(space, kern, s_dist=((1.0, 1.0), (2.0, 0.0)))
 
 
 class TestPfDecomposition:

@@ -261,6 +261,12 @@ class TestEmpiricalFreeEnergy:
         ratio = (se100 / se400) ** 2
         assert 2.0 < ratio < 8.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_standard_error_needs_two_trials(self):
+        with pytest.raises(ValidationError, match="trials >= 2"):
+            empirical_free_energy(BINARY_SYM, 4, 1.0, trials=1, seed=47)
+        assert all(map(math.isfinite, empirical_free_energy(BINARY_SYM, 4, 1.0, trials=2, seed=47)))
+
 
 def replicate_chain_means(inst, model, chains, steps, burn_in, seed):
     """Posterior mean of one instance from replicate lockstep chains; its error is the spread of the chain means."""
@@ -361,6 +367,12 @@ class TestMetropolisHastings:
     def test_experiment_needs_a_step_after_burn_in(self):
         with pytest.raises(ValidationError, match="burn_in"):
             mh_mse_experiment(BINARY_SYM, 4, 1.0, instances=2, steps=10, burn_in=20, seed=1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_standard_error_needs_two_instances(self):
+        with pytest.raises(ValidationError, match="instances >= 2"):
+            mh_mse_experiment(BINARY_SYM, 4, 1.0, instances=1, steps=40, burn_in=10, seed=1)
+        assert all(map(math.isfinite, mh_mse_experiment(BINARY_SYM, 4, 1.0, instances=2, steps=40, burn_in=10, seed=1)))
 
     def test_experiment_samples_the_postulated_posterior(self):
         # the chains use the postulated prior and noise, as exact enumeration does

@@ -36,6 +36,23 @@ class TestFixedPoint:
         eta, xi = sols[0]
         assert abs(eta - 1.0) < 1e-8 and xi == eta
 
+    def test_inner_xi_solve_halves_below_its_initial_bound(self):
+        # iid true law 0.1 at 0 and 0.9 at 10, postulated 0.99 at 0: the min-F
+        # point's xi lies below the initial bound 1/(sigma^2 + beta E_q X^2),
+        # which the inner solve reaches by halving that bound.  Points recorded
+        # before the eta and xi solves shared one bracket search.
+        states = (0.0, 10.0)
+        true = MarkovPrior.discrete(TransitionMatrix(states, np.array([[0.1, 0.9], [0.1, 0.9]])))
+        post = MarkovPrior.discrete(TransitionMatrix(states, np.array([[0.99, 0.01], [0.99, 0.01]])))
+        model = ModelSpec(prior=true, postulated_prior=post, sigma=1.5)
+        sol = free_energy(model, 1.0)
+        want = [(0.03460732455532391, 0.16436952076160802), (0.9969500779915212, 0.44242995911512084)]
+        assert len(sol.all_solutions) == len(want)
+        for (eta, xi, _), (w_eta, w_xi) in zip(sol.all_solutions, want):
+            assert abs(eta - w_eta) < 1e-12 and abs(xi - w_xi) < 1e-12
+        assert (sol.eta, sol.xi) == sol.all_solutions[0][:2]
+        assert sol.xi < 1.0 / (1.5**2 + 1.0 * model._decoupled.post_s_moment)
+
     def test_gauss_markov_matches_quadratic_root(self):
         # oracle: positive root of a*eta^2 + ((beta-1)a+1)*eta - 1
         for beta, a in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7)):
@@ -202,9 +219,9 @@ class TestReplicaMmse:
     def test_sparse_hmm_iid_case_rows_agree(self):
         # kappa=0.5, gamma=1: both hidden rows are (0.5, 0.5), so the two
         # per-state conditional laws coincide and MMSE = kappa - R
-        from replica_markov import joint_chain
+        from replica_markov import effective_states
 
-        eff = joint_chain(sparse_hmm_prior(0.5, 1.0))
+        eff = effective_states(sparse_hmm_prior(0.5, 1.0))
         assert eff.laws[0] == eff.laws[1]
         model = ModelSpec(prior=sparse_hmm_prior(0.5, 1.0))
         eta, free_ref, mmse_ref = sparse_hmm_hand_path(0.5, 1.0, 1.0)
@@ -309,23 +326,23 @@ class TestGoldenValues:
 
 class TestRootHelpers:
     def test_scan_finds_all_three_sign_changes(self):
-        roots, points, brackets = _roots(lambda x: (x - 0.1) * (x - 0.3) * (x - 0.7), 0.05, 1.0, 16)
-        assert (points, brackets) == (16, 3)
-        assert np.allclose(sorted(roots), [0.1, 0.3, 0.7], rtol=0.0, atol=1e-14)
+        (roots,), points, brackets = _roots(lambda x, _: (x - 0.1) * (x - 0.3) * (x - 0.7), [0.05], [1.0], 16)
+        assert (points.tolist(), brackets.tolist()) == ([16], [3])
+        assert np.allclose(roots, [0.1, 0.3, 0.7], rtol=0.0, atol=1e-14)
 
     def test_brackets_refined_in_lockstep(self):
         sizes = []
 
-        def f(x):
+        def f(x, _):
             sizes.append(np.size(x))
             return (x - 0.1) * (x - 0.3) * (x - 0.7)
 
-        roots, _, brackets = _roots(f, 0.05, 1.0, 16)
-        assert brackets == 3
+        (roots,), _, brackets = _roots(f, [0.05], [1.0], 16)
+        assert brackets.tolist() == [3]
         # one call per step over the brackets still open: solved ones drop out
         assert sizes[0] == 16 and sizes[1] == 3 and sizes[-1] < 3
         assert all(a >= b for a, b in zip(sizes[1:], sizes[2:]))
-        assert np.allclose(sorted(roots), [0.1, 0.3, 0.7], rtol=0.0, atol=1e-14)
+        assert np.allclose(roots, [0.1, 0.3, 0.7], rtol=0.0, atol=1e-14)
 
     def test_only_active_brackets_are_evaluated(self):
         # f(x, idx) gets the points of the brackets idx only; each root sits
@@ -345,13 +362,31 @@ class TestRootHelpers:
 
     def test_root_at_bracket_end(self):
         for root, lo in ((1.0, 0.5), (0.5, 0.5)):
-            roots, _, brackets = _roots(lambda x, r=root: x - r, lo, 1.0, 16)
-            assert roots == [root] and brackets == 0
+            (roots,), _, brackets = _roots(lambda x, _, r=root: x - r, [lo], [1.0], 16)
+            assert roots.tolist() == [root] and brackets.tolist() == [0]
 
     def test_left_end_is_lowered_until_the_sign_holds(self):
-        roots, points, brackets = _roots(lambda x: x - 0.01, 0.1, 1.0, 16)
-        assert points == 16 + 4 and brackets == 1
+        (roots,), points, brackets = _roots(lambda x, _: x - 0.01, [0.1], [1.0], 16)
+        assert points.tolist() == [16 + 4] and brackets.tolist() == [1]
         assert abs(roots[0] - 0.01) < 1e-14
+
+    def test_rows_are_halved_and_refined_on_their_own(self):
+        # row 0 needs 4 halvings, row 1 has its root on a grid point, and row 2
+        # (f > 0 everywhere) has none: it is halved the full 60 times
+        calls = []
+
+        def f(x, rows):
+            calls.append((np.shape(x), rows.tolist()))
+            return np.select([rows == 0, rows == 1], [x - 0.01, x - 0.5], 1.0 + x)
+
+        roots, points, brackets = _roots(f, [0.1, 0.5, 0.1], [1.0, 1.0, 1.0], 3)
+        assert abs(roots[0][0] - 0.01) < 1e-14 and len(roots[0]) == 1
+        assert roots[1].tolist() == [0.5] and roots[2].size == 0
+        assert points.tolist() == [3 + 4, 3, 3 + 60] and brackets.tolist() == [1, 0, 0]
+        assert calls[0] == ((3, 3), [[0] * 3, [1] * 3, [2] * 3])
+        # each halving step evaluates only the rows still positive at their lowest point
+        assert [rows for _, rows in calls[1:61]] == [[0, 2]] * 4 + [[2]] * 56
+        assert len(calls) > 61 and all(set(rows) == {0} for _, rows in calls[61:])
 
     def test_illinois_converges_to_width(self):
         root = _root(lambda x, _: np.cos(x), [1.0], [2.0], [math.cos(1.0)], [math.cos(2.0)])
@@ -446,7 +481,7 @@ class TestDiagnostics:
 
 
 class TestDecoupleOnce:
-    DERIVATIONS = ("stationary_distribution", "joint_chain", "effective_states_discrete")
+    DERIVATIONS = ("stationary_distribution", "effective_states")
 
     @pytest.mark.parametrize("name", ["binary_sym", "sparse_hmm", "mismatched"])
     def test_built_model_is_not_decoupled_again(self, name, monkeypatch):
