@@ -16,11 +16,12 @@ import numpy as np
 from .laws import ConditionalInputLaw, GaussianAtom, PointMass
 from .markov_core import (
     HiddenMarkovPrior,
+    IrreducibilityError,
     MarkovPrior,
     TransitionMatrix,
     binary_markov_kernel,
-    is_irreducible,
     sparse_hmm_prior,
+    stationary_distribution,
 )
 from .perron import MAX_NU, QStateSpace, enumerate_q_states, q_transition_matrix
 from .solver import ModelSpec, _check_sigma, _normalize_snr
@@ -135,7 +136,11 @@ def _build_transition(doc, path, errs: _Collector) -> TransitionMatrix | None:
         errs.add(f"{path}.transition", f"{len(rows)} rows for {k} states")
     if len(errs.errors) > mark:
         return None
-    return _built(errs, f"{path}.transition", lambda: TransitionMatrix(tuple(states), np.array(rows, dtype=float)))
+    kern = _built(errs, f"{path}.transition", lambda: TransitionMatrix(tuple(states), np.array(rows, dtype=float)))
+    # solving the stationary law decides irreducibility
+    if kern is None or _built(errs, f"{path}.transition", lambda: stationary_distribution(kern)) is None:
+        return None
+    return kern
 
 
 def _build_prior(doc, path, errs: _Collector):
@@ -158,16 +163,13 @@ def _build_prior(doc, path, errs: _Collector):
         kern = _build_transition(doc, path, errs)
         if kern is None:
             return None, None
-        if not is_irreducible(kern):
-            errs.add(f"{path}.transition", "chain is reducible")
-            return None, None
         initial = doc.get("initial")
         if initial is not None and not (
             isinstance(initial, list) and len(initial) == kern.dim and all(map(_is_finite_number, initial))
         ):
             errs.add(f"{path}.initial", f"expected a list of {kern.dim} probabilities")
             return None, None
-        return _built(errs, path, lambda: MarkovPrior.discrete(kern, initial)), None
+        return _built(errs, f"{path}.initial", lambda: MarkovPrior.discrete(kern, initial)), None
     if kind == "gauss_markov":
         nu = errs.expect(doc, path, "nu", (int, float), required=True)
         s0 = errs.expect(doc, path, "sigma0_sq", (int, float), required=True)
@@ -372,8 +374,9 @@ def validate_rate_config(document: dict) -> tuple[QStateSpace, np.ndarray, np.nd
         if p > 0:
             support[v] = support.get(v, 0.0) + p
     space = enumerate_q_states(list(support), kernel.state_values(), nu)
-    base = q_transition_matrix(space, kernel, s_dist=tuple(support.items()))
-    if not is_irreducible(base):
+    try:
+        base = q_transition_matrix(space, kernel, s_dist=tuple(support.items()))
+    except IrreducibilityError:
         # an irreducible aperiodic chain always gives an irreducible coupling chain
-        raise ConfigError([f"chain.transition: the chain is periodic, so its coupling chain at nu={nu} is reducible"])
+        raise ConfigError([f"chain.transition: the chain is periodic, so its coupling chain at nu={nu} is reducible"]) from None
     return space, base, np.array(q_target, dtype=float)

@@ -1,7 +1,8 @@
 """Markov-chain and HMM primitives: kernels, stationarity, irreducibility.
 
 Stationary distributions are the left Perron-Frobenius eigenvectors with
-unit Manhattan norm of the row-stochastic transition matrix.  Hidden-Markov
+unit Manhattan norm of the row-stochastic transition matrix, solved once per
+kernel; that solve also decides whether the kernel is irreducible.  Hidden-Markov
 priors are reduced to an effective finite-state description (hidden state,
 stationary weight, conditional input mixture) which is all the decoupled
 single-symbol analysis needs.
@@ -33,13 +34,17 @@ class TransitionMatrix:
     """Row-stochastic kernel over an ordered list of state labels."""
 
     states: tuple
-    P: np.ndarray = field(repr=False)
+    P: np.ndarray = field(repr=False)  # a read-only copy, so the stored stationary law cannot go stale
+    _stationary: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
+        P = np.array(self.P, dtype=float)
+        P.flags.writeable = False
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "states", tuple(self.states))
         k = len(self.states)
+        if k == 0:
+            raise ValidationError("a chain needs at least one state")
         if P.shape != (k, k):
             raise ValidationError(f"transition matrix shape {P.shape} != ({k}, {k})")
         if not np.all(P >= 0.0):  # also rejects NaN
@@ -93,7 +98,7 @@ class MarkovPrior:
         if self.kernel is not None:
             init = self.initial
             if init is None:
-                init = stationary_distribution(self.kernel).weights
+                init = stationary_distribution(self.kernel)
             init = np.asarray(init, dtype=float)
             if init.shape != (self.kernel.dim,):
                 raise ValidationError("initial distribution length mismatch")
@@ -135,8 +140,7 @@ class HiddenMarkovPrior:
         object.__setattr__(self, "emissions", tuple(self.emissions))
         if len(self.emissions) != self.hidden.dim:
             raise ValidationError("one emission law per hidden state required")
-        if not is_irreducible(self.hidden):
-            raise IrreducibilityError("hidden chain must be irreducible")
+        stationary_distribution(self.hidden)  # raises IrreducibilityError for a reducible hidden chain
 
 
 def sparse_hmm_prior(kappa: float, gamma: float) -> HiddenMarkovPrior:
@@ -162,51 +166,40 @@ def sparse_hmm_prior(kappa: float, gamma: float) -> HiddenMarkovPrior:
     return HiddenMarkovPrior(hidden, emissions)
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    labels: tuple
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if w.shape != (len(self.labels),):
-            raise ValidationError("weights/labels length mismatch")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > STOCHASTIC_TOL:
-            raise ValidationError("not a probability vector")
-
-
 def is_irreducible(P: TransitionMatrix | np.ndarray) -> bool:
-    """True iff the digraph of nonzero entries is strongly connected."""
+    """True iff the digraph of nonzero entries is strongly connected.
+
+    Row 0 of ``seen`` holds the states reached from state 0, row 1 the
+    states that reach it; both grow by one step per pass until neither moves.
+    """
     M = P.P if isinstance(P, TransitionMatrix) else np.asarray(P, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError("matrix must be square")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValidationError(f"matrix must be square and nonempty, got shape {M.shape}")
     if np.any(M < 0):
         raise ValidationError("matrix must be nonnegative")
     adj = M > 0.0
-    n = M.shape[0]
-
-    def reaches_all(a: np.ndarray) -> bool:
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = a[frontier].any(axis=0) & ~seen
-            frontier = list(np.nonzero(nxt)[0])
-            seen |= nxt
-        return bool(seen.all())
-
-    return reaches_all(adj) and reaches_all(adj.T)
+    seen = np.zeros((2, len(adj)), dtype=bool)
+    seen[:, 0] = True
+    count = 2
+    while True:
+        seen[0] |= seen[0] @ adj
+        seen[1] |= adj @ seen[1]
+        before, count = count, np.count_nonzero(seen)
+        if count == before:
+            return count == seen.size
 
 
-def stationary_distribution(P: TransitionMatrix) -> ProbabilityVector:
-    """Left Perron-Frobenius eigenvector of P with unit L1 norm.
+def stationary_distribution(P: TransitionMatrix) -> np.ndarray:
+    """Left Perron-Frobenius eigenvector of P with unit L1 norm, read-only.
 
-    Dense least-squares solve of (P^T - I) v = 0 with an appended
-    normalization row; it needs no aperiodicity, unlike power iteration.
-    Residual ||v^T P - v^T||_inf is verified below 1e-12.
+    Solved on the first call and stored on the kernel; later calls return
+    the same array.  Dense least-squares solve of (P^T - I) v = 0 with an
+    appended normalization row; it needs no aperiodicity, unlike power
+    iteration.  A reducible chain raises IrreducibilityError, and the
+    residual ||v^T P - v^T||_inf is verified below 1e-12.
     """
+    if P._stationary is not None:
+        return P._stationary
     if not is_irreducible(P):
         raise IrreducibilityError("chain is reducible; stationary distribution not unique")
     M = P.P
@@ -220,7 +213,9 @@ def stationary_distribution(P: TransitionMatrix) -> ProbabilityVector:
     resid = np.max(np.abs(v @ M - v))
     if resid >= STATIONARY_TOL:
         raise ValidationError(f"stationary residual {resid:.3e} exceeds {STATIONARY_TOL}")
-    return ProbabilityVector(P.states, v)
+    v.flags.writeable = False
+    object.__setattr__(P, "_stationary", v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -260,6 +255,5 @@ def effective_states(prior: MarkovPrior | HiddenMarkovPrior) -> EffectiveStates:
     else:
         chain = prior.kernel
         emissions = tuple(ConditionalInputLaw.point_masses([v], [1.0]) for v in chain.state_values())
-    lam = stationary_distribution(chain)
     laws = tuple(ConditionalInputLaw.mix(zip(row, emissions)) for row in chain.P)
-    return EffectiveStates(chain.states, lam.weights, laws)
+    return EffectiveStates(chain.states, stationary_distribution(chain), laws)

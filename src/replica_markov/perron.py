@@ -101,7 +101,8 @@ def q_transition_matrix(
     stationary-start convention).  Over tuples the weights are
     Kronecker products, kron(P_S, p, q, ..., q) and
     kron(1 P_S^T, pi, pitilde, ..., pitilde), folded onto the states by the
-    one-hot membership matrix of ``space.ids``.
+    one-hot membership matrix of ``space.ids``.  A reducible coupling chain
+    raises IrreducibilityError: it has no Perron-Frobenius triple.
     """
     if postulated_kernel is None:
         postulated_kernel = true_kernel
@@ -118,8 +119,8 @@ def q_transition_matrix(
     if set(s_prob) != set(space.s_alphabet):
         raise ValidationError("s_dist support must equal the SNR alphabet")
     val_to_row = {float(v): i for i, v in enumerate(values)}
-    p_marg = stationary_distribution(true_kernel).weights
-    q_marg = p_marg if postulated_kernel is true_kernel else stationary_distribution(postulated_kernel).weights
+    p_marg = stationary_distribution(true_kernel)
+    q_marg = stationary_distribution(postulated_kernel)
 
     rows = [val_to_row[v] for v in space.x_alphabet]
     s_vec = np.array([s_prob[s] for s in space.s_alphabet])
@@ -138,6 +139,8 @@ def q_transition_matrix(
     row_err = np.max(np.abs(P.sum(axis=1) - 1.0))
     if row_err > 1e-10:
         raise ValidationError(f"transition rows off stochastic by {row_err:.3e}")
+    if not is_irreducible(P):
+        raise IrreducibilityError(f"the coupling chain at nu={space.nu} is reducible")
     return P
 
 

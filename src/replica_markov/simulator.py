@@ -118,8 +118,7 @@ def _sample_discrete_chain(kern, initial, n: int, rng) -> np.ndarray:
 def sample_prior_path(prior, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one length-n signal from the prior, started from its stationary law."""
     if isinstance(prior, HiddenMarkovPrior):
-        lam = stationary_distribution(prior.hidden).weights
-        hidden_idx = _sample_discrete_chain(prior.hidden, lam, n, rng)
+        hidden_idx = _sample_discrete_chain(prior.hidden, stationary_distribution(prior.hidden), n, rng)
         x = np.empty(n)
         for k, law in enumerate(prior.emissions):
             mask = hidden_idx == k

@@ -134,6 +134,16 @@ def reference_chain_path(kern, initial, n, rng) -> np.ndarray:
     return idx
 
 
+def strongly_connected(A: np.ndarray) -> bool:
+    """Every state reaches every other: the transitive closure of (A + I) > 0,
+    by repeated boolean squaring, is all true."""
+    n = len(A)
+    reach = ((np.asarray(A) + np.eye(n)) > 0).astype(float)
+    for _ in range((n - 1).bit_length()):  # k squarings cover every path of up to 2^k >= n - 1 steps
+        reach = ((reach @ reach) > 0).astype(float)
+    return bool(reach.all())
+
+
 def trapezoid_grid(half_width: float = 12.0, points: int = 100_001) -> np.ndarray:
     return np.linspace(-half_width, half_width, points)
 

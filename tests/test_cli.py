@@ -367,6 +367,24 @@ BAD_EXPERIMENTS = {
         {"model": {"prior": {"type": "discrete_markov", "states": [-1, 1],
                              "transition": [[0.7, 0.3], [0.3, 0.7]], "initial": [math.nan, 1.0]}}},
     ),
+    "initial-off-simplex": (
+        "model.prior.initial",
+        {"model": {"prior": {"type": "discrete_markov", "states": [-1, 1],
+                             "transition": [[0.7, 0.3], [0.3, 0.7]], "initial": [0.5, 0.6]}}},
+    ),
+    "hidden-reducible": (
+        "model.prior.transition",
+        {"model": {"prior": {"type": "hidden_markov", "states": [0, 1], "transition": [[1, 0], [0, 1]],
+                             "emissions": [[{"weight": 1.0, "type": "point", "x": 0.0}],
+                                           [{"weight": 1.0, "type": "gaussian", "var": 1.0}]]}}},
+    ),
+    "postulated-hidden-reducible": (
+        "model.postulated_prior.transition",
+        {"model": {"prior": {"type": "sparse_hmm", "kappa": 0.3, "gamma": 0.5},
+                   "postulated_prior": {"type": "hidden_markov", "states": [0, 1], "transition": [[1, 0], [0, 1]],
+                                        "emissions": [[{"weight": 1.0, "type": "point", "x": 0.0}],
+                                                      [{"weight": 1.0, "type": "gaussian", "var": 1.0}]]}}},
+    ),
     "postulated-labels": (
         "model",
         {"model": {"prior": base_doc()["model"]["prior"],

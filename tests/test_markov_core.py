@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replica_markov import (
     ConditionalInputLaw,
@@ -7,6 +9,7 @@ from replica_markov import (
     HiddenMarkovPrior,
     IrreducibilityError,
     MarkovPrior,
+    ModelSpec,
     PointMass,
     TransitionMatrix,
     ValidationError,
@@ -16,6 +19,8 @@ from replica_markov import (
     sparse_hmm_prior,
     stationary_distribution,
 )
+from replica_markov.perron import enumerate_q_states, q_transition_matrix
+from oracles import strongly_connected
 
 
 def power_iteration_oracle(P: np.ndarray, iters: int = 10_000) -> np.ndarray:
@@ -32,39 +37,69 @@ def random_irreducible(rng, k: int) -> TransitionMatrix:
     return TransitionMatrix(tuple(range(k)), P)
 
 
+@st.composite
+def digraphs(draw):
+    """Weighted digraphs on 1-90 states: random edges with states cut off
+    (zero rows and columns), a periodic cycle with or without a chord,
+    self-loops only, or two cycles joined by a one-way edge."""
+    n = draw(st.integers(1, 90))
+    kind = draw(st.sampled_from(["random", "cycle", "self-loops", "one-way"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    A = np.zeros((n, n))
+    if kind == "random":
+        A = rng.random((n, n)) * (rng.random((n, n)) < draw(st.sampled_from([0.02, 0.1, 0.3, 0.9])))
+        cut = draw(st.sampled_from([0.0, 0.02, 0.1]))
+        A[rng.random(n) < cut] = 0.0
+        A[:, rng.random(n) < cut] = 0.0
+    elif kind == "cycle":
+        A[order, np.roll(order, -1)] = rng.uniform(0.1, 1.0, n)
+        if draw(st.booleans()):
+            A[order[0], order[n // 2]] = 1.0
+    elif kind == "self-loops":
+        A[order, order] = rng.uniform(0.1, 1.0, n)
+    else:
+        k = draw(st.integers(1, n))
+        for block in (order[:k], order[k:]):
+            A[block, np.roll(block, -1)] = rng.uniform(0.1, 1.0, len(block))
+        if k < n:
+            A[order[0], order[k]] = 1.0
+    return A
+
+
 class TestStationaryDistribution:
     def test_binary_asymmetric_closed_form(self):
         # left PF eigenvector (delta/(alpha+delta), alpha/(alpha+delta))
         sd = stationary_distribution(binary_markov_kernel(0.2, 0.5))
-        assert abs(sd.weights[0] - 5.0 / 7.0) < 1e-12
-        assert abs(sd.weights[1] - 2.0 / 7.0) < 1e-12
+        assert abs(sd[0] - 5.0 / 7.0) < 1e-12
+        assert abs(sd[1] - 2.0 / 7.0) < 1e-12
 
     def test_doubly_stochastic_is_uniform(self):
         P = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
         sd = stationary_distribution(TransitionMatrix(("a", "b", "c"), P))
-        assert np.allclose(sd.weights, 1.0 / 3.0, atol=1e-12)
+        assert np.allclose(sd, 1.0 / 3.0, atol=1e-12)
 
     def test_random_4x4_matches_power_iteration(self):
         rng = np.random.default_rng(7)
         kern = random_irreducible(rng, 4)
         sd = stationary_distribution(kern)
-        assert np.max(np.abs(sd.weights - power_iteration_oracle(kern.P))) < 1e-10
+        assert np.max(np.abs(sd - power_iteration_oracle(kern.P))) < 1e-10
 
     def test_fixed_point_residual_and_relabeling(self):
         rng = np.random.default_rng(21)
         for k in (2, 3, 5, 8):
             kern = random_irreducible(rng, k)
-            w = stationary_distribution(kern).weights
+            w = stationary_distribution(kern)
             assert np.max(np.abs(w @ kern.P - w)) < 1e-12
             perm = rng.permutation(k)
             permuted = TransitionMatrix(tuple(perm), kern.P[np.ix_(perm, perm)])
-            w2 = stationary_distribution(permuted).weights
+            w2 = stationary_distribution(permuted)
             assert np.allclose(w2, w[perm], atol=1e-12)
 
     def test_iid_kernel_returns_row(self):
         p = np.array([0.2, 0.3, 0.5])
         kern = TransitionMatrix((0, 1, 2), np.tile(p, (3, 1)))
-        assert np.allclose(stationary_distribution(kern).weights, p, atol=1e-12)
+        assert np.allclose(stationary_distribution(kern), p, atol=1e-12)
 
     def test_periodic_chain_beyond_64_states(self):
         # bipartite with halves of 30 and 40 states: period 2, so power iteration
@@ -74,7 +109,7 @@ class TestStationaryDistribution:
         P[:30, 30:] = rng.uniform(0.1, 1.0, (30, 40))
         P[30:, :30] = rng.uniform(0.1, 1.0, (40, 30))
         P /= P.sum(axis=1, keepdims=True)
-        w = stationary_distribution(TransitionMatrix(tuple(range(70)), P)).weights
+        w = stationary_distribution(TransitionMatrix(tuple(range(70)), P))
         assert np.max(np.abs(w @ P - w)) < 1e-12
         assert abs(w[:30].sum() - 0.5) < 1e-12  # a period-2 chain spends half its time in each half
 
@@ -86,6 +121,32 @@ class TestStationaryDistribution:
         kern = TransitionMatrix((0, 1), np.eye(2))
         with pytest.raises(IrreducibilityError):
             stationary_distribution(kern)
+
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ValidationError):
+            TransitionMatrix((), np.zeros((0, 0)))
+
+    def test_law_is_stored_read_only_on_a_read_only_kernel(self):
+        P = np.array([[0.8, 0.2], [0.5, 0.5]])
+        kern = TransitionMatrix((0, 1), P)
+        P[0] = [0.2, 0.8]  # the kernel holds a copy
+        law = stationary_distribution(kern)
+        assert stationary_distribution(kern) is law
+        assert np.allclose(law, [5.0 / 7.0, 2.0 / 7.0], atol=1e-12)
+        for array in (law, kern.P):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_one_solve_per_kernel(self, monkeypatch):
+        solves = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
+        kernel = binary_markov_kernel(0.2, 0.5)
+        prior = MarkovPrior.discrete(kernel)
+        ModelSpec(prior=prior)
+        ModelSpec(prior=prior, postulated_prior=MarkovPrior.discrete(kernel), sigma=1.2)
+        q_transition_matrix(enumerate_q_states([1.0], kernel.state_values(), 1), kernel)
+        assert len(solves) == 1
 
 
 class TestIrreducibility:
@@ -101,6 +162,22 @@ class TestIrreducibility:
 
     def test_one_way_edge_false(self):
         assert not is_irreducible(np.array([[0.5, 0.5], [0.0, 1.0]]))
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValidationError):
+            is_irreducible(np.zeros((0, 0)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(graph=digraphs(), as_kernel=st.booleans())
+    def test_matches_transitive_closure(self, graph, as_kernel):
+        if as_kernel:
+            # a state without out-edges keeps only a self-loop, so its row can be stochastic
+            stuck = graph.sum(axis=1) == 0
+            graph[stuck, stuck] = 1.0
+            graph /= graph.sum(axis=1, keepdims=True)
+            assert is_irreducible(TransitionMatrix(tuple(range(len(graph))), graph)) == strongly_connected(graph)
+        else:
+            assert is_irreducible(graph) == strongly_connected(graph)
 
 
 class TestPriors:
@@ -159,7 +236,7 @@ class TestJointChain:
         hidden = random_irreducible(rng, 3)
         emissions = tuple(ConditionalInputLaw.gaussian(float(i), 1.0) for i in range(3))
         eff = effective_states(HiddenMarkovPrior(hidden, emissions))
-        assert np.array_equal(eff.weights, stationary_distribution(hidden).weights)
+        assert np.array_equal(eff.weights, stationary_distribution(hidden))
 
     def test_second_moment_sparse_is_kappa(self):
         for kappa, gamma in ((0.3, 0.8), (0.5, 1.0), (0.7, 0.4)):

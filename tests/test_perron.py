@@ -65,7 +65,7 @@ def tuple_loop_transition_matrix(space, kern, post, s_dist):
     """
     s_prob = dict(s_dist)
     row = {float(v): i for i, v in enumerate(kern.state_values())}
-    laws = [stationary_distribution(kern).weights] + [stationary_distribution(post).weights] * space.nu
+    laws = [stationary_distribution(kern)] + [stationary_distribution(post)] * space.nu
     steps = [kern.P] + [post.P] * space.nu
     tuples = [
         (s, [row[v] for v in x], space.state_of(s, x))
@@ -94,7 +94,7 @@ def brute_force_states(s_alphabet, x_alphabet, nu):
 
 
 def stationary_of_matrix(P: np.ndarray) -> np.ndarray:
-    return stationary_distribution(TransitionMatrix(tuple(range(P.shape[0])), P)).weights
+    return stationary_distribution(TransitionMatrix(tuple(range(P.shape[0])), P))
 
 
 def chain_mean_q(space, base: np.ndarray) -> np.ndarray:
@@ -193,7 +193,7 @@ class TestTransitionMatrix:
         space, base = ternary_setup(nu)
         oracle = tuple_loop_transition_matrix(space, TERNARY, TERNARY, TERNARY_SNR)
         assert np.max(np.abs(base - oracle)) < 1e-14
-        # a copy of the kernel takes the path that solves for each stationary law separately
+        # a copy of the kernel solves its own stationary law
         copy = TransitionMatrix(TERNARY.state_values(), TERNARY.P.copy())
         assert np.array_equal(base, q_transition_matrix(space, TERNARY, copy, s_dist=TERNARY_SNR))
 

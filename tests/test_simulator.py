@@ -104,7 +104,7 @@ class TestSampling:
         if isinstance(prior, MarkovPrior):
             kern, initial = prior.kernel, prior.initial
         else:
-            kern, initial = prior.hidden, stationary_distribution(prior.hidden).weights
+            kern, initial = prior.hidden, stationary_distribution(prior.hidden)
         rng, ref_rng = simulator._rng(17, n), simulator._rng(17, n)
         path = simulator._sample_discrete_chain(kern, initial, n, rng)
         assert np.array_equal(path, reference_chain_path(kern, initial, n, ref_rng))
