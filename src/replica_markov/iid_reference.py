@@ -4,9 +4,9 @@ For an i.i.d. prior there is no state, and the decoupled analysis reduces to
 a single scalar channel.  This module re-derives that path from scratch with
 deliberately different numerics than the Markov solver: densities are
 evaluated on a dense grid and integrated with Simpson's rule, and the
-matched fixed point is found by brentq, not by the main solver's Illinois
-steps.  Agreement between the two paths is a regression anchor, so
-nothing here should be replaced by calls into the main solver.
+matched fixed point is found by brentq, not by the main solver's
+Anderson-Bjorck steps.  Agreement between the two paths is a regression
+anchor, so nothing here should be replaced by calls into the main solver.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ single-symbol analysis needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,9 +29,27 @@ class IrreducibilityError(ValueError):
     """Raised when an operation requires an irreducible chain but got a reducible one."""
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic kernel over an ordered list of state labels."""
+class _ValueEquality:
+    """Equality and hash of a frozen dataclass by the values of its compared fields, arrays entry by entry."""
+
+    def _values(self) -> tuple:
+        return tuple(
+            (v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
+            for v in (getattr(self, f.name) for f in fields(self) if f.compare)
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+@dataclass(frozen=True, eq=False)
+class TransitionMatrix(_ValueEquality):
+    """Row-stochastic kernel over an ordered list of state labels; equal kernels have equal labels and entries."""
 
     states: tuple
     P: np.ndarray = field(repr=False)  # a read-only copy, so the stored stationary law cannot go stale
@@ -78,8 +96,8 @@ def binary_markov_kernel(alpha: float, delta: float) -> TransitionMatrix:
     return TransitionMatrix((-1.0, 1.0), np.array([[1 - alpha, alpha], [delta, 1 - delta]]))
 
 
-@dataclass(frozen=True)
-class MarkovPrior:
+@dataclass(frozen=True, eq=False)
+class MarkovPrior(_ValueEquality):
     """Signal prior: a finite-state kernel or a Gauss-Markov recursion.
 
     Discrete: kernel + initial distribution (defaults to stationary).
@@ -129,8 +147,8 @@ class MarkovPrior:
         return MarkovPrior(nu=nu, sigma0_sq=sigma0_sq)
 
 
-@dataclass(frozen=True)
-class HiddenMarkovPrior:
+@dataclass(frozen=True, eq=False)
+class HiddenMarkovPrior(_ValueEquality):
     """Hidden chain kernel plus a per-hidden-state emission mixture."""
 
     hidden: TransitionMatrix

@@ -76,22 +76,6 @@ def _check_sigma(sigma) -> float:
     return sigma
 
 
-def _priors_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, MarkovPrior):
-        if a.is_gauss_markov != b.is_gauss_markov:
-            return False
-        if a.is_gauss_markov:
-            return a.nu == b.nu and a.sigma0_sq == b.sigma0_sq
-        return (
-            a.kernel.states == b.kernel.states
-            and np.array_equal(a.kernel.P, b.kernel.P)
-            and np.array_equal(a.initial, b.initial)
-        )
-    return a.hidden.states == b.hidden.states and np.array_equal(a.hidden.P, b.hidden.P) and a.emissions == b.emissions
-
-
 @dataclass(frozen=True)
 class _Decoupled:
     weights: np.ndarray
@@ -155,9 +139,7 @@ class ModelSpec:
 
     @property
     def is_matched(self) -> bool:
-        return self.sigma == 1.0 and (
-            self.postulated_prior is None or _priors_equal(self.prior, self.postulated_prior)
-        )
+        return self.sigma == 1.0 and (self.postulated_prior is None or self.postulated_prior == self.prior)
 
 
 @dataclass(frozen=True)
@@ -195,28 +177,31 @@ class ReplicaSolution:
     diagnostics: SolveDiagnostics = SolveDiagnostics()
 
 
-def _weighted_errors(dec: _Decoupled, eta, xi) -> tuple[np.ndarray, np.ndarray]:
-    """sum w p s mse and sum w p s var over every channel, at arrays of (eta, xi) points in one kernel call."""
-    mse, var = channel_errors(dec.table, channel_moments(dec.table, eta, xi))
+def _weighted_errors(dec: _Decoupled, moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum w p s mse and sum w p s var over every channel, from ``channel_moments`` rows."""
+    mse, var = channel_errors(dec.table, moments)
     return mse @ dec.ws, var @ dec.ws
 
 
 def _root(f, a, b, fa, fb):
-    """Roots of f in the brackets [a, b], with fa and fb of opposite signs, by Illinois regula falsi.
+    """Roots of f in the brackets [a, b], with fa and fb of opposite signs, by Anderson-Bjorck regula falsi.
 
     The brackets are 1-D arrays of independent brackets, solved in lockstep:
     each step makes one call f(x, idx), where idx indexes the brackets still
     active and x holds one point of each of them; a solved bracket is not
-    evaluated again and keeps its last point.  The end that stays put twice
-    running has its f value halved, so both ends converge; a secant point
+    evaluated again.  When the same end moves twice running, the f value of
+    the stale end is scaled by m = 1 - f(c)/f(moved end), or halved when
+    m <= 0 (Anderson & Bjorck 1973), so both ends converge; a secant point
     that rounds outside (a, b) is replaced by the midpoint.  A bracket stops
-    when it is narrower than 1e-14 or f is exactly 0.
+    when it is narrower than 1e-14 or f is exactly 0.  Each root is the last
+    point of its bracket passed to f, so whatever f computed there is known
+    at the root; a bracket narrower than 1e-14 from the start is not
+    evaluated and returns its end with the smaller |f|.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     side = np.zeros(a.shape, dtype=int)
     active = np.ones(a.shape, dtype=bool)
-    hit = np.zeros(a.shape, dtype=bool)
-    c = 0.5 * (a + b)
+    c = np.where(abs(fa) <= abs(fb), a, b)
     for _ in range(_ROOT_MAX_ITER):
         active &= b - a >= _ROOT_TOL
         if not active.any():
@@ -227,15 +212,17 @@ def _root(f, a, b, fa, fb):
         idx = np.flatnonzero(active)
         fc = np.zeros(a.shape)
         fc[idx] = f(c[idx], idx)
-        hit |= active & (fc == 0.0)
         active &= fc != 0.0
         right = active & ((fc > 0.0) == (fb > 0.0))
         left = active & ~right
-        fa = np.where(right & (side == -1), 0.5 * fa, np.where(left, fc, fa))
-        fb = np.where(left & (side == 1), 0.5 * fb, np.where(right, fc, fb))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = 1.0 - fc / np.where(right, fb, fa)
+        m = np.where(m > 0.0, m, 0.5)
+        fa = np.where(right & (side == -1), m * fa, np.where(left, fc, fa))
+        fb = np.where(left & (side == 1), m * fb, np.where(right, fc, fb))
         a, b = np.where(left, c, a), np.where(right, c, b)
         side = np.where(right, -1, np.where(left, 1, side))
-    return np.where(hit, c, 0.5 * (a + b))
+    return c
 
 
 def _roots(f, lo, hi, points: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
@@ -251,7 +238,8 @@ def _roots(f, lo, hi, points: int) -> tuple[list[np.ndarray], np.ndarray, np.nda
     Returns the roots of each row in ascending order, and the number of grid
     points and of sign changes of each row.
     """
-    xs = np.geomspace(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), points).T
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    xs = np.column_stack((lo, hi)) if points == 2 else np.geomspace(lo, hi, points).T
     every = np.arange(len(xs))
     fs = np.asarray(f(xs, np.repeat(every[:, None], points, axis=1)), dtype=float)
     x0, f0 = xs[:, 0], fs[:, 0]
@@ -277,14 +265,40 @@ def _roots(f, lo, hi, points: int) -> tuple[list[np.ndarray], np.ndarray, np.nda
     return per_row, counts, change.sum(axis=1)
 
 
-def _assess(model: ModelSpec, beta: float, eta, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual, G(x0) and sum w p E[<X>^2] at arrays of (eta, xi) points, in one kernel call.
+def _first_roots(h, rows: np.ndarray, solved: dict, lo: float, hi: float) -> np.ndarray:
+    """First root of h on each row (NaN where it has none), warm-started from the roots of solved rows.
 
-    The residual is the larger absolute residual of the two fixed-point
-    equations; G(x0), in nats, has a trailing axis over the effective states.
+    h(x, r) evaluates row rows[r] at x, for arrays x and r of one shape;
+    ``solved`` maps the rows solved before to their roots.  A row between two
+    solved rows first tries the bracket spanned by the roots of its nearest
+    neighbours below and above: it is kept only if h < 0 at its low end and
+    h > 0 at its high end, so it holds a root and is never halved.  Every
+    other row takes [lo, hi] with the left-end halving of ``_roots``, and one
+    ``_roots`` call refines all rows in lockstep.
+    """
+    known = np.array(sorted(solved))
+    at = np.searchsorted(known, rows)
+    inner = np.flatnonzero((at > 0) & (at < known.size))
+    left, right = np.full(rows.shape, lo), np.full(rows.shape, hi)
+    if inner.size:
+        ends = np.sort([[solved[known[i - 1]], solved[known[i]]] for i in at[inner]], axis=1)
+        fs = h(ends, np.repeat(inner[:, None], 2, axis=1))
+        warm = (fs[:, 0] < 0.0) & (fs[:, 1] > 0.0)
+        left[inner[warm]], right[inner[warm]] = ends[warm].T
+    return np.array([r[0] if r.size else np.nan for r in _roots(h, left, right, 2)[0]])
+
+
+def _assess(model: ModelSpec, beta: float, eta, xi, moments=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual, G(x0) and sum w p E[<X>^2] at arrays of (eta, xi) points.
+
+    ``moments`` holds the ``channel_moments`` rows at the points; without
+    it they come from one kernel call.  The residual is the larger absolute
+    residual of the two fixed-point equations; G(x0), in nats, has a
+    trailing axis over the effective states.
     """
     dec = model._decoupled
-    moments = channel_moments(dec.table, eta, xi)
+    if moments is None:
+        moments = channel_moments(dec.table, eta, xi)
     mse, var = channel_errors(dec.table, moments)
     residual = np.maximum(
         abs(eta - 1.0 / (1.0 + beta * (mse @ dec.ws))),
@@ -317,16 +331,25 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
     where xi(eta) = eta for a matched model (the postulated posterior is the
     true one).  Otherwise xi(eta) is the first root of its own equation
     xi = 1/(sigma^2 + beta sum w p s var(eta, xi)) on
-    [1/(sigma^2 + beta sum w p s E_q[X^2|x0]), 1/sigma^2].  Both are solved
-    by ``_roots``: eta as one row of 16 geometric points over
-    [1/(1 + beta sum w p s E[X^2|x0]), 1], and the xi of every eta of one
-    call as rows of 2 points each, in lockstep.  Each grid's left end is
-    halved while its equation is still positive there, and each sign change
-    is refined by Illinois regula falsi to a bracket narrower than 1e-14.
-    Roots are deduplicated at 1e-6 resolution and assessed in one kernel
-    call: verified against the general-form residual below 1e-8, and scored
-    by free energy and MMSE term.  The result carries those scores and the
-    diagnostics of the solve.
+    [1/(sigma^2 + beta sum w p s E_q[X^2|x0]), 1/sigma^2], solved once per
+    eta.  Both are solved by ``_roots``: eta as one row of 16 geometric
+    points over [1/(1 + beta sum w p s E[X^2|x0]), 1], and the xi of every
+    new eta of one call as rows of 2 points each, in lockstep.  Each grid's
+    left end is halved while its equation is still positive there, and each
+    sign change is refined by Anderson-Bjorck regula falsi to a bracket
+    narrower than 1e-14; the root is the last point evaluated in it.  An eta
+    between two solved ones first tries the bracket spanned by their xi, and
+    takes the initial xi range only if its equation does not change sign
+    across that bracket (``_first_roots``).
+
+    The ``channel_moments`` rows of every (eta, xi) point are kept for the
+    solve, keyed by the exact pair, and each kernel call evaluates only the
+    points not seen before.  A root is an evaluated point, so the mse at a
+    solved xi, the xi of the eta roots and the assessment of the roots cost
+    no kernel call.  Roots are deduplicated at 1e-6 resolution, verified
+    against the general-form residual below 1e-8, and scored by free energy
+    and MMSE term.  The result carries those scores and the diagnostics of
+    the solve.
     """
     if not beta > 0:
         raise ValidationError("beta must be > 0")
@@ -334,6 +357,17 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
     sigma_sq = model.sigma**2
     evaluations = 0
     take_kernel_tally()
+    cache: dict[tuple[float, float], np.ndarray] = {}
+
+    def moments(eta, xi) -> np.ndarray:
+        """``channel_moments`` at arrays of (eta, xi) points; the points not in ``cache`` go to one kernel call."""
+        eta, xi = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(xi, dtype=float))
+        keys = list(zip(eta.ravel().tolist(), xi.ravel().tolist()))
+        new = [k for k in keys if k not in cache]
+        if new:
+            cache.update(zip(new, channel_moments(dec.table, *np.array(new).T)))
+        return np.array([cache[k] for k in keys]).reshape(eta.shape + (dec.table.s.size, 4))
+
     # Error and variance sums are nonnegative; clamping their rounding at 0
     # keeps f >= 0 at the right end of every bracket.
 
@@ -345,36 +379,40 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
     else:
         xi_lo = 1.0 / (sigma_sq + beta * dec.post_s_moment)
         xi_hi = 1.0 / sigma_sq
+        solved: dict[float, float] = {}
 
         def xi_at(eta):
-            """Each eta's first root xi of the postulated-noise equation, as one row of ``_roots``."""
-            rows = np.ravel(eta)
+            """Each eta's first root xi of the postulated-noise equation; an eta solved before is looked up."""
+            rows = np.array([e for e in np.ravel(eta).tolist() if e not in solved])
+            if rows.size:
 
-            def h(xi, r):
-                nonlocal evaluations
-                evaluations += np.size(xi)
-                return xi - 1.0 / (sigma_sq + beta * np.maximum(_weighted_errors(dec, rows[r], xi)[1], 0.0))
+                def h(xi, r):
+                    nonlocal evaluations
+                    evaluations += np.size(xi)
+                    var = _weighted_errors(dec, moments(rows[r], xi))[1]
+                    return xi - 1.0 / (sigma_sq + beta * np.maximum(var, 0.0))
 
-            roots = _roots(h, np.full(rows.shape, xi_lo), np.full(rows.shape, xi_hi), 2)[0]
-            xi = np.array([r[0] if r.size else np.nan for r in roots])
-            if np.isnan(xi).any():
-                raise SolverError(f"no xi solves the postulated-noise equation at eta={rows[np.isnan(xi)][0]}")
-            return xi.reshape(np.shape(eta))
+                xi = _first_roots(h, rows, solved, xi_lo, xi_hi)
+                if np.isnan(xi).any():
+                    raise SolverError(f"no xi solves the postulated-noise equation at eta={rows[np.isnan(xi)][0]}")
+                solved.update(zip(rows.tolist(), xi.tolist()))
+            return np.array([solved[e] for e in np.ravel(eta).tolist()]).reshape(np.shape(eta))
 
     def f(eta, _rows):
         nonlocal evaluations
         evaluations += np.size(eta)
-        return eta - 1.0 / (1.0 + beta * np.maximum(_weighted_errors(dec, eta, xi_at(eta))[0], 0.0))
+        return eta - 1.0 / (1.0 + beta * np.maximum(_weighted_errors(dec, moments(eta, xi_at(eta)))[0], 0.0))
 
     eta_lo = 1.0 / (1.0 + beta * dec.true_s_moment)
     (roots,), (points,), (brackets,) = _roots(f, [eta_lo], [1.0], _SCAN_POINTS)
     found: list[tuple[float, float]] = []
-    for eta, xi in zip(roots.tolist(), xi_at(roots).tolist() if roots.size else ()):
+    for eta, xi in zip(roots.tolist(), xi_at(roots).tolist()):
         if not any(abs(eta - e) < _CLUSTER_TOL and abs(xi - x) < _CLUSTER_TOL for e, x in found):
             found.append((eta, xi))
     keep = []
     if found:
-        residuals, terms, msq = _assess(model, beta, *np.array(found).T)
+        etas, xis = np.array(found).T
+        residuals, terms, msq = _assess(model, beta, etas, xis, moments(etas, xis))
         keep = sorted(np.flatnonzero(residuals < RESIDUAL_TOL), key=found.__getitem__)
     if not keep:
         raise SolverError(

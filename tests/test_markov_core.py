@@ -201,6 +201,40 @@ class TestPriors:
         with pytest.raises(IrreducibilityError):
             HiddenMarkovPrior(hidden, (law, law))
 
+    def test_value_equality_and_hash(self):
+        # the same values built twice: equal, one hash, one set element
+        kernel = binary_markov_kernel(0.2, 0.5)
+        twin = TransitionMatrix((-1, 1), np.array([[0.8, 0.2], [0.5, 0.5]]))
+        negative_zero = TransitionMatrix((0, 1), np.array([[-0.0, 1.0], [1.0, 0.0]]))
+        cycle = TransitionMatrix((0, 1), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        stationary_distribution(kernel)  # the stored law is not compared
+        equal_pairs = [
+            (kernel, twin),
+            (negative_zero, cycle),
+            (MarkovPrior.discrete(kernel), MarkovPrior.discrete(twin)),
+            (MarkovPrior.gauss_markov(0.5, 1.0), MarkovPrior.gauss_markov(0.5, 1.0)),
+            (sparse_hmm_prior(0.3, 0.3), sparse_hmm_prior(0.3, 0.3)),
+        ]
+        for a, b in equal_pairs:
+            assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
+        unequal = [
+            kernel,
+            binary_markov_kernel(0.2, 0.4),
+            TransitionMatrix(("a", "b"), kernel.P),
+            MarkovPrior.discrete(kernel),
+            MarkovPrior.discrete(kernel, initial=[0.5, 0.5]),
+            MarkovPrior.gauss_markov(0.5, 1.0),
+            MarkovPrior.gauss_markov(0.6, 1.0),
+            sparse_hmm_prior(0.3, 0.3),
+            sparse_hmm_prior(0.3, 0.4),
+            HiddenMarkovPrior(kernel, (ConditionalInputLaw.gaussian(0.0, 1.0),) * 2),
+        ]
+        for i, a in enumerate(unequal):
+            for b in unequal[i + 1 :]:
+                assert (a == b) is False and a != b
+        assert len(set(unequal + [twin, MarkovPrior.discrete(twin)])) == len(unequal)
+        assert kernel != kernel.P.tolist() and MarkovPrior.discrete(kernel) != kernel
+
 
 class TestJointChain:
     def test_sparse_hmm_stationary_weights(self):

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from replica_markov import (
     ConditionalInputLaw,
@@ -16,17 +19,27 @@ from replica_markov import (
     free_energy_term,
     gauss_markov_eta,
     gauss_markov_free_energy,
+    is_irreducible,
     mutual_information,
     replica_mmse,
     solve_fixed_point,
     sparse_hmm_prior,
 )
+from replica_markov import solver
 from replica_markov.iid_reference import iid_replica
-from replica_markov.solver import _root, _roots
+from replica_markov.solver import RESIDUAL_TOL, _first_roots, _root, _roots
 from oracles import LOG_2PIE, g_bar_binary, sparse_hmm_hand_path
 
 BINARY_SYM = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)))
 GM_UNIT = ModelSpec(prior=MarkovPrior.gauss_markov(0.5, 1.0))
+
+
+def states_0_10_model(sigma: float) -> ModelSpec:
+    """iid true law 0.1 at 0 and 0.9 at 10, postulated 0.99 at 0: its xi equation has several roots."""
+    states = (0.0, 10.0)
+    true = MarkovPrior.discrete(TransitionMatrix(states, np.array([[0.1, 0.9], [0.1, 0.9]])))
+    post = MarkovPrior.discrete(TransitionMatrix(states, np.array([[0.99, 0.01], [0.99, 0.01]])))
+    return ModelSpec(prior=true, postulated_prior=post, sigma=sigma)
 
 
 class TestFixedPoint:
@@ -392,6 +405,28 @@ class TestRootHelpers:
         root = _root(lambda x, _: np.cos(x), [1.0], [2.0], [math.cos(1.0)], [math.cos(2.0)])
         assert abs(root[0] - math.pi / 2.0) < 1e-14
 
+    def test_first_roots_warm_bracket_and_fallback(self):
+        # h(xi) = xi - (0.3 + 0.1 eta) on each row eta.  Row 0.3 lies between
+        # solved rows whose roots 0.32 and 0.34 bracket its root 0.33: it is
+        # solved there alone.  The neighbours of row 0.5 have roots 0.34 and
+        # 0.30, and h < 0 at both (its root is 0.35): it falls back to the
+        # range [0.2, 1], as do rows 0.1 and 0.8, which have a neighbour on
+        # one side only.  All rows are refined in one lockstep search.
+        rows = np.array([0.1, 0.3, 0.5, 0.8])
+        seen = []
+
+        def h(xi, r):
+            seen.append((np.array(xi), rows[r]))
+            return xi - (0.3 + 0.1 * rows[r])
+
+        xi = _first_roots(h, rows, {0.2: 0.32, 0.4: 0.34, 0.6: 0.30}, 0.2, 1.0)
+        assert np.allclose(xi, 0.3 + 0.1 * rows, rtol=0.0, atol=1e-14)
+        # one call tries the warm brackets of the two rows between solved ones
+        assert seen[0][0].tolist() == [[0.32, 0.34], [0.30, 0.34]] and seen[0][1].tolist() == [[0.3] * 2, [0.5] * 2]
+        points = [(x, row) for xs, rs in seen for x, row in zip(np.ravel(xs), np.ravel(rs))]
+        assert {row for x, row in points if x in (0.2, 1.0)} == {0.1, 0.5, 0.8}
+        assert all(0.32 <= x <= 0.34 for x, row in points if row == 0.3)  # never halved, never the range
+
 
 class TestIMmse:
     # dC/ds = eta * mmse / 2 (Guo-Shamai-Verdu): the derivative of the mutual
@@ -460,6 +495,20 @@ class TestDiagnostics:
         sol = free_energy(TestGoldenValues.model(name), beta)
         assert sol.diagnostics.kernel_calls == diag.kernel_calls + 0
 
+    # Kernel calls of one solve that evaluates each (eta, xi) point once and
+    # warm-starts its xi solves (24, 29 and 579 when pinned), against 59, 54
+    # and 609 when every xi solve started cold and roots were bracket
+    # midpoints.  States-{0, 10} at sigma 1.5 spends most of its calls on a
+    # bracket where the cold xi solve switches roots, so eta jumps; no warm
+    # bracket holds there.
+    KERNEL_CALL_BOUNDS = {("mismatched", 0.75): 30, ("mismatched", 1.5): 35, ("states_0_10", 1.0): 600}
+
+    @pytest.mark.parametrize("key", KERNEL_CALL_BOUNDS, ids=[f"{n}-{b}" for n, b in KERNEL_CALL_BOUNDS])
+    def test_kernel_call_bounds(self, key):
+        name, beta = key
+        model = states_0_10_model(1.5) if name == "states_0_10" else TestGoldenValues.model(name)
+        assert solve_fixed_point(model, beta).diagnostics.kernel_calls <= self.KERNEL_CALL_BOUNDS[key]
+
     @pytest.mark.parametrize("name", ["binary_sym", "mismatched", "binary_two_snr"])
     def test_one_assessment_per_solve(self, name, monkeypatch):
         from replica_markov import solver
@@ -500,3 +549,52 @@ class TestDecoupleOnce:
         assert calls == []
         ModelSpec(prior=model.prior, postulated_prior=model.postulated_prior, sigma=model.sigma)
         assert "stationary_distribution" in calls  # the counters see a new model's derivation
+
+
+@st.composite
+def small_models(draw) -> ModelSpec:
+    """Irreducible 2-3 state chains with zero entries: matched, or at sigma 0.8 or 1.2 with the
+    true kernel or another one postulated."""
+    k = draw(st.integers(2, 3))
+    values = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    states = tuple(draw(st.lists(values, min_size=k, max_size=k, unique=True)))
+
+    def prior() -> MarkovPrior:
+        row = st.lists(st.integers(0, 3), min_size=k, max_size=k)
+        counts = np.array(draw(st.lists(row, min_size=k, max_size=k)), dtype=float)
+        assume(counts.sum(axis=1).all() and is_irreducible(counts))
+        return MarkovPrior.discrete(TransitionMatrix(states, counts / counts.sum(axis=1, keepdims=True)))
+
+    true = prior()
+    sigma = draw(st.sampled_from([1.0, 0.8, 1.2]))
+    postulated = prior() if sigma != 1.0 and draw(st.booleans()) else None
+    return ModelSpec(prior=true, postulated_prior=postulated, sigma=sigma)
+
+
+class TestSolveCache:
+    # A solve reads every channel moment it reports from the points it
+    # evaluated; fresh kernel calls at its fixed points must agree.
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(model=small_models(), beta=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_reported_points_agree_with_fresh_kernel_calls(self, model, beta):
+        def recording_root(f, a, b, fa, fb):
+            passed = [set() for _ in range(np.size(a))]
+
+            def g(x, idx):
+                for i, point in zip(idx.tolist(), np.ravel(x).tolist()):
+                    passed[i].add(point)
+                return f(x, idx)
+
+            roots = _root(g, a, b, fa, fb)
+            for root, seen, lo, hi in zip(roots.tolist(), passed, np.ravel(a), np.ravel(b)):
+                # a bracket narrower than 1e-14 from the start returns an end its caller evaluated
+                assert root in seen or (not seen and hi - lo < 1e-14 and root in (lo, hi))
+            return roots
+
+        with mock.patch.object(solver, "_root", recording_root):
+            points = solve_fixed_point(model, beta)
+        weights = model._decoupled.weights
+        for (eta, xi), reported in zip(points, points.free_energies):
+            assert fixed_point_residual(model, beta, eta, xi) < RESIDUAL_TOL
+            fresh = sum(w * free_energy_term(model, i, eta, xi, beta) for i, w in enumerate(weights))
+            assert abs(fresh - reported) <= 1e-12
