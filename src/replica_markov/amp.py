@@ -143,12 +143,16 @@ def replica_mmse_reference(kappa: float, gamma: float, beta: float) -> float:
 
 
 def amp_experiment(config: AmpConfig, replica_reference: float | None = None) -> AmpExperimentResult:
-    """Mean final MSE over independent trials, with the replica MMSE attached."""
+    """Mean final MSE over independent trials, with the replica MMSE attached.
+
+    Each trial's instance is released before the next one is drawn, so at
+    most one (m, n) sensing matrix is alive at a time.
+    """
     traces = np.empty((config.trials, config.iterations))
     for t in range(config.trials):
         y, A, x = sample_sparse_instance(config, t)
-        state = turbo_amp(y, A, config, x_true=x)
-        traces[t] = state.mse_trace
+        traces[t] = turbo_amp(y, A, config, x_true=x).mse_trace
+        del y, A, x
     finals = traces[:, -1]
     if replica_reference is None:  # evaluated at the achieved load n/m, the one the trials ran at
         replica_reference = replica_mmse_reference(config.kappa, config.gamma, config.n / config.m)

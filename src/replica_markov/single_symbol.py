@@ -199,22 +199,24 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
 
     Component c is integrated on the standardized line, U = out_mean_c +
     sqrt(2 out_var_c) t with weight exp(-t^2)/sqrt(pi), truncated to [-L, L]
-    where exp(-L^2) = 1e-17.  Level k puts 2^k + 1 evenly spaced nodes there;
-    each refinement evaluates only the 2^(k-1) new midpoints and forms
-    S_k = S_(k-1)/2 + h_k * (weighted sum over the midpoints).  For a
-    Gaussian-weighted integrand analytic near the real line the error falls
-    exponentially in the node count (Trefethen & Weideman 2014), and the even
-    spacing resolves a steep decision function anywhere on the line.
+    where exp(-L^2) = 1e-17.  Level k puts 2^k + 1 evenly spaced nodes there.
+    Each refinement evaluates only the 2^(k-1) new midpoints and forms
+    S_k = S_(k-1)/2 + h_k * (weighted sum over the midpoints).  The first two
+    levels, S_6 on 65 nodes and S_7 on their 64 midpoints, go to fn in one
+    call of 129 nodes when they fit one block.  For a Gaussian-weighted
+    integrand analytic near the real line the error falls exponentially in
+    the node count (Trefethen & Weideman 2014), and the even spacing resolves
+    a steep decision function anywhere on the line.
 
     ``fn`` receives the nodes of every component as one (..., components,
     nodes) array, with the batch axes of ``stats`` in front, and returns
     values of that shape, or a stack (moments, ..., components, nodes) of
     several integrands.  The node axis is fed to ``fn`` in blocks of at most
-    ``QUAD_BLOCK_ENTRIES`` entries.  The rule starts at 65 nodes and refines
-    until two successive estimates of every moment of every batch entry agree
-    to 1e-9 in absolute terms; if the level of QUAD_MAX_NODES intervals still
-    disagrees, it raises QuadratureError.  Returns a float for one unbatched integrand, else an
-    array of shape (moments, ...) or (...).
+    ``QUAD_BLOCK_ENTRIES`` entries.  The rule compares S_6 with S_7 first and
+    refines until two successive estimates of every moment of every batch
+    entry agree to 1e-9 in absolute terms; if the level of QUAD_MAX_NODES
+    intervals still disagrees, it raises QuadratureError.  Returns a float for
+    one unbatched integrand, else an array of shape (moments, ...) or (...).
     """
     _TALLY.calls += 1
     weights = np.exp(stats.log_w)
@@ -223,26 +225,39 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
     entries = math.prod(np.broadcast_shapes(centre.shape, scale.shape))
     step = max(1, QUAD_BLOCK_ENTRIES // entries)
 
-    def total(intervals: int, midpoints: bool):
-        t, w = _trapezoid(intervals, midpoints)
-        acc = 0.0
+    def totals(*rules):
+        """Weighted sums of fn, one per (nodes, weights) rule.
+
+        The nodes of all the rules go to fn in one call when they fit one
+        block of ``step`` nodes; otherwise each rule's nodes go ``step`` at a
+        time, so a block never holds the nodes of two rules.
+        """
+        if len(rules) > 1 and sum(len(nodes) for nodes, _ in rules) > step:
+            return [total for rule in rules for total in totals(rule)]
+        t = np.concatenate([nodes for nodes, _ in rules])
+        acc = [0.0] * len(rules)
         for i in range(0, len(t), step):
             vals = fn(centre + scale * t[i : i + step])
-            acc = acc + (vals.reshape(-1, vals.shape[-1]) @ w[i : i + step]).reshape(vals.shape[:-1])
-        return (acc * weights).sum(axis=-1)
+            flat = vals.reshape(-1, vals.shape[-1])
+            col = 0
+            for r, (_, w) in enumerate(rules):
+                w = w[i : i + step]  # several rules share one block, so i = 0 and this is all of w
+                acc[r] = acc[r] + (flat[:, col : col + len(w)] @ w).reshape(vals.shape[:-1])
+                col += len(w)
+        return [(a * weights).sum(axis=-1) for a in acc]
 
-    intervals = 2**_START_LEVEL
-    prev = total(intervals, False)
-    while intervals < QUAD_MAX_NODES:
+    intervals = 2 ** (_START_LEVEL + 1)
+    prev, mid = totals(_trapezoid(intervals // 2, False), _trapezoid(intervals, True))
+    cur = 0.5 * prev + mid
+    while not np.max(np.abs(cur - prev)) < QUAD_TOL:  # NaN refines until the raise
+        if intervals >= QUAD_MAX_NODES:
+            raise QuadratureError(
+                f"the trapezoid rule did not stabilize below {QUAD_TOL} by {QUAD_MAX_NODES + 1} nodes"
+            )
         intervals *= 2
-        cur = 0.5 * prev + total(intervals, True)
-        if np.max(np.abs(cur - prev)) < QUAD_TOL:
-            _TALLY.nodes = max(_TALLY.nodes, intervals + 1)
-            return cur if np.ndim(cur) else float(cur)
-        prev = cur
-    raise QuadratureError(
-        f"the trapezoid rule did not stabilize below {QUAD_TOL} by {QUAD_MAX_NODES + 1} nodes"
-    )
+        prev, cur = cur, 0.5 * cur + totals(_trapezoid(intervals, True))[0]
+    _TALLY.nodes = max(_TALLY.nodes, intervals + 1)
+    return cur if np.ndim(cur) else float(cur)
 
 
 @dataclass(frozen=True)

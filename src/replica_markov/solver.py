@@ -193,21 +193,28 @@ def _root(f, a, b, fa, fb):
     the stale end is scaled by m = 1 - f(c)/f(moved end), or halved when
     m <= 0 (Anderson & Bjorck 1973), so both ends converge; a secant point
     that rounds outside (a, b) is replaced by the midpoint.  A bracket stops
-    when it is narrower than 1e-14 or f is exactly 0.  Each root is the last
-    point of its bracket passed to f, so whatever f computed there is known
-    at the root; a bracket narrower than 1e-14 from the start is not
-    evaluated and returns its end with the smaller |f|.
+    when it is narrower than 1e-14, when f is exactly 0, or when its secant
+    point rounds onto an end this call evaluated (that end is then the root,
+    and the far end would only be halved); an end the caller passed in never
+    stops it this way.  Each root is a point of its bracket passed to f, so
+    whatever f computed there is known at the root; a bracket narrower than
+    1e-14 from the start is not evaluated and returns its end with the
+    smaller |f|.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     side = np.zeros(a.shape, dtype=int)
     active = np.ones(a.shape, dtype=bool)
+    own_a, own_b = np.zeros(a.shape, dtype=bool), np.zeros(a.shape, dtype=bool)  # ends this call evaluated
     c = np.where(abs(fa) <= abs(fb), a, b)
     for _ in range(_ROOT_MAX_ITER):
-        active &= b - a >= _ROOT_TOL
-        if not active.any():
-            break
         with np.errstate(divide="ignore", invalid="ignore"):
             secant = (a * fb - b * fa) / (fb - fa)
+        active &= b - a >= _ROOT_TOL
+        on_end = active & (((secant == a) & own_a) | ((secant == b) & own_b))
+        c = np.where(on_end, secant, c)
+        active &= ~on_end
+        if not active.any():
+            break
         c = np.where(active, np.where((a < secant) & (secant < b), secant, 0.5 * (a + b)), c)
         idx = np.flatnonzero(active)
         fc = np.zeros(a.shape)
@@ -221,6 +228,7 @@ def _root(f, a, b, fa, fb):
         fa = np.where(right & (side == -1), m * fa, np.where(left, fc, fa))
         fb = np.where(left & (side == 1), m * fb, np.where(right, fc, fb))
         a, b = np.where(left, c, a), np.where(right, c, b)
+        own_a, own_b = own_a | left, own_b | right
         side = np.where(right, -1, np.where(left, 1, side))
     return c
 
@@ -336,11 +344,12 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
     points over [1/(1 + beta sum w p s E[X^2|x0]), 1], and the xi of every
     new eta of one call as rows of 2 points each, in lockstep.  Each grid's
     left end is halved while its equation is still positive there, and each
-    sign change is refined by Anderson-Bjorck regula falsi to a bracket
-    narrower than 1e-14; the root is the last point evaluated in it.  An eta
-    between two solved ones first tries the bracket spanned by their xi, and
-    takes the initial xi range only if its equation does not change sign
-    across that bracket (``_first_roots``).
+    sign change is refined by Anderson-Bjorck regula falsi until its bracket
+    is narrower than 1e-14 or its secant point rounds onto an end it
+    evaluated; the root is a point evaluated in it.  An eta between two
+    solved ones first tries the bracket spanned by their xi, and takes the
+    initial xi range only if its equation does not change sign across that
+    bracket (``_first_roots``).
 
     The ``channel_moments`` rows of every (eta, xi) point are kept for the
     solve, keyed by the exact pair, and each kernel call evaluates only the

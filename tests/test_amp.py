@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,19 @@ class TestAmpExperiment:
         res = amp_experiment(cfg, replica_reference=ref)
         assert res.replica_mmse == ref
         assert res.traces.shape == (2, 4)
+
+    def test_one_sensing_matrix_alive_at_a_time(self):
+        # Each trial's (y, A, x) is released before the next is drawn: three
+        # trials peak at about one (m, n) matrix above the starting size, where
+        # holding the previous trial's matrix while drawing the next takes two.
+        # The warm-up call keeps the lazy imports of the first Generator out of the count.
+        amp_experiment(AmpConfig(kappa=0.3, gamma=0.8, n=20, trials=2, iterations=2), replica_reference=0.0)
+        cfg = AmpConfig(kappa=0.3, gamma=0.8, n=400, beta=1.0, trials=3, iterations=5, seed=11)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            amp_experiment(cfg, replica_reference=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.25 * cfg.m * cfg.n * 8

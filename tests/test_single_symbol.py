@@ -214,23 +214,31 @@ class TestInvariants:
 
 
 class TestQuadratureKernel:
-    def test_each_level_evaluates_only_its_new_midpoints(self):
+    def test_each_level_evaluates_only_its_new_midpoints(self, monkeypatch):
+        # The first two levels (65 nodes, then their 64 midpoints) are one
+        # call over the 129-node grid when it fits one block, and each later
+        # level evaluates only its new midpoints: cos(16 u) oscillates fast
+        # enough to need 257 nodes.  In blocks of 64 nodes the two levels go
+        # block by block, as separate levels, and no block mixes them.
         law = ConditionalInputLaw(((0.4, PointMass(-1.0)), (0.6, GaussianAtom(2.0, 0.5))))
         stats = _mixture_stats(law, 1.5, 0.8)
-        calls = []
-
-        def second_moment(u):
-            calls.append(u)
-            return u * u
-
-        got = mixture_expectation(second_moment, stats)
-        want = float(np.exp(stats.log_w) @ (stats.out_mean**2 + stats.out_var))
-        assert [u.shape for u in calls] == [(2, 65), (2, 64)]
-        # standardized, the two levels' nodes together are the 129-node grid, each node once
-        t = np.hstack([(u - stats.out_mean[:, None]) / np.sqrt(2.0 * stats.out_var)[:, None] for u in calls])
+        w, m, v = np.exp(stats.log_w), stats.out_mean, stats.out_var
         half = single_symbol._HALF_WIDTH
-        assert np.allclose(np.sort(t, axis=1), np.linspace(-half, half, 129), rtol=0.0, atol=1e-12)
-        assert abs(got - want) < 1e-12
+        cases = (
+            (lambda u: u * u, float(w @ (m**2 + v)), 2**12, [(2, 129)]),
+            (lambda u: np.cos(16.0 * u), float(w @ (np.cos(16.0 * m) * np.exp(-128.0 * v))), 2**12, [(2, 129), (2, 128)]),
+            (lambda u: u * u, float(w @ (m**2 + v)), 2 * 64, [(2, 64), (2, 1), (2, 64)]),
+        )
+        for integrand, want, block_entries, shapes in cases:
+            monkeypatch.setattr(single_symbol, "QUAD_BLOCK_ENTRIES", block_entries)
+            calls = []
+            got = mixture_expectation(lambda u: calls.append(u) or integrand(u), stats)
+            assert [u.shape for u in calls] == shapes
+            # standardized, the calls' nodes together are the finest grid, each node once
+            t = np.hstack([(u - m[:, None]) / np.sqrt(2.0 * v)[:, None] for u in calls])
+            nodes = np.linspace(-half, half, t.shape[1])
+            assert np.allclose(np.sort(t, axis=1), nodes, rtol=0.0, atol=1e-12)
+            assert abs(got - want) < 1e-12
 
     def test_gaussian_mixture_moments_in_closed_form(self):
         # E U^4 = sum w (m^4 + 6 m^2 v + 3 v^2) and E cos(aU) = sum w cos(a m) exp(-a^2 v / 2)

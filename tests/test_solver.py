@@ -405,6 +405,24 @@ class TestRootHelpers:
         root = _root(lambda x, _: np.cos(x), [1.0], [2.0], [math.cos(1.0)], [math.cos(2.0)])
         assert abs(root[0] - math.pi / 2.0) < 1e-14
 
+    # Evaluations of one _root: once the secant point rounds onto an end this
+    # call evaluated, the bracket stops there instead of halving its far end
+    # down to a width of 1e-14.
+    @pytest.mark.parametrize(
+        ("fn", "lo", "hi", "root", "evaluations"),
+        [
+            (lambda x: x**3 - 0.2, 0.0, 1.0, 0.2 ** (1.0 / 3.0), 9),
+            (np.cos, 1.0, 2.0, math.pi / 2.0, 5),
+            (lambda x: np.expm1(3.0 * (x - 0.2)), 0.0, 1.0, 0.2, 8),
+        ],
+        ids=["cube", "cos", "expm1"],
+    )
+    def test_endgame_stops_on_an_evaluated_end(self, fn, lo, hi, root, evaluations):
+        points = []
+        got = _root(lambda x, _: points.extend(np.ravel(x).tolist()) or fn(x), [lo], [hi], [fn(lo)], [fn(hi)])
+        assert len(points) == evaluations and got[0] in points
+        assert abs(got[0] - root) < 1e-14
+
     def test_first_roots_warm_bracket_and_fallback(self):
         # h(xi) = xi - (0.3 + 0.1 eta) on each row eta.  Row 0.3 lies between
         # solved rows whose roots 0.32 and 0.34 bracket its root 0.33: it is
@@ -495,13 +513,18 @@ class TestDiagnostics:
         sol = free_energy(TestGoldenValues.model(name), beta)
         assert sol.diagnostics.kernel_calls == diag.kernel_calls + 0
 
-    # Kernel calls of one solve that evaluates each (eta, xi) point once and
-    # warm-starts its xi solves (24, 29 and 579 when pinned), against 59, 54
-    # and 609 when every xi solve started cold and roots were bracket
-    # midpoints.  States-{0, 10} at sigma 1.5 spends most of its calls on a
+    # Kernel calls of one solve that evaluates each (eta, xi) point once,
+    # warm-starts its xi solves and stops each bracket once its secant point
+    # rounds onto an end it evaluated (24, 29, 427 and 123 when pinned).
+    # States-{0, 10} at sigma 1.5, beta 1 spends most of its calls on a
     # bracket where the cold xi solve switches roots, so eta jumps; no warm
     # bracket holds there.
-    KERNEL_CALL_BOUNDS = {("mismatched", 0.75): 30, ("mismatched", 1.5): 35, ("states_0_10", 1.0): 600}
+    KERNEL_CALL_BOUNDS = {
+        ("mismatched", 0.75): 30,
+        ("mismatched", 1.5): 35,
+        ("states_0_10", 1.0): 450,
+        ("states_0_10", 1.5): 130,
+    }
 
     @pytest.mark.parametrize("key", KERNEL_CALL_BOUNDS, ids=[f"{n}-{b}" for n, b in KERNEL_CALL_BOUNDS])
     def test_kernel_call_bounds(self, key):
