@@ -3,7 +3,8 @@
 Subcommands: ``replica sweep``, ``simulate exact``, ``simulate mh``,
 ``simulate amp``, ``pf deriv-check``, ``pf rate``.  Every subcommand takes
 ``--seed`` and ``--out``, and accepts ``--threads`` for old command lines
-but ignores it: rows run one after another in one thread.  ``replica
+but ignores it: rows run one after another in one thread, after one
+lockstep solve of every row's replica prediction.  ``replica
 sweep`` likewise ignores ``--verify``: every fixed point it reports has
 already passed the solver's residual check.  Results are CSV
 (RFC 4180); reruns with the same config and seed are byte-identical.  Exit
@@ -30,7 +31,7 @@ from .config import ConfigError, ExperimentConfig, validate_config, validate_rat
 from .markov_core import binary_markov_kernel
 from .perron import enumerate_q_states, log_pf_eigenvalue, pf_log_derivative, q_transition_matrix, rate_function
 from .simulator import empirical_free_energy, measurement_count, mh_mse_experiment, sample_instance
-from .solver import free_energy
+from .solver import ReplicaSolution, free_energies
 
 _LN2 = math.log(2.0)
 
@@ -74,33 +75,45 @@ def _amp_config(config: ExperimentConfig, beta_index: int) -> AmpConfig:
     )
 
 
-def compute_row(config: ExperimentConfig, beta_index: int) -> ResultRow:
+_FINITE_N_TASKS = ("exact_sim", "mh", "amp")
+
+
+def _replica_beta(config: ExperimentConfig, beta_index: int) -> float:
+    """The load a row's replica prediction is evaluated at: n/m when finite-n tasks run, else the requested beta."""
+    beta = config.betas[beta_index]
+    if any(t in config.tasks for t in _FINITE_N_TASKS):
+        return config.n / measurement_count(config.n, beta)
+    return beta
+
+
+def compute_row(config: ExperimentConfig, beta_index: int, replica: ReplicaSolution | Exception | None) -> ResultRow:
     """All requested tasks for one sweep point; task failures land in .errors.
 
-    When finite-n tasks run, the measurement count m = round(n/beta) makes the
-    achieved load n/m differ from the requested beta; the replica prediction
-    is evaluated at the achieved load so the row compares like with like, and
-    the achieved value is emitted alongside.
+    ``replica`` is the row's replica solution, or the exception of its solve,
+    as ``run_sweep`` hands it over (None when the replica task is not
+    requested): the row solves nothing itself.  When finite-n tasks run, the
+    measurement count m = round(n/beta) makes the achieved load n/m differ
+    from the requested beta; the replica prediction is evaluated at the
+    achieved load so the row compares like with like, and the achieved value
+    is emitted alongside.
     """
     beta = config.betas[beta_index]
     row = ResultRow(beta=beta)
     factor = _units_factor(config.units)
     seed = _row_seed(config.seed, beta_index)
     failures = []
-    replica_beta = beta
-    if any(t in config.tasks for t in ("exact_sim", "mh", "amp")):
-        row.achieved_beta = replica_beta = config.n / measurement_count(config.n, beta)
-    if "replica" in config.tasks:
-        try:
-            sol = free_energy(config.model, replica_beta)
-            row.eta, row.xi = sol.eta, sol.xi
-            row.free_energy = sol.free_energy * factor
-            if sol.mutual_info is not None:
-                row.mutual_info = sol.mutual_info * factor
-            if sol.mmse is not None:
-                row.mmse = sol.mmse
-        except Exception as exc:  # recorded per row, sweep continues
-            failures.append(f"replica: {exc}")
+    replica_beta = _replica_beta(config, beta_index)
+    if any(t in config.tasks for t in _FINITE_N_TASKS):
+        row.achieved_beta = replica_beta
+    if isinstance(replica, Exception):
+        failures.append(f"replica: {replica}")
+    elif replica is not None:
+        row.eta, row.xi = replica.eta, replica.xi
+        row.free_energy = replica.free_energy * factor
+        if replica.mutual_info is not None:
+            row.mutual_info = replica.mutual_info * factor
+        if replica.mmse is not None:
+            row.mmse = replica.mmse
     if "exact_sim" in config.tasks:
         try:
             mean, se = empirical_free_energy(config.model, config.n, beta, config.trials, seed)
@@ -129,8 +142,22 @@ def compute_row(config: ExperimentConfig, beta_index: int) -> ResultRow:
 
 
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
-    """One ResultRow per beta, ascending; deterministic for a given seed."""
-    return [compute_row(config, i) for i in range(len(config.betas))]
+    """One ResultRow per beta, ascending; deterministic for a given seed.
+
+    The replica task solves every row in one lockstep solve
+    (``solver.free_energies``) at the rows' replica betas, the achieved
+    loads when finite-n tasks run, before any row's other tasks.  Each row
+    then gets its own solution or the exception of its own solve; an error
+    that stops the whole solve lands on every row.
+    """
+    indices = range(len(config.betas))
+    replica: list = [None] * len(indices)
+    if "replica" in config.tasks:
+        try:
+            replica = free_energies(config.model, [_replica_beta(config, i) for i in indices])
+        except Exception as exc:  # recorded on every row, the sweep continues
+            replica = [exc] * len(indices)
+    return [compute_row(config, i, replica[i]) for i in indices]
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:

@@ -38,8 +38,11 @@ _HALF_WIDTH = math.sqrt(17.0 * math.log(10.0))
 # The first level has 2^6 intervals (65 nodes).
 _START_LEVEL = 6
 # Integrand entries (batch x components x nodes) per evaluation of the
-# integrand; larger node counts are summed block by block.
+# integrand; larger node counts are summed block by block.  A block has at
+# least QUAD_MIN_BLOCK_NODES nodes, however large the batch: a call's fixed
+# cost would otherwise dominate a big batch's integrand calls.
 QUAD_BLOCK_ENTRIES = 2**12
+QUAD_MIN_BLOCK_NODES = 16
 
 
 class QuadratureError(RuntimeError):
@@ -211,8 +214,11 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
     ``fn`` receives the nodes of every component as one (..., components,
     nodes) array, with the batch axes of ``stats`` in front, and returns
     values of that shape, or a stack (moments, ..., components, nodes) of
-    several integrands.  The node axis is fed to ``fn`` in blocks of at most
-    ``QUAD_BLOCK_ENTRIES`` entries.  The rule compares S_6 with S_7 first and
+    several integrands.  Each level's node axis is fed to ``fn`` in the fewest
+    near-equal blocks of at most ``QUAD_BLOCK_ENTRIES`` entries, or of
+    ``QUAD_MIN_BLOCK_NODES`` nodes when the batch is larger than
+    ``QUAD_BLOCK_ENTRIES / QUAD_MIN_BLOCK_NODES`` entries: a 65-node level
+    in blocks of 64 goes as 33 + 32.  The rule compares S_6 with S_7 first and
     refines until two successive estimates of every moment of every batch
     entry agree to 1e-9 in absolute terms; if the level of QUAD_MAX_NODES
     intervals still disagrees, it raises QuadratureError.  Returns a float for
@@ -223,25 +229,28 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
     centre = stats.out_mean[..., None]
     scale = np.sqrt(2.0 * stats.out_var)[..., None]
     entries = math.prod(np.broadcast_shapes(centre.shape, scale.shape))
-    step = max(1, QUAD_BLOCK_ENTRIES // entries)
+    step = max(QUAD_MIN_BLOCK_NODES, QUAD_BLOCK_ENTRIES // entries)
 
     def totals(*rules):
         """Weighted sums of fn, one per (nodes, weights) rule.
 
         The nodes of all the rules go to fn in one call when they fit one
-        block of ``step`` nodes; otherwise each rule's nodes go ``step`` at a
-        time, so a block never holds the nodes of two rules.
+        block of ``step`` nodes; otherwise each rule's nodes go in the fewest
+        blocks of at most ``step`` nodes, near-equal in size, so a block
+        never holds the nodes of two rules.
         """
         if len(rules) > 1 and sum(len(nodes) for nodes, _ in rules) > step:
             return [total for rule in rules for total in totals(rule)]
         t = np.concatenate([nodes for nodes, _ in rules])
+        blocks = -(-len(t) // step)
+        edges = [-(-len(t) * i // blocks) for i in range(blocks + 1)]
         acc = [0.0] * len(rules)
-        for i in range(0, len(t), step):
-            vals = fn(centre + scale * t[i : i + step])
+        for lo, hi in zip(edges, edges[1:]):
+            vals = fn(centre + scale * t[lo:hi])
             flat = vals.reshape(-1, vals.shape[-1])
             col = 0
             for r, (_, w) in enumerate(rules):
-                w = w[i : i + step]  # several rules share one block, so i = 0 and this is all of w
+                w = w[lo:hi]  # several rules share one block, so lo = 0 and this is all of w
                 acc[r] = acc[r] + (flat[:, col : col + len(w)] @ w).reshape(vals.shape[:-1])
                 col += len(w)
         return [(a * weights).sum(axis=-1) for a in acc]

@@ -22,6 +22,7 @@ average of E[<X|X0>^2].
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,7 @@ from .markov_core import (
 )
 from .single_symbol import (
     ChannelTable,
+    QuadratureError,
     channel_errors,
     channel_moments,
     channel_table,
@@ -144,13 +146,19 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """How a fixed-point solve reached its answer."""
+    """How a fixed-point solve reached its answer.
+
+    Every field but ``kernel_calls`` and ``max_nodes`` counts this beta's own
+    work.  Those two count the kernel calls of the whole lockstep solve: the
+    betas of one batch share every call, so each of them reports all of the
+    batch's calls and its largest node count.
+    """
 
     scan_points: int = 0  # eta values of the geometric scan, left-end extensions included
     brackets: int = 0  # sign changes the scan found, each refined to a root
     evaluations: int = 0  # root-function evaluations, one per point, inner xi solves included
-    kernel_calls: int = 0  # quadrature kernel (mixture_expectation) calls
-    max_nodes: int = 0  # largest trapezoid node count (2^k + 1) any quadrature converged at
+    kernel_calls: int = 0  # quadrature kernel (mixture_expectation) calls, shared with the batch's other betas
+    max_nodes: int = 0  # largest trapezoid node count (2^k + 1) any quadrature of the batch converged at
     residual: float = math.nan  # largest fixed_point_residual over the verified candidates
 
 
@@ -273,23 +281,28 @@ def _roots(f, lo, hi, points: int) -> tuple[list[np.ndarray], np.ndarray, np.nda
     return per_row, counts, change.sum(axis=1)
 
 
-def _first_roots(h, rows: np.ndarray, solved: dict, lo: float, hi: float) -> np.ndarray:
+def _first_roots(h, rows: list, solved: dict, lo, hi: float) -> np.ndarray:
     """First root of h on each row (NaN where it has none), warm-started from the roots of solved rows.
 
-    h(x, r) evaluates row rows[r] at x, for arrays x and r of one shape;
-    ``solved`` maps the rows solved before to their roots.  A row between two
-    solved rows first tries the bracket spanned by the roots of its nearest
-    neighbours below and above: it is kept only if h < 0 at its low end and
-    h > 0 at its high end, so it holds a root and is never halved.  Every
-    other row takes [lo, hi] with the left-end halving of ``_roots``, and one
-    ``_roots`` call refines all rows in lockstep.
+    Each row is a (group, x) pair; h(x, r) evaluates row rows[r] at x, for
+    arrays x and r of one shape, and ``solved`` maps the rows solved before
+    to their roots.  A row between two solved rows of its own group (the
+    nearest x below and above) first tries the bracket spanned by their
+    roots: it is kept only if h < 0 at its low end and h > 0 at its high end,
+    so it holds a root and is never halved.  Every other row takes [lo, hi]
+    (``lo`` a scalar or one value per row) with the left-end halving of
+    ``_roots``, and one ``_roots`` call refines all rows in lockstep.
     """
-    known = np.array(sorted(solved))
-    at = np.searchsorted(known, rows)
-    inner = np.flatnonzero((at > 0) & (at < known.size))
-    left, right = np.full(rows.shape, lo), np.full(rows.shape, hi)
-    if inner.size:
-        ends = np.sort([[solved[known[i - 1]], solved[known[i]]] for i in at[inner]], axis=1)
+    known = sorted(solved)
+    inner, ends = [], []
+    for r, row in enumerate(rows):
+        at = bisect.bisect(known, row)
+        if 0 < at < len(known) and known[at - 1][0] == row[0] == known[at][0]:
+            inner.append(r)
+            ends.append(sorted((solved[known[at - 1]], solved[known[at]])))
+    left, right = np.broadcast_to(np.asarray(lo, dtype=float), len(rows)).copy(), np.full(len(rows), hi)
+    if inner:
+        inner, ends = np.array(inner), np.array(ends)
         fs = h(ends, np.repeat(inner[:, None], 2, axis=1))
         warm = (fs[:, 0] < 0.0) & (fs[:, 1] > 0.0)
         left[inner[warm]], right[inner[warm]] = ends[warm].T
@@ -329,8 +342,8 @@ def fixed_point_residual(model: ModelSpec, beta: float, eta: float, xi: float) -
     return float(_assess(model, beta, eta, xi)[0])
 
 
-def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
-    """All (eta, xi) fixed points: a scan for sign changes, then a bracketed root in each.
+def _solve(model: ModelSpec, betas) -> list[FixedPoints | Exception]:
+    """All (eta, xi) fixed points at every load of ``betas`` in lockstep: a sign-change scan, then a root in each bracket.
 
     One root function serves every model,
 
@@ -340,104 +353,185 @@ def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
     true one).  Otherwise xi(eta) is the first root of its own equation
     xi = 1/(sigma^2 + beta sum w p s var(eta, xi)) on
     [1/(sigma^2 + beta sum w p s E_q[X^2|x0]), 1/sigma^2], solved once per
-    eta.  Both are solved by ``_roots``: eta as one row of 16 geometric
-    points over [1/(1 + beta sum w p s E[X^2|x0]), 1], and the xi of every
-    new eta of one call as rows of 2 points each, in lockstep.  Each grid's
-    left end is halved while its equation is still positive there, and each
-    sign change is refined by Anderson-Bjorck regula falsi until its bracket
-    is narrower than 1e-14 or its secant point rounds onto an end it
-    evaluated; the root is a point evaluated in it.  An eta between two
-    solved ones first tries the bracket spanned by their xi, and takes the
-    initial xi range only if its equation does not change sign across that
-    bracket (``_first_roots``).
+    (beta, eta).  Both are solved by ``_roots``.  Each beta is one eta row of
+    16 geometric points over [1/(1 + beta sum w p s E[X^2|x0]), 1], and the
+    rows of all betas share one ``_roots`` call, so every step of the scan,
+    the halvings and the refinement is one call of f for the whole batch.
+    The xi of every new (beta, eta) pair of one call are rows of 2 points
+    each, also in lockstep.  Each grid's left end is halved while its
+    equation is still positive there, and each sign change is refined by
+    Anderson-Bjorck regula falsi until its bracket is narrower than 1e-14 or
+    its secant point rounds onto an end it evaluated; the root is a point
+    evaluated in it.  An eta between two solved etas of the same beta first
+    tries the bracket spanned by their xi, and takes the initial xi range
+    only if its equation does not change sign across that bracket
+    (``_first_roots``).
 
     The ``channel_moments`` rows of every (eta, xi) point are kept for the
-    solve, keyed by the exact pair, and each kernel call evaluates only the
-    points not seen before.  A root is an evaluated point, so the mse at a
-    solved xi, the xi of the eta roots and the assessment of the roots cost
-    no kernel call.  Roots are deduplicated at 1e-6 resolution, verified
-    against the general-form residual below 1e-8, and scored by free energy
-    and MMSE term.  The result carries those scores and the diagnostics of
-    the solve.
+    whole batch, keyed by the exact pair (they do not depend on beta), and
+    each step's new points go to one kernel call.  A root is an evaluated
+    point, so the mse at a solved xi, the xi of the eta roots and the
+    assessment of the roots cost no kernel call.  Roots are deduplicated at
+    1e-6 resolution, verified against the general-form residual below 1e-8,
+    and scored by free energy and MMSE term.
+
+    A beta whose solve fails leaves the others as they are.  Its failure is
+    a SolverError (no xi root, or no fixed point passes the residual check)
+    or the QuadratureError of a kernel call over its own new points, tried
+    after a call over the whole batch failed.  From then on f reads 0 on its
+    rows, which ends their searches without a kernel call.  Returns, in the
+    order of ``betas``, each beta's FixedPoints or the exception of its solve.
     """
-    if not beta > 0:
+    betas = np.array(betas, dtype=float).ravel()
+    if not (betas > 0).all():  # also rejects NaN
         raise ValidationError("beta must be > 0")
     dec = model._decoupled
     sigma_sq = model.sigma**2
-    evaluations = 0
+    count = betas.size
+    evaluations = np.zeros(count, dtype=int)
+    stopped = np.zeros(count, dtype=bool)
+    failures: dict[int, Exception] = {}
     take_kernel_tally()
     cache: dict[tuple[float, float], np.ndarray] = {}
+    unknown = np.full((dec.table.s.size, 4), np.nan)
 
-    def moments(eta, xi) -> np.ndarray:
-        """``channel_moments`` at arrays of (eta, xi) points; the points not in ``cache`` go to one kernel call."""
-        eta, xi = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(xi, dtype=float))
+    def stop(b: int, exc: Exception):
+        if not stopped[b]:
+            stopped[b], failures[b] = True, exc
+
+    def moments(eta, xi, owners) -> np.ndarray:
+        """``channel_moments`` at arrays of (eta, xi) points of the betas ``owners``; points of stopped betas read NaN.
+
+        The points not in ``cache`` go to one kernel call.  If it fails, each
+        beta's points go to a call of their own, and a beta whose call fails
+        is stopped.
+        """
         keys = list(zip(eta.ravel().tolist(), xi.ravel().tolist()))
-        new = [k for k in keys if k not in cache]
+        owners = owners.ravel().tolist()
+        new = list(dict.fromkeys(k for k, b in zip(keys, owners) if k not in cache and not stopped[b]))
         if new:
-            cache.update(zip(new, channel_moments(dec.table, *np.array(new).T)))
-        return np.array([cache[k] for k in keys]).reshape(eta.shape + (dec.table.s.size, 4))
+            try:
+                cache.update(zip(new, channel_moments(dec.table, *np.array(new).T)))
+            except QuadratureError:
+                for b in dict.fromkeys(owners):
+                    mine = list(dict.fromkeys(k for k, o in zip(keys, owners) if o == b and k not in cache))
+                    if mine and not stopped[b]:
+                        try:
+                            cache.update(zip(mine, channel_moments(dec.table, *np.array(mine).T)))
+                        except QuadratureError as exc:
+                            stop(b, exc)
+        return np.array([cache.get(k, unknown) for k in keys]).reshape(eta.shape + unknown.shape)
+
+    def live(x, b, fn) -> np.ndarray:
+        """fn(on) at the points x[on] of betas b[on] not stopped (arrays x and b of one shape); the rest read 0."""
+        x, b = np.asarray(x, dtype=float), np.asarray(b)
+        out = np.zeros(x.shape)
+        on = ~stopped[b]
+        if on.any():
+            np.add.at(evaluations, b[on], 1)
+            out[on] = fn(on)
+            out[stopped[b]] = 0.0
+        return out
 
     # Error and variance sums are nonnegative; clamping their rounding at 0
     # keeps f >= 0 at the right end of every bracket.
 
     if model.is_matched:
 
-        def xi_at(eta):
+        def xi_at(eta, b):
             return eta
 
     else:
-        xi_lo = 1.0 / (sigma_sq + beta * dec.post_s_moment)
-        xi_hi = 1.0 / sigma_sq
-        solved: dict[float, float] = {}
+        xi_lo = 1.0 / (sigma_sq + betas * dec.post_s_moment)
+        solved: dict[tuple[int, float], float] = {}
 
-        def xi_at(eta):
-            """Each eta's first root xi of the postulated-noise equation; an eta solved before is looked up."""
-            rows = np.array([e for e in np.ravel(eta).tolist() if e not in solved])
-            if rows.size:
+        def xi_at(eta, b):
+            """The first root xi of the postulated-noise equation at each (beta, eta); a solved pair is looked up."""
+            keys = list(zip(b.tolist(), eta.tolist()))
+            rows = [k for k in dict.fromkeys(keys) if k not in solved]
+            if rows:
+                bs, etas = map(np.array, zip(*rows))
 
                 def h(xi, r):
-                    nonlocal evaluations
-                    evaluations += np.size(xi)
-                    var = _weighted_errors(dec, moments(rows[r], xi))[1]
-                    return xi - 1.0 / (sigma_sq + beta * np.maximum(var, 0.0))
+                    def at(on):
+                        x, rb = xi[on], bs[r][on]
+                        var = _weighted_errors(dec, moments(etas[r][on], x, rb))[1]
+                        return x - 1.0 / (sigma_sq + betas[rb] * np.maximum(var, 0.0))
 
-                xi = _first_roots(h, rows, solved, xi_lo, xi_hi)
-                if np.isnan(xi).any():
-                    raise SolverError(f"no xi solves the postulated-noise equation at eta={rows[np.isnan(xi)][0]}")
-                solved.update(zip(rows.tolist(), xi.tolist()))
-            return np.array([solved[e] for e in np.ravel(eta).tolist()]).reshape(np.shape(eta))
+                    return live(xi, bs[r], at)
 
-    def f(eta, _rows):
-        nonlocal evaluations
-        evaluations += np.size(eta)
-        return eta - 1.0 / (1.0 + beta * np.maximum(_weighted_errors(dec, moments(eta, xi_at(eta)))[0], 0.0))
+                xi = _first_roots(h, rows, solved, xi_lo[bs], 1.0 / sigma_sq).tolist()
+                for (beta_index, e), x in zip(rows, xi):
+                    if math.isnan(x):
+                        stop(beta_index, SolverError(f"no xi solves the postulated-noise equation at eta={e}"))
+                solved.update(zip(rows, xi))
+            return np.array([solved[k] for k in keys])
 
-    eta_lo = 1.0 / (1.0 + beta * dec.true_s_moment)
-    (roots,), (points,), (brackets,) = _roots(f, [eta_lo], [1.0], _SCAN_POINTS)
-    found: list[tuple[float, float]] = []
-    for eta, xi in zip(roots.tolist(), xi_at(roots).tolist()):
-        if not any(abs(eta - e) < _CLUSTER_TOL and abs(xi - x) < _CLUSTER_TOL for e, x in found):
-            found.append((eta, xi))
-    keep = []
-    if found:
-        etas, xis = np.array(found).T
-        residuals, terms, msq = _assess(model, beta, etas, xis, moments(etas, xis))
-        keep = sorted(np.flatnonzero(residuals < RESIDUAL_TOL), key=found.__getitem__)
-    if not keep:
-        raise SolverError(
-            f"no fixed point converged for beta={beta} "
-            f"(scan points: {points}, brackets: {brackets})"
-        )
+    def f(eta, rows):
+        def at(on):
+            e, b = eta[on], rows[on]
+            mse = _weighted_errors(dec, moments(e, xi_at(e, b), b))[0]
+            return e - 1.0 / (1.0 + betas[b] * np.maximum(mse, 0.0))
+
+        return live(eta, rows, at)
+
+    roots, points, brackets = _roots(f, 1.0 / (1.0 + betas * dec.true_s_moment), np.ones(count), _SCAN_POINTS)
+    found: list[list[tuple[float, float]]] = [[] for _ in range(count)]
+    for b in np.flatnonzero(~stopped):
+        for eta, xi in zip(roots[b].tolist(), xi_at(roots[b], np.full(roots[b].size, b)).tolist()):
+            if not any(abs(eta - e) < _CLUSTER_TOL and abs(xi - x) < _CLUSTER_TOL for e, x in found[b]):
+                found[b].append((eta, xi))
+    candidates = [p for pts in found for p in pts]
+    if candidates:
+        owner = np.repeat(np.arange(count), [len(pts) for pts in found])
+        etas, xis = np.array(candidates).T
+        residuals, terms, msq = _assess(model, betas[owner], etas, xis, moments(etas, xis, owner))
     calls, nodes = take_kernel_tally()
-    diagnostics = SolveDiagnostics(
-        scan_points=int(points),
-        brackets=int(brackets),
-        evaluations=evaluations,
-        kernel_calls=calls,
-        max_nodes=nodes,
-        residual=float(residuals[keep].max()),
-    )
-    return FixedPoints([found[i] for i in keep], diagnostics, [float(dec.weights @ terms[i]) for i in keep], msq[keep])
+    out: list[FixedPoints | Exception] = []
+    end = 0
+    for b in range(count):
+        mine = range(end, end + len(found[b]))
+        end = mine.stop
+        keep = sorted((i for i in mine if residuals[i] < RESIDUAL_TOL), key=candidates.__getitem__)
+        if stopped[b]:
+            out.append(failures[b])
+        elif not keep:
+            out.append(
+                SolverError(
+                    f"no fixed point converged for beta={float(betas[b])} "
+                    f"(scan points: {points[b]}, brackets: {brackets[b]})"
+                )
+            )
+        else:
+            diagnostics = SolveDiagnostics(
+                scan_points=int(points[b]),
+                brackets=int(brackets[b]),
+                evaluations=int(evaluations[b]),
+                kernel_calls=calls,
+                max_nodes=nodes,
+                residual=float(residuals[keep].max()),
+            )
+            terms_b = [float(dec.weights @ terms[i]) for i in keep]
+            out.append(FixedPoints([candidates[i] for i in keep], diagnostics, terms_b, msq[keep]))
+    return out
+
+
+def _one(results: list):
+    """The one result of a one-beta batch, raised if it is an exception."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
+    """All (eta, xi) fixed points at one load: the one-beta case of the lockstep solve (``_solve``).
+
+    Raises the SolverError or QuadratureError of a failed solve.  The
+    result carries the free energy and MMSE term of each point, in the order
+    of the points, and the diagnostics of the solve.
+    """
+    return _one(_solve(model, [beta]))
 
 
 def free_energy_term(model: ModelSpec, state_index: int, eta: float, xi: float, beta: float) -> float:
@@ -445,14 +539,26 @@ def free_energy_term(model: ModelSpec, state_index: int, eta: float, xi: float, 
     return float(_assess(model, beta, eta, xi)[1][state_index])
 
 
-def free_energy(model: ModelSpec, beta: float) -> ReplicaSolution:
-    """Free energy (nats per signal component) at the minimizing fixed point.
+def free_energies(model: ModelSpec, betas) -> list[ReplicaSolution | Exception]:
+    """Free energy (nats per signal component) at the minimizing fixed point of each load, solved in lockstep.
 
+    All betas share one solve (``_solve``); each entry, in the order of
+    ``betas``, is a ReplicaSolution or the exception of that beta's solve.
     Matched models also carry mutual information C = F - log(2 pi e)/(2 beta)
     and the average MMSE from the decoupled second-moment identity.  Every
     value is read off the solve's own assessment of its fixed points.
     """
-    candidates = solve_fixed_point(model, beta)
+    out: list[ReplicaSolution | Exception] = []
+    for beta, candidates in zip(np.ravel(betas).tolist(), _solve(model, betas)):
+        try:
+            out.append(candidates if isinstance(candidates, Exception) else _minimum(model, beta, candidates))
+        except SolverError as exc:
+            out.append(exc)
+    return out
+
+
+def _minimum(model: ModelSpec, beta: float, candidates: FixedPoints) -> ReplicaSolution:
+    """The solution at the candidate of least free energy, with MI and MMSE when matched."""
     scored = tuple((eta, xi, fe) for (eta, xi), fe in zip(candidates, candidates.free_energies))
     best = min(range(len(scored)), key=lambda i: scored[i][2])
     eta, xi, fmin = scored[best]
@@ -465,6 +571,11 @@ def free_energy(model: ModelSpec, beta: float) -> ReplicaSolution:
             raise SolverError(f"MMSE {mmse} escapes [0, {m2}] beyond numerical tolerance")
         mmse = float(min(max(mmse, 0.0), m2))
     return ReplicaSolution(beta, eta, xi, fmin, mutual, mmse, scored, candidates.diagnostics)
+
+
+def free_energy(model: ModelSpec, beta: float) -> ReplicaSolution:
+    """Free energy at one load: the one-beta case of ``free_energies``; raises the exception of a failed solve."""
+    return _one(free_energies(model, [beta]))
 
 
 def mutual_information(model: ModelSpec, beta: float, units: str = "nats") -> float:

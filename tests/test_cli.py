@@ -175,6 +175,49 @@ class TestRunSweep:
         assert row.errors == ""
 
 
+@pytest.mark.parametrize("fault", ["residual", "quadrature"])
+def test_a_failed_beta_fails_only_its_own_row(tmp_path, capsys, monkeypatch, fault):
+    # beta=2 alone fails: at the residual check, or in every kernel call that
+    # holds a point below eta=0.4, which only its scan reaches (it starts at
+    # 1/3, the others at 1/2 and 2/3)
+    from replica_markov import solver
+    from replica_markov.single_symbol import QuadratureError
+
+    if fault == "residual":
+        assess = solver._assess
+
+        def faulty(model, beta, *rest):
+            residual, *scores = assess(model, beta, *rest)
+            return (residual + np.where(np.asarray(beta) == 2.0, 1.0, 0.0), *scores)
+
+        monkeypatch.setattr(solver, "_assess", faulty)
+    else:
+        moments = solver.channel_moments
+
+        def faulty(table, eta, xi):
+            if np.min(eta) < 0.4:
+                raise QuadratureError("no stable value below eta=0.4")
+            return moments(table, eta, xi)
+
+        monkeypatch.setattr(solver, "channel_moments", faulty)
+
+    def sweep(betas):
+        cfg, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        cfg.write_text(json.dumps(base_doc(sweep={"betas": betas})))
+        code = main(["replica", "sweep", "--config", str(cfg), "--out", str(out)])
+        return code, list(csv.DictReader(out.read_text().splitlines()))
+
+    code, rows = sweep([0.5, 1.0, 2.0])
+    assert code == 3 and "numeric failures: replica: " in capsys.readouterr().err
+    assert [r["errors"].startswith("replica: ") for r in rows] == [False, False, True]
+    assert rows[0]["errors"] == rows[1]["errors"] == "" and rows[2]["eta"] == rows[2]["free_energy"] == ""
+    for row in rows[:2]:
+        code, (alone,) = sweep([float(row["beta"])])
+        assert code == 0 and row.keys() == alone.keys()
+        for key in ("beta", "eta", "xi", "free_energy", "mutual_info", "mmse"):
+            assert abs(float(row[key]) - float(alone[key])) <= 1e-13 * abs(float(alone[key]))
+
+
 class TestCsv:
     def test_header_and_empty_fields(self):
         text = rows_to_csv([ResultRow(beta=1.0, free_energy=1.5)])

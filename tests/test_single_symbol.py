@@ -219,7 +219,9 @@ class TestQuadratureKernel:
         # call over the 129-node grid when it fits one block, and each later
         # level evaluates only its new midpoints: cos(16 u) oscillates fast
         # enough to need 257 nodes.  In blocks of 64 nodes the two levels go
-        # block by block, as separate levels, and no block mixes them.
+        # as separate levels, each in near-equal blocks (65 as 33 + 32), and
+        # no block mixes them.  A batch too large for 16 nodes a block still
+        # gets 16-node blocks (65 as 5 x 13).
         law = ConditionalInputLaw(((0.4, PointMass(-1.0)), (0.6, GaussianAtom(2.0, 0.5))))
         stats = _mixture_stats(law, 1.5, 0.8)
         w, m, v = np.exp(stats.log_w), stats.out_mean, stats.out_var
@@ -227,7 +229,8 @@ class TestQuadratureKernel:
         cases = (
             (lambda u: u * u, float(w @ (m**2 + v)), 2**12, [(2, 129)]),
             (lambda u: np.cos(16.0 * u), float(w @ (np.cos(16.0 * m) * np.exp(-128.0 * v))), 2**12, [(2, 129), (2, 128)]),
-            (lambda u: u * u, float(w @ (m**2 + v)), 2 * 64, [(2, 64), (2, 1), (2, 64)]),
+            (lambda u: u * u, float(w @ (m**2 + v)), 2 * 64, [(2, 33), (2, 32), (2, 64)]),
+            (lambda u: u * u, float(w @ (m**2 + v)), 2 * 8, [(2, 13)] * 5 + [(2, 16)] * 4),
         )
         for integrand, want, block_entries, shapes in cases:
             monkeypatch.setattr(single_symbol, "QUAD_BLOCK_ENTRIES", block_entries)
@@ -304,7 +307,8 @@ class TestQuadratureKernel:
             return mixture_expectation(recorded, stats)
 
         monkeypatch.setattr(single_symbol, "mixture_expectation", block_shapes)
-        monkeypatch.setattr(single_symbol, "QUAD_BLOCK_ENTRIES", 3 * entries)  # 3 nodes a block, a short last one
+        monkeypatch.setattr(single_symbol, "QUAD_BLOCK_ENTRIES", 3 * entries)  # at most 3 nodes a block
+        monkeypatch.setattr(single_symbol, "QUAD_MIN_BLOCK_NODES", 1)
         blocks = channel_moments(table, etas, xis)
         assert whole.shape == blocks.shape == (3, 4, len(table.s), 4)
         assert max(s[-1] for s in shapes) == 3 and max(np.prod(s) for s in shapes) <= 3 * entries

@@ -15,6 +15,7 @@ from replica_markov import (
     TransitionMatrix,
     binary_markov_kernel,
     fixed_point_residual,
+    free_energies,
     free_energy,
     free_energy_term,
     gauss_markov_eta,
@@ -424,26 +425,31 @@ class TestRootHelpers:
         assert abs(got[0] - root) < 1e-14
 
     def test_first_roots_warm_bracket_and_fallback(self):
-        # h(xi) = xi - (0.3 + 0.1 eta) on each row eta.  Row 0.3 lies between
-        # solved rows whose roots 0.32 and 0.34 bracket its root 0.33: it is
-        # solved there alone.  The neighbours of row 0.5 have roots 0.34 and
-        # 0.30, and h < 0 at both (its root is 0.35): it falls back to the
-        # range [0.2, 1], as do rows 0.1 and 0.8, which have a neighbour on
-        # one side only.  All rows are refined in one lockstep search.
-        rows = np.array([0.1, 0.3, 0.5, 0.8])
+        # h(xi) = xi - (0.3 + 0.1 eta) on each row (group, eta).  Row (0, 0.3)
+        # lies between solved rows of its group whose roots 0.32 and 0.34
+        # bracket its root 0.33: it is solved there alone.  The neighbours of
+        # row (0, 0.5) have roots 0.34 and 0.30, and h < 0 at both (its root
+        # is 0.35): it falls back to the range [0.2, 1], as do rows (0, 0.1)
+        # and (0, 0.8), which have a neighbour on one side only, and row
+        # (1, 0.05), whose neighbours (0, 0.6) and (1, 0.1) are of two groups.
+        # All rows are refined in one lockstep search.
+        rows = [(0, 0.1), (0, 0.3), (0, 0.5), (0, 0.8), (1, 0.05)]
+        etas = np.array([eta for _, eta in rows])
         seen = []
 
         def h(xi, r):
-            seen.append((np.array(xi), rows[r]))
-            return xi - (0.3 + 0.1 * rows[r])
+            seen.append((np.array(xi), np.array(r)))
+            return xi - (0.3 + 0.1 * etas[r])
 
-        xi = _first_roots(h, rows, {0.2: 0.32, 0.4: 0.34, 0.6: 0.30}, 0.2, 1.0)
-        assert np.allclose(xi, 0.3 + 0.1 * rows, rtol=0.0, atol=1e-14)
-        # one call tries the warm brackets of the two rows between solved ones
-        assert seen[0][0].tolist() == [[0.32, 0.34], [0.30, 0.34]] and seen[0][1].tolist() == [[0.3] * 2, [0.5] * 2]
-        points = [(x, row) for xs, rs in seen for x, row in zip(np.ravel(xs), np.ravel(rs))]
-        assert {row for x, row in points if x in (0.2, 1.0)} == {0.1, 0.5, 0.8}
-        assert all(0.32 <= x <= 0.34 for x, row in points if row == 0.3)  # never halved, never the range
+        solved = {(0, 0.2): 0.32, (0, 0.4): 0.34, (0, 0.6): 0.30, (1, 0.1): 0.31}
+        xi = _first_roots(h, rows, solved, 0.2, 1.0)
+        assert np.allclose(xi, 0.3 + 0.1 * etas, rtol=0.0, atol=1e-14)
+        # one call tries the warm brackets of the two rows between solved ones of their group
+        assert seen[0][0].tolist() == [[0.32, 0.34], [0.30, 0.34]]
+        assert seen[0][1].tolist() == [[1, 1], [2, 2]]
+        points = [(x, rows[r]) for xs, rs in seen for x, r in zip(np.ravel(xs), np.ravel(rs))]
+        assert {row for x, row in points if x in (0.2, 1.0)} == {(0, 0.1), (0, 0.5), (0, 0.8), (1, 0.05)}
+        assert all(0.32 <= x <= 0.34 for x, row in points if row == (0, 0.3))  # never halved, never the range
 
 
 class TestIMmse:
@@ -531,6 +537,28 @@ class TestDiagnostics:
         name, beta = key
         model = states_0_10_model(1.5) if name == "states_0_10" else TestGoldenValues.model(name)
         assert solve_fixed_point(model, beta).diagnostics.kernel_calls <= self.KERNEL_CALL_BOUNDS[key]
+
+    # Kernel calls of one lockstep solve over several betas, which every beta
+    # of the batch reports (5, 34 and 6 when pinned).  One by one, the two
+    # betas take 4 + 5 calls on binary_sym and 24 + 29 on mismatched, and the
+    # 20 betas of linspace(0.25, 4, 20) take 91 on binary_sym.
+    BATCH_KERNEL_CALL_BOUNDS = {
+        ("binary_sym", (0.75, 1.5)): 5,
+        ("mismatched", (0.75, 1.5)): 52,
+        ("binary_sym", tuple(np.linspace(0.25, 4.0, 20).tolist())): 6,
+    }
+
+    @pytest.mark.parametrize("key", BATCH_KERNEL_CALL_BOUNDS, ids=lambda key: f"{key[0]}-{len(key[1])}")
+    def test_batch_kernel_call_bounds(self, key, monkeypatch):
+        from replica_markov import single_symbol
+
+        name, betas = key
+        calls = []
+        orig = single_symbol.mixture_expectation
+        monkeypatch.setattr(single_symbol, "mixture_expectation", lambda *a: calls.append(1) or orig(*a))
+        sols = free_energies(TestGoldenValues.model(name), betas)
+        assert {sol.diagnostics.kernel_calls for sol in sols} == {len(calls)}
+        assert len(calls) <= self.BATCH_KERNEL_CALL_BOUNDS[key]
 
     @pytest.mark.parametrize("name", ["binary_sym", "mismatched", "binary_two_snr"])
     def test_one_assessment_per_solve(self, name, monkeypatch):
@@ -621,3 +649,54 @@ class TestSolveCache:
             assert fixed_point_residual(model, beta, eta, xi) < RESIDUAL_TOL
             fresh = sum(w * free_energy_term(model, i, eta, xi, beta) for i, w in enumerate(weights))
             assert abs(fresh - reported) <= 1e-12
+
+
+class TestLockstep:
+    # The 72-solve grid: 12 models at six loads, solved one beta at a time
+    # and as one batch per model.  The states-{0, 10} models have several
+    # fixed points and a steep xi equation.
+    BETAS = (0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+    MODELS = (
+        "binary_sym", "binary_asym", "sparse_hmm", "gauss_markov", "binary_two_snr", "mismatched",
+        "binary_sigma_0.8", "binary_sigma_1.5", "steep", "sparse_hmm_mismatched", "states_0_10_1.5", "states_0_10_1",
+    )
+
+    @staticmethod
+    def model(name: str) -> ModelSpec:
+        binary = MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3))
+        if name.startswith("binary_sigma_"):
+            return ModelSpec(prior=binary, sigma=float(name.rsplit("_", 1)[1]))
+        if name.startswith("states_0_10_"):
+            return states_0_10_model(float(name.rsplit("_", 1)[1]))
+        if name == "steep":  # the postulated row [1, 0] of the steep CI document
+            rows = [[0.5, 0.5], [0.25, 0.75]], [[0.5, 0.5], [1.0, 0.0]]
+            true, post = (MarkovPrior.discrete(TransitionMatrix((-1.0, 1.0), np.array(r))) for r in rows)
+            return ModelSpec(prior=true, postulated_prior=post, sigma=0.8, snr=2.0)
+        if name == "sparse_hmm_mismatched":
+            return ModelSpec(prior=sparse_hmm_prior(0.3, 0.3), postulated_prior=sparse_hmm_prior(0.4, 0.5), sigma=1.1)
+        return TestGoldenValues.model(name)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.beta == want.beta and len(got.all_solutions) == len(want.all_solutions)
+        pairs = list(zip(got.all_solutions, want.all_solutions))
+        pairs += [((got.eta, got.xi, got.free_energy), (want.eta, want.xi, want.free_energy))]
+        matched = ((got.mutual_info, want.mutual_info), (got.mmse, want.mmse))
+        pairs += [((v,), (w,)) for v, w in matched if w is not None]
+        for g, w in pairs:
+            assert all(abs(a - b) <= 1e-13 * abs(b) for a, b in zip(g, w))
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_batch_equals_one_beta_at_a_time(self, name):
+        model = self.model(name)
+        for got, beta in zip(free_energies(model, self.BETAS), self.BETAS):
+            self.assert_same(got, free_energy(model, beta))
+
+    @pytest.mark.parametrize("name", ["binary_sym", "mismatched"])
+    def test_unsorted_betas_with_a_duplicate_come_back_in_order(self, name):
+        model, betas = self.model(name), [1.5, 0.5, 3.0, 0.5, 0.75]
+        sols = free_energies(model, betas)
+        assert [sol.beta for sol in sols] == betas
+        for got, beta in zip(sols, betas):
+            self.assert_same(got, free_energy(model, beta))
+        assert sols[1] == sols[3]
