@@ -57,6 +57,9 @@ class AmpConfig:
             raise ValidationError("gamma must be in (0, 1]")
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
+        if self.trials < 1:
+            raise ValidationError("trials must be >= 1")
+        measurement_count(self.n, self.beta)  # checks n and beta
 
     @property
     def m(self) -> int:

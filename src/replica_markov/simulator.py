@@ -44,7 +44,9 @@ def _rng(seed: int, *stream) -> np.random.Generator:
 
 
 def measurement_count(n: int, beta: float) -> int:
-    """m = round(n / beta), ties rounded up."""
+    """m = round(n / beta), ties rounded up; the one check of n >= 1 and 0 < beta < inf."""
+    if not (n >= 1 and 0 < beta < math.inf):  # also rejects NaN
+        raise ValidationError(f"need n >= 1 and 0 < beta < inf, got n={n}, beta={beta}")
     return max(1, int(math.floor(n / beta + 0.5)))
 
 
@@ -138,8 +140,6 @@ def sample_prior_path(prior, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_instance(model: ModelSpec, n: int, beta: float, seed: int, index: int = 0) -> LinearModelInstance:
     """One seeded instance: A ~ N(0, 1/m) entries, x from the prior, y = Phi x + w."""
-    if n < 1 or beta <= 0:
-        raise ValidationError("need n >= 1 and beta > 0")
     m = measurement_count(n, beta)
     rng = _rng(seed, index)
     A = rng.standard_normal((m, n)) / math.sqrt(m)

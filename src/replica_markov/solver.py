@@ -151,7 +151,8 @@ class SolveDiagnostics:
     Every field but ``kernel_calls`` and ``max_nodes`` counts this beta's own
     work.  Those two count the kernel calls of the whole lockstep solve: the
     betas of one batch share every call, so each of them reports all of the
-    batch's calls and its largest node count.
+    batch's calls and its largest node count.  After a failed batch each beta
+    is solved alone (``free_energies``), and those two count its own solve.
     """
 
     scan_points: int = 0  # eta values of the geometric scan, left-end extensions included
@@ -375,12 +376,12 @@ def _solve(model: ModelSpec, betas) -> list[FixedPoints | Exception]:
     1e-6 resolution, verified against the general-form residual below 1e-8,
     and scored by free energy and MMSE term.
 
-    A beta whose solve fails leaves the others as they are.  Its failure is
-    a SolverError (no xi root, or no fixed point passes the residual check)
-    or the QuadratureError of a kernel call over its own new points, tried
-    after a call over the whole batch failed.  From then on f reads 0 on its
-    rows, which ends their searches without a kernel call.  Returns, in the
-    order of ``betas``, each beta's FixedPoints or the exception of its solve.
+    The batch succeeds or fails whole: a kernel call's QuadratureError, or a
+    SolverError naming the beta and eta where no xi solves the
+    postulated-noise equation, is raised for all betas (``free_energies``
+    then solves each beta alone).  Returns, in the order of ``betas``, each
+    beta's FixedPoints, or a SolverError when none of its roots passes the
+    residual check.
     """
     betas = np.array(betas, dtype=float).ravel()
     if not (betas > 0).all():  # also rejects NaN
@@ -389,52 +390,21 @@ def _solve(model: ModelSpec, betas) -> list[FixedPoints | Exception]:
     sigma_sq = model.sigma**2
     count = betas.size
     evaluations = np.zeros(count, dtype=int)
-    stopped = np.zeros(count, dtype=bool)
-    failures: dict[int, Exception] = {}
     take_kernel_tally()
     cache: dict[tuple[float, float], np.ndarray] = {}
-    unknown = np.full((dec.table.s.size, 4), np.nan)
 
-    def stop(b: int, exc: Exception):
-        if not stopped[b]:
-            stopped[b], failures[b] = True, exc
-
-    def moments(eta, xi, owners) -> np.ndarray:
-        """``channel_moments`` at arrays of (eta, xi) points of the betas ``owners``; points of stopped betas read NaN.
-
-        The points not in ``cache`` go to one kernel call.  If it fails, each
-        beta's points go to a call of their own, and a beta whose call fails
-        is stopped.
-        """
-        keys = list(zip(eta.ravel().tolist(), xi.ravel().tolist()))
-        owners = owners.ravel().tolist()
-        new = list(dict.fromkeys(k for k, b in zip(keys, owners) if k not in cache and not stopped[b]))
+    def moments(eta, xi) -> np.ndarray:
+        """``channel_moments`` at 1-D arrays of (eta, xi) points; the points not in ``cache`` go to one kernel call."""
+        keys = list(zip(eta.tolist(), xi.tolist()))
+        new = [k for k in dict.fromkeys(keys) if k not in cache]
         if new:
-            try:
-                cache.update(zip(new, channel_moments(dec.table, *np.array(new).T)))
-            except QuadratureError:
-                for b in dict.fromkeys(owners):
-                    mine = list(dict.fromkeys(k for k, o in zip(keys, owners) if o == b and k not in cache))
-                    if mine and not stopped[b]:
-                        try:
-                            cache.update(zip(mine, channel_moments(dec.table, *np.array(mine).T)))
-                        except QuadratureError as exc:
-                            stop(b, exc)
-        return np.array([cache.get(k, unknown) for k in keys]).reshape(eta.shape + unknown.shape)
+            cache.update(zip(new, channel_moments(dec.table, *np.array(new).T)))
+        return np.array([cache[k] for k in keys]).reshape(eta.shape + (dec.table.s.size, 4))
 
-    def live(x, b, fn) -> np.ndarray:
-        """fn(on) at the points x[on] of betas b[on] not stopped (arrays x and b of one shape); the rest read 0."""
-        x, b = np.asarray(x, dtype=float), np.asarray(b)
-        out = np.zeros(x.shape)
-        on = ~stopped[b]
-        if on.any():
-            np.add.at(evaluations, b[on], 1)
-            out[on] = fn(on)
-            out[stopped[b]] = 0.0
-        return out
-
-    # Error and variance sums are nonnegative; clamping their rounding at 0
-    # keeps f >= 0 at the right end of every bracket.
+    # f and h flatten the arrays they are passed, because ``moments`` and
+    # ``xi_at`` take 1-D arrays.  Error and variance sums are nonnegative;
+    # clamping their rounding at 0 keeps f >= 0 at the right end of every
+    # bracket.
 
     if model.is_matched:
 
@@ -453,31 +423,28 @@ def _solve(model: ModelSpec, betas) -> list[FixedPoints | Exception]:
                 bs, etas = map(np.array, zip(*rows))
 
                 def h(xi, r):
-                    def at(on):
-                        x, rb = xi[on], bs[r][on]
-                        var = _weighted_errors(dec, moments(etas[r][on], x, rb))[1]
-                        return x - 1.0 / (sigma_sq + betas[rb] * np.maximum(var, 0.0))
-
-                    return live(xi, bs[r], at)
+                    x, r = xi.ravel(), r.ravel()
+                    np.add.at(evaluations, bs[r], 1)
+                    var = _weighted_errors(dec, moments(etas[r], x))[1]
+                    return (x - 1.0 / (sigma_sq + betas[bs[r]] * np.maximum(var, 0.0))).reshape(xi.shape)
 
                 xi = _first_roots(h, rows, solved, xi_lo[bs], 1.0 / sigma_sq).tolist()
                 for (beta_index, e), x in zip(rows, xi):
                     if math.isnan(x):
-                        stop(beta_index, SolverError(f"no xi solves the postulated-noise equation at eta={e}"))
+                        beta = float(betas[beta_index])
+                        raise SolverError(f"no xi solves the postulated-noise equation at beta={beta}, eta={e}")
                 solved.update(zip(rows, xi))
             return np.array([solved[k] for k in keys])
 
-    def f(eta, rows):
-        def at(on):
-            e, b = eta[on], rows[on]
-            mse = _weighted_errors(dec, moments(e, xi_at(e, b), b))[0]
-            return e - 1.0 / (1.0 + betas[b] * np.maximum(mse, 0.0))
-
-        return live(eta, rows, at)
+    def f(eta, b):
+        e, b = eta.ravel(), b.ravel()
+        np.add.at(evaluations, b, 1)
+        mse = _weighted_errors(dec, moments(e, xi_at(e, b)))[0]
+        return (e - 1.0 / (1.0 + betas[b] * np.maximum(mse, 0.0))).reshape(eta.shape)
 
     roots, points, brackets = _roots(f, 1.0 / (1.0 + betas * dec.true_s_moment), np.ones(count), _SCAN_POINTS)
     found: list[list[tuple[float, float]]] = [[] for _ in range(count)]
-    for b in np.flatnonzero(~stopped):
+    for b in range(count):
         for eta, xi in zip(roots[b].tolist(), xi_at(roots[b], np.full(roots[b].size, b)).tolist()):
             if not any(abs(eta - e) < _CLUSTER_TOL and abs(xi - x) < _CLUSTER_TOL for e, x in found[b]):
                 found[b].append((eta, xi))
@@ -485,7 +452,7 @@ def _solve(model: ModelSpec, betas) -> list[FixedPoints | Exception]:
     if candidates:
         owner = np.repeat(np.arange(count), [len(pts) for pts in found])
         etas, xis = np.array(candidates).T
-        residuals, terms, msq = _assess(model, betas[owner], etas, xis, moments(etas, xis, owner))
+        residuals, terms, msq = _assess(model, betas[owner], etas, xis, moments(etas, xis))
     calls, nodes = take_kernel_tally()
     out: list[FixedPoints | Exception] = []
     end = 0
@@ -493,9 +460,7 @@ def _solve(model: ModelSpec, betas) -> list[FixedPoints | Exception]:
         mine = range(end, end + len(found[b]))
         end = mine.stop
         keep = sorted((i for i in mine if residuals[i] < RESIDUAL_TOL), key=candidates.__getitem__)
-        if stopped[b]:
-            out.append(failures[b])
-        elif not keep:
+        if not keep:
             out.append(
                 SolverError(
                     f"no fixed point converged for beta={float(betas[b])} "
@@ -542,14 +507,21 @@ def free_energy_term(model: ModelSpec, state_index: int, eta: float, xi: float, 
 def free_energies(model: ModelSpec, betas) -> list[ReplicaSolution | Exception]:
     """Free energy (nats per signal component) at the minimizing fixed point of each load, solved in lockstep.
 
-    All betas share one solve (``_solve``); each entry, in the order of
+    All betas share one solve (``_solve``).  If it raises a SolverError or
+    QuadratureError, each beta is solved alone, so each gets the outcome of
+    its own solve, diagnostics included.  Each entry, in the order of
     ``betas``, is a ReplicaSolution or the exception of that beta's solve.
     Matched models also carry mutual information C = F - log(2 pi e)/(2 beta)
     and the average MMSE from the decoupled second-moment identity.  Every
     value is read off the solve's own assessment of its fixed points.
     """
+    betas = np.ravel(betas).tolist()
+    try:
+        solved = _solve(model, betas)
+    except (SolverError, QuadratureError) as exc:
+        return [exc] if len(betas) == 1 else [sol for beta in betas for sol in free_energies(model, [beta])]
     out: list[ReplicaSolution | Exception] = []
-    for beta, candidates in zip(np.ravel(betas).tolist(), _solve(model, betas)):
+    for beta, candidates in zip(betas, solved):
         try:
             out.append(candidates if isinstance(candidates, Exception) else _minimum(model, beta, candidates))
         except SolverError as exc:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -99,6 +100,11 @@ class TestTurboAmp:
             AmpConfig(kappa=0.5, gamma=1.2)
         with pytest.raises(ValidationError):
             AmpConfig(kappa=0.5, gamma=0.5, iterations=0)
+        with pytest.raises(ValidationError, match="trials must be >= 1"):
+            AmpConfig(kappa=0.5, gamma=0.5, trials=0)
+        for n, beta in ((0, 1.0), (10, 0.0), (10, math.nan), (10, math.inf)):
+            with pytest.raises(ValidationError, match="need n >= 1 and 0 < beta < inf"):
+                AmpConfig(kappa=0.5, gamma=0.5, n=n, beta=beta)
 
     def test_m_is_the_shared_measurement_count(self):
         # n=10 at beta=3: round(10/3) = 3 measurements, as in every other oracle (ceil gave 4)

@@ -175,14 +175,15 @@ class TestRunSweep:
         assert row.errors == ""
 
 
-@pytest.mark.parametrize("fault", ["residual", "quadrature"])
-def test_a_failed_beta_fails_only_its_own_row(tmp_path, capsys, monkeypatch, fault):
-    # beta=2 alone fails: at the residual check, or in every kernel call that
-    # holds a point below eta=0.4, which only its scan reaches (it starts at
-    # 1/3, the others at 1/2 and 2/3)
+@pytest.mark.parametrize("fault", ["residual", "quadrature", "xi"])
+def test_a_failed_beta_fails_only_its_own_row(tmp_path, capsys, monkeypatch, fail_below_eta, fault):
+    # beta=2 alone fails: at the residual check, or wherever a kernel call
+    # (or, on a mismatched model, a postulated-noise solve) holds a point
+    # below eta=0.4, which only its scan reaches (it starts at 1/3, the
+    # others at 1/2 and 2/3)
     from replica_markov import solver
-    from replica_markov.single_symbol import QuadratureError
 
+    model = base_doc()["model"]
     if fault == "residual":
         assess = solver._assess
 
@@ -192,18 +193,14 @@ def test_a_failed_beta_fails_only_its_own_row(tmp_path, capsys, monkeypatch, fau
 
         monkeypatch.setattr(solver, "_assess", faulty)
     else:
-        moments = solver.channel_moments
-
-        def faulty(table, eta, xi):
-            if np.min(eta) < 0.4:
-                raise QuadratureError("no stable value below eta=0.4")
-            return moments(table, eta, xi)
-
-        monkeypatch.setattr(solver, "channel_moments", faulty)
+        fail_below_eta(fault, 0.4)
+    if fault == "xi":
+        postulated = {"type": "discrete_markov", "states": [-1, 1], "transition": [[0.62, 0.38], [0.45, 0.55]]}
+        model = {**model, "postulated_prior": postulated, "sigma": 1.2}
 
     def sweep(betas):
         cfg, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
-        cfg.write_text(json.dumps(base_doc(sweep={"betas": betas})))
+        cfg.write_text(json.dumps(base_doc(model=model, sweep={"betas": betas})))
         code = main(["replica", "sweep", "--config", str(cfg), "--out", str(out)])
         return code, list(csv.DictReader(out.read_text().splitlines()))
 
@@ -211,11 +208,18 @@ def test_a_failed_beta_fails_only_its_own_row(tmp_path, capsys, monkeypatch, fau
     assert code == 3 and "numeric failures: replica: " in capsys.readouterr().err
     assert [r["errors"].startswith("replica: ") for r in rows] == [False, False, True]
     assert rows[0]["errors"] == rows[1]["errors"] == "" and rows[2]["eta"] == rows[2]["free_energy"] == ""
+    message = {
+        "residual": "no fixed point converged for beta=2.0",
+        "quadrature": "no stable value below eta=0.4",
+        "xi": "no xi solves the postulated-noise equation at beta=2.0",
+    }[fault]
+    assert message in rows[2]["errors"]
     for row in rows[:2]:
         code, (alone,) = sweep([float(row["beta"])])
         assert code == 0 and row.keys() == alone.keys()
         for key in ("beta", "eta", "xi", "free_energy", "mutual_info", "mmse"):
-            assert abs(float(row[key]) - float(alone[key])) <= 1e-13 * abs(float(alone[key]))
+            got, want = row[key], alone[key]
+            assert got == want == "" or abs(float(got) - float(want)) <= 1e-13 * abs(float(want))
 
 
 class TestCsv:

