@@ -10,6 +10,12 @@ already passed the solver's residual check.  Results are CSV
 (RFC 4180); reruns with the same config and seed are byte-identical.  Exit
 codes: 0 success, 2 validation error (naming the JSON path), 3 numeric
 failure.
+
+Each subcommand imports the layers it runs when it runs them: ``pf`` loads
+``perron`` and no solver, ``replica sweep`` loads ``solver`` and no other
+oracle than ``simulator``.  ``simulator`` stays a module-level import because
+``bench/tracer.py`` wraps only modules loaded before a round starts, and its
+MH-acceptance gate reads ``simulator.mh_mse_experiment``.
 """
 
 from __future__ import annotations
@@ -23,15 +29,17 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .amp import AmpConfig, amp_experiment, replica_mmse_reference
 from .config import ConfigError, ExperimentConfig, validate_config, validate_rate_config
 from .markov_core import binary_markov_kernel
-from .perron import enumerate_q_states, log_pf_eigenvalue, pf_log_derivative, q_transition_matrix, rate_function
 from .simulator import empirical_free_energy, measurement_count, mh_mse_experiment, sample_instance
-from .solver import ReplicaSolution, free_energies
+
+if TYPE_CHECKING:
+    from .amp import AmpConfig
+    from .solver import ReplicaSolution
 
 _LN2 = math.log(2.0)
 
@@ -63,6 +71,8 @@ def _units_factor(units: str) -> float:
 
 
 def _amp_config(config: ExperimentConfig, beta_index: int) -> AmpConfig:
+    from .amp import AmpConfig
+
     kappa, gamma = config.sparse_hmm_params
     return AmpConfig(
         kappa=kappa,
@@ -100,7 +110,6 @@ def compute_row(config: ExperimentConfig, beta_index: int, replica: ReplicaSolut
     beta = config.betas[beta_index]
     row = ResultRow(beta=beta)
     factor = _units_factor(config.units)
-    seed = _row_seed(config.seed, beta_index)
     failures = []
     replica_beta = _replica_beta(config, beta_index)
     if any(t in config.tasks for t in _FINITE_N_TASKS):
@@ -116,7 +125,9 @@ def compute_row(config: ExperimentConfig, beta_index: int, replica: ReplicaSolut
             row.mmse = replica.mmse
     if "exact_sim" in config.tasks:
         try:
-            mean, se = empirical_free_energy(config.model, config.n, beta, config.trials, seed)
+            mean, se = empirical_free_energy(
+                config.model, config.n, beta, config.trials, _row_seed(config.seed, beta_index)
+            )
             row.sim_free_energy = mean * factor
             row.sim_free_energy_stderr = se * factor
         except Exception as exc:
@@ -124,12 +135,15 @@ def compute_row(config: ExperimentConfig, beta_index: int, replica: ReplicaSolut
     if "mh" in config.tasks:
         try:
             mse, se, _rate = mh_mse_experiment(
-                config.model, config.n, beta, config.trials, config.mh_steps, config.mh_burn_in, seed
+                config.model, config.n, beta, config.trials, config.mh_steps, config.mh_burn_in,
+                _row_seed(config.seed, beta_index),
             )
             row.mh_mse, row.mh_mse_stderr = mse, se
         except Exception as exc:
             failures.append(f"mh: {exc}")
     if "amp" in config.tasks:
+        from .amp import amp_experiment, replica_mmse_reference
+
         try:
             cfg = _amp_config(config, beta_index)
             ref = row.mmse if row.mmse is not None else replica_mmse_reference(cfg.kappa, cfg.gamma, replica_beta)
@@ -153,6 +167,8 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     indices = range(len(config.betas))
     replica: list = [None] * len(indices)
     if "replica" in config.tasks:
+        from .solver import free_energies
+
         try:
             replica = free_energies(config.model, [_replica_beta(config, i) for i in indices])
         except Exception as exc:  # recorded on every row, the sweep continues
@@ -223,6 +239,8 @@ def _cmd_sweep(args, task: str | None = None) -> int:
 
 
 def _cmd_simulate_amp(args) -> int:
+    from .amp import amp_experiment
+
     config = _load_config(args.config, args.seed, task_override=["amp"])
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -242,6 +260,8 @@ def _cmd_simulate_amp(args) -> int:
 
 def _random_q_setup(rng: np.random.Generator):
     """Random irreducible binary chain, its coupling chain at nu<=1, and a tilt."""
+    from .perron import enumerate_q_states, q_transition_matrix
+
     nu = int(rng.integers(0, 2))
     alpha = float(rng.uniform(0.05, 0.95))
     delta = float(rng.uniform(0.05, 0.95))
@@ -253,6 +273,8 @@ def _random_q_setup(rng: np.random.Generator):
 
 
 def _cmd_pf_deriv_check(args) -> int:
+    from .perron import log_pf_eigenvalue, pf_log_derivative
+
     if args.cases < 1:
         raise ConfigError([f"--cases: need at least 1 case, got {args.cases}"])
     if not 0.0 < args.tol < math.inf:  # also rejects NaN
@@ -284,6 +306,8 @@ def _cmd_pf_deriv_check(args) -> int:
 
 
 def _cmd_pf_rate(args) -> int:
+    from .perron import rate_function
+
     with open(args.config) as fh:
         space, base, q_target = validate_rate_config(json.load(fh))
     res = rate_function(space, base, q_target)

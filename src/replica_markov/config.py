@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,12 +20,15 @@ from .markov_core import (
     IrreducibilityError,
     MarkovPrior,
     TransitionMatrix,
+    _normalize_snr,
     binary_markov_kernel,
     sparse_hmm_prior,
     stationary_distribution,
 )
-from .perron import MAX_NU, QStateSpace, enumerate_q_states, q_transition_matrix
-from .solver import ModelSpec, _check_sigma, _normalize_snr
+
+if TYPE_CHECKING:  # each validator imports the layer it builds for: a pf process loads no solver
+    from .perron import QStateSpace
+    from .solver import ModelSpec
 
 SCHEMA_VERSION = 1
 TASKS = ("replica", "exact_sim", "mh", "amp")
@@ -251,6 +255,8 @@ def _build_betas(doc, errs: _Collector):
 def validate_config(document: dict) -> ExperimentConfig:
     """Parse and validate an experiment document; raises ConfigError listing
     every violation."""
+    from .solver import ModelSpec, _check_sigma
+
     errs = _Collector()
     if not isinstance(document, dict):
         raise ConfigError(["config: expected a JSON object"])
@@ -339,6 +345,8 @@ def validate_rate_config(document: dict) -> tuple[QStateSpace, np.ndarray, np.nd
     ``pf rate`` document; raises ConfigError listing every violation.  The SNR
     law enters as its support: repeated values merged, zero-probability
     values dropped."""
+    from .perron import MAX_NU, enumerate_q_states, q_transition_matrix
+
     if not isinstance(document, dict):
         raise ConfigError(["config: expected a JSON object"])
     errs = _Collector()

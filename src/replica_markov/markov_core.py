@@ -5,7 +5,8 @@ unit Manhattan norm of the row-stochastic transition matrix, solved once per
 kernel; that solve also decides whether the kernel is irreducible.  Hidden-Markov
 priors are reduced to an effective finite-state description (hidden state,
 stationary weight, conditional input mixture) which is all the decoupled
-single-symbol analysis needs.
+single-symbol analysis needs.  The SNR law's check lives here too, so the
+decoupled model and the ``pf rate`` validator share it.
 """
 
 from __future__ import annotations
@@ -275,3 +276,14 @@ def effective_states(prior: MarkovPrior | HiddenMarkovPrior) -> EffectiveStates:
         emissions = tuple(ConditionalInputLaw.point_masses([v], [1.0]) for v in chain.state_values())
     laws = tuple(ConditionalInputLaw.mix(zip(row, emissions)) for row in chain.P)
     return EffectiveStates(chain.states, stationary_distribution(chain), laws)
+
+
+def _normalize_snr(snr) -> tuple[tuple[float, float], ...]:
+    """An SNR law, a scalar or (value, probability) pairs, as checked pairs."""
+    pairs = ((float(snr), 1.0),) if np.isscalar(snr) else tuple((float(v), float(p)) for v, p in snr)
+    if not all(0 < v < math.inf and p >= 0 for v, p in pairs):  # also rejects NaN
+        raise ValidationError("snr values must be finite and > 0, with nonnegative probabilities")
+    total = sum(p for _, p in pairs)
+    if abs(total - 1.0) > 1e-12:
+        raise ValidationError(f"snr probabilities sum to {total}, not 1")
+    return pairs

@@ -21,12 +21,16 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .markov_core import HiddenMarkovPrior, MarkovPrior, ValidationError, stationary_distribution
-from .solver import ModelSpec
+
+if TYPE_CHECKING:
+    from .solver import ModelSpec
 
 ENUMERATION_BUDGET = 1 << 24
 WEIGHT_BLOCK_ENTRIES = 1 << 20
@@ -44,7 +48,9 @@ def _rng(seed: int, *stream) -> np.random.Generator:
 
 
 def measurement_count(n: int, beta: float) -> int:
-    """m = round(n / beta), ties rounded up; the one check of n >= 1 and 0 < beta < inf."""
+    """m = round(n / beta), ties rounded up; the one check of an integer n >= 1 and 0 < beta < inf."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):  # numpy integers pass
+        raise ValidationError(f"n must be an integer, got {n!r}")
     if not (n >= 1 and 0 < beta < math.inf):  # also rejects NaN
         raise ValidationError(f"need n >= 1 and 0 < beta < inf, got n={n}, beta={beta}")
     return max(1, int(math.floor(n / beta + 0.5)))

@@ -32,6 +32,7 @@ from .markov_core import (
     HiddenMarkovPrior,
     MarkovPrior,
     ValidationError,
+    _normalize_snr,
     effective_states,
 )
 from .single_symbol import (
@@ -60,16 +61,6 @@ class SolverError(RuntimeError):
 
 class MatchedModelRequired(ValueError):
     """Raised when a matched-only quantity is requested for a mismatched model."""
-
-
-def _normalize_snr(snr) -> tuple[tuple[float, float], ...]:
-    pairs = ((float(snr), 1.0),) if np.isscalar(snr) else tuple((float(v), float(p)) for v, p in snr)
-    if not all(0 < v < math.inf and p >= 0 for v, p in pairs):  # also rejects NaN
-        raise ValidationError("snr values must be finite and > 0, with nonnegative probabilities")
-    total = sum(p for _, p in pairs)
-    if abs(total - 1.0) > 1e-12:
-        raise ValidationError(f"snr probabilities sum to {total}, not 1")
-    return pairs
 
 
 def _check_sigma(sigma) -> float:

@@ -106,6 +106,11 @@ class TestTurboAmp:
             with pytest.raises(ValidationError, match="need n >= 1 and 0 < beta < inf"):
                 AmpConfig(kappa=0.5, gamma=0.5, n=n, beta=beta)
 
+    def test_a_non_integer_n_is_rejected_before_sampling(self):
+        # it once failed deep in sample_sparse_instance with a TypeError
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            AmpConfig(kappa=0.3, gamma=0.5, n=20.5, trials=2, iterations=2)
+
     def test_m_is_the_shared_measurement_count(self):
         # n=10 at beta=3: round(10/3) = 3 measurements, as in every other oracle (ceil gave 4)
         cfg = AmpConfig(kappa=0.3, gamma=0.8, n=10, beta=3.0)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import itertools
 import json
 import math
@@ -836,10 +837,68 @@ def test_replica_sweep_with_a_deterministic_postulated_row_exits_0(tmp_path):
     assert all(math.isfinite(float(r[col])) for r in rows for col in ("eta", "xi", "free_energy"))
 
 
-def test_cli_import_loads_no_scipy():
-    # importing scipy (scipy.special alone) took about 0.3 s of every CLI call's set-up
+def loaded_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
     src = str(Path(replica_markov.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, replica_markov.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy (scipy.special alone) took about 0.3 s of every CLI call's set-up
+    assert not any(m.split(".")[0] == "scipy" for m in loaded_modules("import replica_markov.cli"))
+
+
+def main_code(tmp_path, argv: list[str] | None, doc: dict | None) -> str:
+    """Code that imports the command-line modules, or runs ``main`` on ``doc`` and fails unless it exits 0."""
+    if argv is None:
+        return "import replica_markov.cli, replica_markov.config"
+    cfg = tmp_path / "doc.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    return f"from replica_markov.cli import main\nassert main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize(
+    ("argv", "doc", "unloaded"),
+    [
+        pytest.param(None, None, ("solver", "single_symbol", "amp", "perron"), id="import"),
+        pytest.param(["pf", "rate"], RATE_DOC, ("solver", "single_symbol", "amp"), id="pf-rate"),
+        # the row seed is drawn only by the tasks that sample: numpy.random was a 16 ms import
+        pytest.param(["replica", "sweep"], base_doc(), ("amp", "perron", "numpy.random"), id="replica-sweep"),
+    ],
+)
+def test_a_subcommand_loads_only_the_layers_it_runs(tmp_path, argv, doc, unloaded):
+    loaded = loaded_modules(main_code(tmp_path, argv, doc))
+    assert "replica_markov.cli" in loaded
+    assert not loaded & {m if "." in m else f"replica_markov.{m}" for m in unloaded}
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    assert not {m for m in loaded_modules("import replica_markov") if m.startswith("replica_markov.")}
+
+
+class TestLazyPackage:
+    HOMES = {"laws", "markov_core", "single_symbol", "solver"}
+
+    def test_every_export_is_its_home_modules_object(self):
+        for name in replica_markov.__all__:
+            obj = getattr(replica_markov, name)
+            home = importlib.import_module(obj.__module__)
+            assert home.__name__.removeprefix("replica_markov.") in self.HOMES, name
+            assert getattr(home, name) is obj, name
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from replica_markov import *", namespace)
+        assert all(namespace[name] is getattr(replica_markov, name) for name in replica_markov.__all__)
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            replica_markov.no_such_name
+        assert getattr(replica_markov, "no_such_name", None) is None
+
+    def test_dir_covers_all(self):
+        assert set(replica_markov.__all__) <= set(dir(replica_markov))

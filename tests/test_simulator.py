@@ -74,6 +74,14 @@ class TestSampling:
         with pytest.raises(ValidationError, match="need n >= 1 and 0 < beta < inf"):
             sample_instance(BINARY_SYM, n, beta, seed=0)
 
+    @pytest.mark.parametrize("n", [20.5, 20.0, True, "20"])
+    def test_measurement_count_rejects_a_non_integer_n(self, n):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            measurement_count(n, 1.0)
+
+    def test_measurement_count_accepts_numpy_integers(self):
+        assert measurement_count(np.int64(10), 3.0) == measurement_count(np.int32(10), 3.0) == 3
+
     def test_seed_determinism_bit_identical(self):
         a = sample_instance(BINARY_SYM, 16, 0.8, seed=9, index=3)
         b = sample_instance(BINARY_SYM, 16, 0.8, seed=9, index=3)
