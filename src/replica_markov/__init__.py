@@ -33,8 +33,6 @@ _HOMES = {
         "posterior_mean",
     ),
     "solver": (
-        "FixedPoints",
-        "MatchedModelRequired",
         "ModelSpec",
         "ReplicaSolution",
         "SolveDiagnostics",
@@ -42,11 +40,8 @@ _HOMES = {
         "fixed_point_residual",
         "free_energies",
         "free_energy",
-        "free_energy_term",
         "gauss_markov_eta",
         "gauss_markov_free_energy",
-        "mutual_information",
-        "replica_mmse",
         "solve_fixed_point",
     ),
 }

@@ -206,10 +206,11 @@ def _write_out(text: str, out: str | None):
 def _load_config(path: str, seed_override: int | None, task_override=None) -> ExperimentConfig:
     with open(path) as fh:
         doc = json.load(fh)
-    if seed_override is not None:
-        doc["seed"] = seed_override
-    if task_override is not None:
-        doc["tasks"] = list(task_override)
+    if isinstance(doc, dict):  # anything else is left for validate_config to reject
+        if seed_override is not None:
+            doc["seed"] = seed_override
+        if task_override is not None:
+            doc["tasks"] = list(task_override)
     return validate_config(doc)
 
 
@@ -277,6 +278,8 @@ def _cmd_pf_deriv_check(args) -> int:
 
     if args.cases < 1:
         raise ConfigError([f"--cases: need at least 1 case, got {args.cases}"])
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError([f"--seed: need a non-negative seed, got {args.seed}"])
     if not 0.0 < args.tol < math.inf:  # also rejects NaN
         raise ConfigError([f"--tol: need a finite tolerance > 0, got {args.tol}"])
     rng = np.random.Generator(np.random.Philox(args.seed if args.seed is not None else 0))
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--verify",
         action="store_true",
-        help="accepted and ignored: every reported fixed point already passed solve_fixed_point's residual check",
+        help="accepted and ignored: every reported fixed point already passed the solver's residual check",
     )
     sweep.add_argument("--units", choices=["nats", "bits"], default=None)
     _common_flags(sweep)

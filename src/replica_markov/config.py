@@ -249,6 +249,9 @@ def _build_betas(doc, errs: _Collector):
         return None
     count = int(round(span)) + 1
     betas = tuple(round(start + i * step, 12) for i in range(count) if start + i * step <= stop + 1e-9)
+    if betas[0] <= 0:
+        errs.add("sweep", f"start/stop/step round a beta to {betas[0]} at 12 decimals; need every beta > 0")
+        return None
     return betas
 
 
@@ -289,6 +292,8 @@ def validate_config(document: dict) -> ExperimentConfig:
     n = errs.expect(document, "", "n", int, default=0)
     trials = errs.expect(document, "", "trials", int, default=0)
     seed = errs.expect(document, "", "seed", int, default=0)
+    if seed < 0:
+        errs.add("seed", f"expected a non-negative integer, got {seed}")
     units = errs.expect(document, "", "units", str, default="nats")
     if units not in ("nats", "bits"):
         errs.add("units", f"units must be 'nats' or 'bits', got {units!r}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +22,15 @@ from .markov_core import IrreducibilityError, TransitionMatrix, ValidationError,
 
 MAX_NU = 3
 PF_RESIDUAL_TOL = 1e-10
+PF_TOL = 1e-13  # relative change of rho at which the power iteration stops
+PF_MAX_ITER = 100  # steps of M + cI before the dense fallback
 _DEDUP_DECIMALS = 12
 _SPAN_RTOL = 1e-10  # singular values of the state differences below this (relative) are null
 
 
 @dataclass(frozen=True, eq=False)
 class QStateSpace:
-    """Deduplicated coupling matrices s*x*x^T plus a membership index.
+    """Deduplicated coupling matrices s*x*x^T and the state id of every (s, x) tuple.
 
     ``states`` stacks the k distinct matrices as a (k, nu+1, nu+1) array.
     ``ids`` gives the state id of every (s, x) tuple, with s outermost and x
@@ -41,18 +43,10 @@ class QStateSpace:
     x_alphabet: tuple[float, ...]
     states: np.ndarray
     ids: np.ndarray
-    _index: dict = field(repr=False)
 
     @property
     def size(self) -> int:
         return len(self.states)
-
-    def state_of(self, s: float, x) -> int:
-        key = _rounded(float(s) * np.outer(x, x)).tobytes()
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"(s={s}, x={tuple(x)}) is not in the enumerated state space") from None
 
 
 def _rounded(q: np.ndarray) -> np.ndarray:
@@ -83,7 +77,7 @@ def enumerate_q_states(s_alphabet, x_alphabet, nu: int) -> QStateSpace:
             index[key] = len(first)
             first.append(t)
         ids[t] = index[key]
-    return QStateSpace(nu, s_alphabet, x_alphabet, qs[first], ids, index)
+    return QStateSpace(nu, s_alphabet, x_alphabet, qs[first], ids)
 
 
 def q_transition_matrix(
@@ -169,7 +163,7 @@ def _pf_2x2(M: np.ndarray) -> PfTriple:
     return PfTriple(rho, lam, psi)
 
 
-def pf_decomposition(M: np.ndarray, tol: float = 1e-13, max_iter: int = 100) -> PfTriple:
+def pf_decomposition(M: np.ndarray) -> PfTriple:
     """Perron eigen-triple by power iteration on (M + cI)^8.
 
     The shift makes every irreducible nonnegative matrix aperiodic without
@@ -179,8 +173,8 @@ def pf_decomposition(M: np.ndarray, tol: float = 1e-13, max_iter: int = 100) -> 
     on M + cI.  rho is recovered as the Rayleigh quotient lam M psi / (lam psi)
     at convergence.  When one entry dwarfs rho, the shift (half the largest
     row sum) leaves a subdominant eigenvalue within a hair of rho + c; after
-    max_iter steps of M + cI (max_iter // 8 steps on its eighth power) the
-    triple comes from dense eigendecompositions instead, under the same
+    PF_MAX_ITER steps of M + cI (PF_MAX_ITER // 8 steps on its eighth power)
+    the triple comes from dense eigendecompositions instead, under the same
     residual check.
     """
     M = np.asarray(M, dtype=float)
@@ -202,14 +196,14 @@ def pf_decomposition(M: np.ndarray, tol: float = 1e-13, max_iter: int = 100) -> 
     psi = np.full(n, 1.0 / n)
     lam = np.full(n, 1.0 / n)
     rho = 0.0
-    for _ in range(max_iter // 8):
+    for _ in range(PF_MAX_ITER // 8):
         psi_n = Ms @ psi
         psi_n /= psi_n.sum()
         lam_n = lam @ Ms
         lam_n /= lam_n.sum()
         rho_n = float(lam_n @ M @ psi_n) / float(lam_n @ psi_n)
         done = (
-            abs(rho_n - rho) < tol * max(1.0, abs(rho_n))
+            abs(rho_n - rho) < PF_TOL * max(1.0, abs(rho_n))
             and np.max(np.abs(M @ psi_n - rho_n * psi_n)) < 0.5 * PF_RESIDUAL_TOL * rho_n
             and np.max(np.abs(lam_n @ M - rho_n * lam_n)) < 0.5 * PF_RESIDUAL_TOL * rho_n
         )
@@ -278,26 +272,6 @@ def pf_log_hessian(base: np.ndarray, tilt: np.ndarray, space: QStateSpace) -> np
     _, scaled, triple = _tilted_pf(base, tilt, space)
     d = space.nu + 1
     return _log_hessian(scaled, triple, space.states.reshape(space.size, -1)).reshape(d, d, d, d)
-
-
-def growth_rate(M: np.ndarray, h: np.ndarray, n_max: int = 200, row: int = 0):
-    """[(n, (1/n) log (M^n h)_row)] for n = 1..n_max, in log domain."""
-    M = np.asarray(M, float)
-    h = np.asarray(h, float)
-    if np.any(h <= 0):
-        raise ValidationError("h must be strictly positive")
-    if np.any(M < 0) or not is_irreducible(M):
-        raise IrreducibilityError("matrix must be nonnegative irreducible")
-    v = h.copy()
-    log_scale = 0.0
-    out = []
-    for n in range(1, n_max + 1):
-        v = M @ v
-        s = float(v.sum())
-        log_scale += math.log(s)
-        v /= s
-        out.append((n, (log_scale + math.log(float(v[row]))) / n))
-    return out
 
 
 @dataclass(frozen=True, eq=False)

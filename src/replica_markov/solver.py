@@ -59,10 +59,6 @@ class SolverError(RuntimeError):
     pass
 
 
-class MatchedModelRequired(ValueError):
-    """Raised when a matched-only quantity is requested for a mismatched model."""
-
-
 def _check_sigma(sigma) -> float:
     if not 0 < sigma < math.inf:  # also rejects NaN
         raise ValidationError(f"sigma must be finite and > 0, got {sigma}")
@@ -154,19 +150,14 @@ class SolveDiagnostics:
     residual: float = math.nan  # largest fixed_point_residual over the verified candidates
 
 
-class FixedPoints(list):
-    """Sorted (eta, xi) fixed points with the diagnostics of their solve; ``free_energies`` and
-    ``posterior_mean_sq`` (sum w p E[<X|X0>^2], the MMSE term) follow the order of the points."""
-
-    def __init__(self, points, diagnostics: SolveDiagnostics, free_energies, posterior_mean_sq):
-        super().__init__(points)
-        self.diagnostics = diagnostics
-        self.free_energies = tuple(free_energies)
-        self.posterior_mean_sq = tuple(posterior_mean_sq)
-
-
 @dataclass(frozen=True)
 class ReplicaSolution:
+    """The result of a replica solve at one load: the fixed point of least free energy.
+
+    ``all_solutions`` lists every verified fixed point in ascending order;
+    ``mutual_info`` and ``mmse`` are None when the model is mismatched.
+    """
+
     beta: float
     eta: float
     xi: float
@@ -334,7 +325,7 @@ def fixed_point_residual(model: ModelSpec, beta: float, eta: float, xi: float) -
     return float(_assess(model, beta, eta, xi)[0])
 
 
-def _solve(model: ModelSpec, betas) -> list[FixedPoints | Exception]:
+def _solve(model: ModelSpec, betas) -> list[ReplicaSolution | Exception]:
     """All (eta, xi) fixed points at every load of ``betas`` in lockstep: a sign-change scan, then a root in each bracket.
 
     One root function serves every model,
@@ -365,14 +356,17 @@ def _solve(model: ModelSpec, betas) -> list[FixedPoints | Exception]:
     point, so the mse at a solved xi, the xi of the eta roots and the
     assessment of the roots cost no kernel call.  Roots are deduplicated at
     1e-6 resolution, verified against the general-form residual below 1e-8,
-    and scored by free energy and MMSE term.
+    and scored by free energy and MMSE term; each beta's solution is its
+    point of least free energy (the first on a tie).  Matched models also
+    carry mutual information C = F - log(2 pi e)/(2 beta) and the average
+    MMSE from the decoupled second-moment identity.
 
     The batch succeeds or fails whole: a kernel call's QuadratureError, or a
     SolverError naming the beta and eta where no xi solves the
     postulated-noise equation, is raised for all betas (``free_energies``
     then solves each beta alone).  Returns, in the order of ``betas``, each
-    beta's FixedPoints, or a SolverError when none of its roots passes the
-    residual check.
+    beta's ReplicaSolution, or a SolverError when none of its roots passes
+    the residual check or its MMSE escapes [0, E X^2].
     """
     betas = np.array(betas, dtype=float).ravel()
     if not (betas > 0).all():  # also rejects NaN
@@ -445,54 +439,48 @@ def _solve(model: ModelSpec, betas) -> list[FixedPoints | Exception]:
         etas, xis = np.array(candidates).T
         residuals, terms, msq = _assess(model, betas[owner], etas, xis, moments(etas, xis))
     calls, nodes = take_kernel_tally()
-    out: list[FixedPoints | Exception] = []
+    m2 = dec.second_moment
+    out: list[ReplicaSolution | Exception] = []
     end = 0
     for b in range(count):
+        beta = float(betas[b])
         mine = range(end, end + len(found[b]))
         end = mine.stop
         keep = sorted((i for i in mine if residuals[i] < RESIDUAL_TOL), key=candidates.__getitem__)
         if not keep:
             out.append(
                 SolverError(
-                    f"no fixed point converged for beta={float(betas[b])} "
+                    f"no fixed point converged for beta={beta} "
                     f"(scan points: {points[b]}, brackets: {brackets[b]})"
                 )
             )
-        else:
-            diagnostics = SolveDiagnostics(
-                scan_points=int(points[b]),
-                brackets=int(brackets[b]),
-                evaluations=int(evaluations[b]),
-                kernel_calls=calls,
-                max_nodes=nodes,
-                residual=float(residuals[keep].max()),
-            )
-            terms_b = [float(dec.weights @ terms[i]) for i in keep]
-            out.append(FixedPoints([candidates[i] for i in keep], diagnostics, terms_b, msq[keep]))
+            continue
+        scored = tuple((*candidates[i], float(dec.weights @ terms[i])) for i in keep)
+        best = min(range(len(keep)), key=lambda k: scored[k][2])
+        eta, xi, fmin = scored[best]
+        mutual = mmse = None
+        if model.is_matched:
+            mutual = fmin - _LOG_2PIE / (2.0 * beta)
+            mmse = m2 - msq[keep[best]]
+            if mmse < -1e-8 or mmse > m2 + 1e-8:
+                out.append(SolverError(f"MMSE {mmse} escapes [0, {m2}] beyond numerical tolerance"))
+                continue
+            mmse = float(min(max(mmse, 0.0), m2))
+        diagnostics = SolveDiagnostics(
+            scan_points=int(points[b]),
+            brackets=int(brackets[b]),
+            evaluations=int(evaluations[b]),
+            kernel_calls=calls,
+            max_nodes=nodes,
+            residual=float(residuals[keep].max()),
+        )
+        out.append(ReplicaSolution(beta, eta, xi, fmin, mutual, mmse, scored, diagnostics))
     return out
 
 
-def _one(results: list):
-    """The one result of a one-beta batch, raised if it is an exception."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def solve_fixed_point(model: ModelSpec, beta: float) -> FixedPoints:
-    """All (eta, xi) fixed points at one load: the one-beta case of the lockstep solve (``_solve``).
-
-    Raises the SolverError or QuadratureError of a failed solve.  The
-    result carries the free energy and MMSE term of each point, in the order
-    of the points, and the diagnostics of the solve.
-    """
-    return _one(_solve(model, [beta]))
-
-
-def free_energy_term(model: ModelSpec, state_index: int, eta: float, xi: float, beta: float) -> float:
-    """G(x0) in nats for one effective state at a fixed-point candidate."""
-    return float(_assess(model, beta, eta, xi)[1][state_index])
+def solve_fixed_point(model: ModelSpec, beta: float) -> list[tuple[float, float]]:
+    """All (eta, xi) fixed points at one load, in ascending order: those of ``free_energy``'s solution."""
+    return [(eta, xi) for eta, xi, _ in free_energy(model, beta).all_solutions]
 
 
 def free_energies(model: ModelSpec, betas) -> list[ReplicaSolution | Exception]:
@@ -502,62 +490,21 @@ def free_energies(model: ModelSpec, betas) -> list[ReplicaSolution | Exception]:
     QuadratureError, each beta is solved alone, so each gets the outcome of
     its own solve, diagnostics included.  Each entry, in the order of
     ``betas``, is a ReplicaSolution or the exception of that beta's solve.
-    Matched models also carry mutual information C = F - log(2 pi e)/(2 beta)
-    and the average MMSE from the decoupled second-moment identity.  Every
-    value is read off the solve's own assessment of its fixed points.
+    Every value is read off the solve's own assessment of its fixed points.
     """
     betas = np.ravel(betas).tolist()
     try:
-        solved = _solve(model, betas)
+        return _solve(model, betas)
     except (SolverError, QuadratureError) as exc:
         return [exc] if len(betas) == 1 else [sol for beta in betas for sol in free_energies(model, [beta])]
-    out: list[ReplicaSolution | Exception] = []
-    for beta, candidates in zip(betas, solved):
-        try:
-            out.append(candidates if isinstance(candidates, Exception) else _minimum(model, beta, candidates))
-        except SolverError as exc:
-            out.append(exc)
-    return out
-
-
-def _minimum(model: ModelSpec, beta: float, candidates: FixedPoints) -> ReplicaSolution:
-    """The solution at the candidate of least free energy, with MI and MMSE when matched."""
-    scored = tuple((eta, xi, fe) for (eta, xi), fe in zip(candidates, candidates.free_energies))
-    best = min(range(len(scored)), key=lambda i: scored[i][2])
-    eta, xi, fmin = scored[best]
-    mutual = mmse = None
-    if model.is_matched:
-        mutual = fmin - _LOG_2PIE / (2.0 * beta)
-        m2 = model._decoupled.second_moment
-        mmse = m2 - candidates.posterior_mean_sq[best]
-        if mmse < -1e-8 or mmse > m2 + 1e-8:
-            raise SolverError(f"MMSE {mmse} escapes [0, {m2}] beyond numerical tolerance")
-        mmse = float(min(max(mmse, 0.0), m2))
-    return ReplicaSolution(beta, eta, xi, fmin, mutual, mmse, scored, candidates.diagnostics)
 
 
 def free_energy(model: ModelSpec, beta: float) -> ReplicaSolution:
     """Free energy at one load: the one-beta case of ``free_energies``; raises the exception of a failed solve."""
-    return _one(free_energies(model, [beta]))
-
-
-def mutual_information(model: ModelSpec, beta: float, units: str = "nats") -> float:
-    """Average mutual information per signal component (matched models only)."""
-    if not model.is_matched:
-        raise MatchedModelRequired("mutual information is defined for matched models (sigma=1)")
-    c = free_energy(model, beta).mutual_info
-    if units == "nats":
-        return c
-    if units == "bits":
-        return c / float(np.log(2.0))
-    raise ValueError("units must be 'nats' or 'bits'")
-
-
-def replica_mmse(model: ModelSpec, beta: float) -> float:
-    """Average MMSE prediction E[X1^2] - sum_x0 lambda_x0 E[<X|X0>^2] (matched)."""
-    if not model.is_matched:
-        raise MatchedModelRequired("the MMSE identity requires the matched model")
-    return free_energy(model, beta).mmse
+    (result,) = free_energies(model, [beta])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def gauss_markov_eta(beta: float, s0_sigma0_sq: float) -> float:

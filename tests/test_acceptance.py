@@ -18,8 +18,6 @@ from replica_markov import (
     free_energy,
     gauss_markov_eta,
     gauss_markov_free_energy,
-    mutual_information,
-    replica_mmse,
     solve_fixed_point,
     sparse_hmm_prior,
     stationary_distribution,
@@ -31,9 +29,9 @@ from replica_markov.iid_reference import iid_replica
 from replica_markov.laws import ConditionalInputLaw
 from replica_markov.perron import (
     enumerate_q_states,
-    growth_rate,
     log_pf_eigenvalue,
     pf_log_derivative,
+    pf_decomposition,
     q_transition_matrix,
 )
 from replica_markov.simulator import (
@@ -97,10 +95,22 @@ def test_02_pf_derivative_vs_finite_differences():
     assert report("02 pf-derivative", ok, elapsed, f"worst rel {worst:.2e}")
 
 
+def log_growth(M: np.ndarray, h: np.ndarray, n: int, row: int = 0) -> float:
+    """(1/n) log (M^n h)_row, rescaling the iterate at every step."""
+    v, log_scale = h.astype(float), 0.0
+    for _ in range(n):
+        v = M @ v
+        log_scale += math.log(v.sum())
+        v /= v.sum()
+    return (log_scale + math.log(v[row])) / n
+
+
 def test_03_growth_rate():
     # random irreducible 5x5 matrices, well-conditioned in the sense that the
     # Perron eigenvector is not far from flat (the 1e-3 @ n=200 target needs
-    # |log(psi_0 lam^T h)| < 0.2; a fully generic matrix can exceed it)
+    # |log(psi_0 lam^T h)| < 0.2; a fully generic matrix can exceed it).  The
+    # growth rate of M^n h tends to log rho of pf_decomposition, which in turn
+    # must be the spectral radius.
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
@@ -109,8 +119,8 @@ def test_03_growth_rate():
         stoch /= stoch.sum(axis=1, keepdims=True)
         M = float(rng.uniform(0.5, 3.0)) * (stoch + 0.08 * rng.uniform(0.0, 1.0, size=(5, 5)))
         rho = float(np.max(np.abs(np.linalg.eigvals(M))))
-        seq = growth_rate(M, np.ones(5), n_max=200)
-        worst = max(worst, abs(seq[-1][1] - math.log(rho)))
+        log_pf = math.log(pf_decomposition(M).rho)
+        worst = max(worst, abs(log_growth(M, np.ones(5), 200) - log_pf), abs(log_pf - math.log(rho)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-3 and elapsed < 1.0
     assert report("03 growth-rate", ok, elapsed, f"worst gap {worst:.2e}")
@@ -254,7 +264,7 @@ def test_10_metropolis_hastings():
     mse, _se, _rate = mh_mse_experiment(
         BINARY_SYM, 10, 1.0, instances=100, steps=120_000, burn_in=20_000, seed=SEED
     )
-    ref = replica_mmse(BINARY_SYM, 1.0)
+    ref = free_energy(BINARY_SYM, 1.0).mmse
     rel = abs(mse - ref) / ref
     elapsed = time.perf_counter() - t0
     ok = chain_ok and rel < 0.10 and elapsed < 120.0
@@ -264,7 +274,7 @@ def test_10_metropolis_hastings():
 def test_11_decoupling_limit_mutual_information():
     t0 = time.perf_counter()
     beta = 0.01
-    c = mutual_information(BINARY_SYM, beta)
+    c = free_energy(BINARY_SYM, beta).mutual_info
     # state-conditional scalar AWGN mutual information at eta = 1
     oracle = 0.5 * scalar_awgn_mi_binary(0.3) + 0.5 * scalar_awgn_mi_binary(0.7)
     rel = abs(c - oracle) / oracle
@@ -301,7 +311,7 @@ def test_12_property_suites():
     mmse_ok = True
     for model, m2 in ((BINARY_SYM, 1.0), (ModelSpec(prior=sparse_hmm_prior(0.3, 0.8)), 0.3)):
         for beta in (0.5, 1.5):
-            val = replica_mmse(model, beta)
+            val = free_energy(model, beta).mmse
             mmse_ok = mmse_ok and 0.0 <= val <= m2 + 1e-12
     config = validate_config(
         {

@@ -388,11 +388,12 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--cases", "0"), ("--cases", "-2"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0")],
-        ids=["0", "-2", "tol-nan", "tol--1", "tol-0"],
+        [("--cases", "0"), ("--cases", "-2"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--seed", "-1")],
+        ids=["0", "-2", "tol-nan", "tol--1", "tol-0", "seed--1"],
     )
     def test_pf_deriv_check_needs_a_case(self, capsys, flag, value):
-        # a case count below 1 or a tolerance that is not finite and > 0 is bad input, not a numeric failure
+        # a case count below 1, a tolerance that is not finite and > 0, or a
+        # negative seed is bad input, not a numeric failure
         assert main(["pf", "deriv-check", flag, value]) == 2
         assert f"config error: {flag}:" in capsys.readouterr().err
 
@@ -507,6 +508,9 @@ BAD_EXPERIMENTS = {
         {"model": {"prior": {"type": "discrete_markov", "states": [-1, 1],
                              "transition": [[math.nan, 1.0], [0.3, 0.7]]}}},
     ),
+    "seed-negative": ("seed", {"seed": -1}),
+    # rounded to 12 decimals, both betas of this range are 0
+    "range-rounds-to-zero": ("sweep", {"sweep": {"start": 1e-13, "stop": 2e-13, "step": 1e-13}}),
 }
 
 
@@ -516,6 +520,19 @@ def test_bad_experiment_exits_2_naming_its_path(tmp_path, capsys, path, override
     cfg.write_text(json.dumps(base_doc(**overrides)))
     assert main(["replica", "sweep", "--config", str(cfg)]) == 2
     assert f"config error: {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["replica", "sweep", "--seed", "3"], ["simulate", "exact"], ["simulate", "mh"], ["simulate", "amp"]],
+    ids=["replica-sweep-seed", "simulate-exact", "simulate-mh", "simulate-amp"],
+)
+def test_a_document_that_is_not_an_object_exits_2(tmp_path, capsys, argv):
+    # the --seed and task overrides apply to an object only; a JSON array is bad input
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config:")
 
 
 RATE_DOC = {

@@ -17,7 +17,6 @@ from replica_markov import (
 )
 from replica_markov.perron import (
     enumerate_q_states,
-    growth_rate,
     log_pf_eigenvalue,
     pf_decomposition,
     pf_log_derivative,
@@ -54,6 +53,11 @@ def central_difference(fn, tilt, h):
     return np.moveaxis(np.array(cols), 0, -1).reshape(np.shape(cols[0]) + tilt.shape)
 
 
+def tuples(space):
+    """Every (s, x) tuple in the order of ``space.ids``: s outermost, x in ``itertools.product`` order."""
+    return [(s, x) for s in space.s_alphabet for x in itertools.product(space.x_alphabet, repeat=space.nu + 1)]
+
+
 def tuple_loop_transition_matrix(space, kern, post, s_dist):
     """The coupling-chain matrix summed tuple by tuple over (s, x) x (s', x').
 
@@ -64,17 +68,13 @@ def tuple_loop_transition_matrix(space, kern, post, s_dist):
     row = {float(v): i for i, v in enumerate(kern.state_values())}
     laws = [stationary_distribution(kern)] + [stationary_distribution(post)] * space.nu
     steps = [kern.P] + [post.P] * space.nu
-    tuples = [
-        (s, [row[v] for v in x], space.state_of(s, x))
-        for s in space.s_alphabet
-        for x in itertools.product(space.x_alphabet, repeat=space.nu + 1)
-    ]
+    indexed = [(s, [row[v] for v in x], i) for (s, x), i in zip(tuples(space), space.ids.tolist())]
     joint = np.zeros((space.size, space.size))
     marginal = np.zeros(space.size)
-    for s_old, r_old, i in tuples:
+    for s_old, r_old, i in indexed:
         w_old = s_prob[s_old] * math.prod(law[r] for law, r in zip(laws, r_old))
         marginal[i] += w_old
-        for s_new, r_new, j in tuples:
+        for s_new, r_new, j in indexed:
             w_step = math.prod(step[a, b] for step, a, b in zip(steps, r_old, r_new))
             joint[i, j] += w_old * s_prob[s_new] * w_step
     return joint / marginal[:, None]
@@ -106,7 +106,7 @@ class TestEnumerate:
         space = enumerate_q_states([1.0], [-1.0, 1.0], 0)
         assert space.size == 1
         assert np.allclose(space.states[0], [[1.0]])
-        assert space.state_of(1.0, [-1.0]) == space.state_of(1.0, [1.0])
+        assert tuples(space) == [(1.0, (-1.0,)), (1.0, (1.0,))] and space.ids.tolist() == [0, 0]
 
     def test_nu1_binary_two_states_matches_brute_force(self):
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
@@ -177,7 +177,7 @@ class TestTransitionMatrix:
         state_prev = (prev[:, 0] == prev[:, 1]).astype(int)  # 0: same sign, 1: opposite
         state_new = (new[:, 0] == new[:, 1]).astype(int)
         # map: same-sign pairs give the all-ones matrix = state 0
-        same_id = space.state_of(1.0, [1.0, 1.0])
+        same_id = dict(zip(tuples(space), space.ids.tolist()))[1.0, (1.0, 1.0)]
         for a in range(2):
             mask = state_prev == (0 if same_id == 0 else 1) if a == 0 else state_prev == (1 if same_id == 0 else 0)
             freq = np.bincount(state_new[mask], minlength=2) / mask.sum()
@@ -203,8 +203,10 @@ class TestTransitionMatrix:
 
     def test_ids_index_every_tuple(self):
         space, _ = ternary_setup(2)
-        tuples = [(s, x) for s in space.s_alphabet for x in itertools.product(space.x_alphabet, repeat=3)]
-        assert space.ids.tolist() == [space.state_of(s, x) for s, x in tuples]
+        every = tuples(space)
+        assert len(every) == len(space.ids) == 2 * 3**3
+        for (s, x), i in zip(every, space.ids.tolist()):
+            assert np.array_equal(space.states[i], s * np.outer(x, x))
         assert space.states.shape == (space.size, 3, 3)
 
     def test_zero_marginal_guarded(self):
@@ -401,27 +403,6 @@ class TestPfLogDerivative:
             i, j = rng.integers(0, 4, size=2)
             bumped[i, j] += 0.2
             assert pf_decomposition(bumped).rho >= rho - 1e-12
-
-
-class TestGrowthRate:
-    def test_stochastic_all_zero(self):
-        kern = binary_markov_kernel(0.3, 0.6)
-        out = growth_rate(kern.P, np.ones(2), n_max=50)
-        assert all(abs(v) < 1e-14 for _, v in out)
-
-    def test_symmetric_2x2_limit_log3(self):
-        out = growth_rate(np.array([[2.0, 1.0], [1.0, 2.0]]), np.ones(2), n_max=200)
-        assert abs(out[-1][1] - math.log(3.0)) < 1e-3
-
-    def test_h_scaling_invariant_limit(self):
-        M = np.array([[0.5, 1.5], [0.7, 0.1]])
-        a = growth_rate(M, np.array([1.0, 1.0]), n_max=200)
-        b = growth_rate(M, np.array([10.0, 10.0]), n_max=200)
-        assert abs(a[-1][1] - b[-1][1]) < math.log(10.0) / 200 + 1e-12
-
-    def test_requires_positive_h(self):
-        with pytest.raises(ValidationError):
-            growth_rate(np.eye(2) + 0.1, np.array([1.0, 0.0]), n_max=5)
 
 
 # I(Q) and the diagonal optimal tilt at Q = (1 + eps) TERNARY_MEAN_DIAG I, recorded

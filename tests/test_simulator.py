@@ -16,7 +16,7 @@ from replica_markov import (
     TransitionMatrix,
     ValidationError,
     binary_markov_kernel,
-    replica_mmse,
+    free_energy,
     simulator,
     sparse_hmm_prior,
     stationary_distribution,
@@ -375,7 +375,7 @@ class TestMetropolisHastings:
         mse, se, rate = mh_mse_experiment(
             BINARY_SYM, 10, 1.0, instances=100, steps=60_000, burn_in=10_000, seed=9
         )
-        ref = replica_mmse(BINARY_SYM, 1.0)
+        ref = free_energy(BINARY_SYM, 1.0).mmse
         assert abs(mse - ref) / ref < 0.15
         assert 0.05 < rate < 0.95
 

@@ -8,21 +8,16 @@ from hypothesis import strategies as st
 
 from replica_markov import (
     ConditionalInputLaw,
-    FixedPoints,
     MarkovPrior,
-    MatchedModelRequired,
     ModelSpec,
     TransitionMatrix,
     binary_markov_kernel,
     fixed_point_residual,
     free_energies,
     free_energy,
-    free_energy_term,
     gauss_markov_eta,
     gauss_markov_free_energy,
     is_irreducible,
-    mutual_information,
-    replica_mmse,
     solve_fixed_point,
     sparse_hmm_prior,
 )
@@ -131,21 +126,20 @@ class TestFreeEnergyTerm:
     def test_binary_matches_trapezoid_oracle(self):
         beta = 1.0
         sol = free_energy(BINARY_SYM, beta)
-        g_minus = free_energy_term(BINARY_SYM, 0, sol.eta, sol.xi, beta)
+        g_minus, g_plus = solver._assess(BINARY_SYM, beta, sol.eta, sol.xi)[1]
         assert abs(g_minus - g_bar_binary(-1, sol.eta, 0.3, beta)) < 1e-7
-        g_plus = free_energy_term(BINARY_SYM, 1, sol.eta, sol.xi, beta)
         assert abs(g_plus - g_bar_binary(1, sol.eta, 0.3, beta)) < 1e-7
 
     def test_gauss_markov_term_is_closed_form(self):
         beta = 1.0
         eta = gauss_markov_eta(beta, 1.0)
-        term = free_energy_term(GM_UNIT, 0, eta, eta, beta)
+        (term,) = solver._assess(GM_UNIT, beta, eta, eta)[1]
         assert abs(term - gauss_markov_free_energy(beta, 1.0)) < 1e-10
 
     def test_matched_cross_entropy_is_output_entropy(self):
         # with p = q the integral term is the differential entropy of U
         beta, eta = 1.0, 0.7
-        term = free_energy_term(GM_UNIT, 0, eta, eta, beta)
+        (term,) = solver._assess(GM_UNIT, beta, eta, eta)[1]
         entropy = 0.5 * math.log(2.0 * math.pi * math.e * (1.0 + 1.0 / eta))
         const = (
             ((eta - 1.0) - math.log(eta)) / (2.0 * beta)
@@ -214,20 +208,14 @@ class TestMutualInformation:
             assert abs(sol.mmse) < 1e-10
 
     def test_mismatched_model_rejected(self):
+        # the mutual-information and MMSE identities hold for matched models only
         model = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)), sigma=2.0)
-        with pytest.raises(MatchedModelRequired):
-            mutual_information(model, 1.0)
-        with pytest.raises(MatchedModelRequired):
-            replica_mmse(model, 1.0)
+        sol = free_energy(model, 1.0)
+        assert sol.mutual_info is None and sol.mmse is None
 
     def test_monotone_nonincreasing_in_beta(self):
-        vals = [mutual_information(BINARY_SYM, float(b)) for b in np.arange(0.2, 3.01, 0.4)]
+        vals = [free_energy(BINARY_SYM, float(b)).mutual_info for b in np.arange(0.2, 3.01, 0.4)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_bits_conversion(self):
-        nats = mutual_information(BINARY_SYM, 1.0)
-        bits = mutual_information(BINARY_SYM, 1.0, units="bits")
-        assert abs(bits - nats / math.log(2.0)) < 1e-15
 
 
 class TestReplicaMmse:
@@ -260,7 +248,7 @@ class TestReplicaMmse:
     def test_low_load_limit_matches_scalar_channel(self):
         # beta -> 0: eta -> 1 and the MMSE is the scalar-channel value
         model = BINARY_SYM
-        mmse = replica_mmse(model, 1e-6)
+        mmse = free_energy(model, 1e-6).mmse
         u = np.linspace(-12, 12, 200_001)
         c = 1.0 / math.sqrt(2.0 * math.pi)
         f = 0.7 * c * np.exp(-0.5 * (u + 1) ** 2) + 0.3 * c * np.exp(-0.5 * (u - 1) ** 2)
@@ -272,7 +260,7 @@ class TestReplicaMmse:
     def test_bounds(self):
         for model, m2 in ((BINARY_SYM, 1.0), (ModelSpec(prior=sparse_hmm_prior(0.3, 0.8)), 0.3)):
             for beta in (0.4, 1.0, 2.5):
-                val = replica_mmse(model, beta)
+                val = free_energy(model, beta).mmse
                 assert 0.0 <= val <= m2 + 1e-12
 
 
@@ -489,14 +477,15 @@ class TestDiagnostics:
 
     def test_fixed_points_carry_diagnostics(self):
         model = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)), sigma=1.5)
+        sol = free_energy(model, 1.0)
         sols = solve_fixed_point(model, 1.0)
-        assert isinstance(sols, FixedPoints)
-        diag = sols.diagnostics
+        assert sols == [(e, x) for e, x, _ in sol.all_solutions] == sorted(sols)
+        diag = sol.diagnostics
         # each eta evaluation runs an inner xi solve with its own evaluations
         assert diag.evaluations > 3 * diag.scan_points
         assert diag.residual == max(fixed_point_residual(model, 1.0, e, x) for e, x in sols)
 
-    # mixture_expectation calls of solve_fixed_point when every channel at
+    # mixture_expectation calls of one solve when every channel at
     # every evaluated point was a call of its own, nested xi solves included
     PARENT_KERNEL_CALLS = {
         ("mismatched", 0.75): 370,
@@ -513,12 +502,10 @@ class TestDiagnostics:
         calls = []
         orig = single_symbol.mixture_expectation
         monkeypatch.setattr(single_symbol, "mixture_expectation", lambda *a: calls.append(1) or orig(*a))
-        diag = solve_fixed_point(TestGoldenValues.model(name), beta).diagnostics
+        # free_energy reads its scores and MMSE off the solve's assessment: no call of its own
+        diag = free_energy(TestGoldenValues.model(name), beta).diagnostics
         assert diag.kernel_calls == len(calls)
         assert 3 * diag.kernel_calls <= self.PARENT_KERNEL_CALLS[key]
-        # free_energy reads its scores and MMSE off the solve's assessment
-        sol = free_energy(TestGoldenValues.model(name), beta)
-        assert sol.diagnostics.kernel_calls == diag.kernel_calls + 0
 
     # Kernel calls of one solve that evaluates each (eta, xi) point once,
     # warm-starts its xi solves and stops each bracket once its secant point
@@ -537,7 +524,7 @@ class TestDiagnostics:
     def test_kernel_call_bounds(self, key):
         name, beta = key
         model = states_0_10_model(1.5) if name == "states_0_10" else TestGoldenValues.model(name)
-        assert solve_fixed_point(model, beta).diagnostics.kernel_calls <= self.KERNEL_CALL_BOUNDS[key]
+        assert free_energy(model, beta).diagnostics.kernel_calls <= self.KERNEL_CALL_BOUNDS[key]
 
     # Kernel calls of one lockstep solve over several betas, which every beta
     # of the batch reports (5, 34 and 6 when pinned).  One by one, the two
@@ -575,7 +562,7 @@ class TestDiagnostics:
     def test_solve_scores_equal_the_public_views(self, name):
         model, beta = TestGoldenValues.model(name), 0.75
         sol = free_energy(model, beta)
-        terms = [free_energy_term(model, i, sol.eta, sol.xi, beta) for i in range(len(model._decoupled.weights))]
+        terms = solver._assess(model, beta, sol.eta, sol.xi)[1]
         assert abs(sol.free_energy - model._decoupled.weights @ terms) <= 1e-15 * abs(sol.free_energy)
         residual = fixed_point_residual(model, beta, sol.eta, sol.xi)
         assert abs(sol.diagnostics.residual - residual) <= 1e-15 * abs(residual)
@@ -597,7 +584,6 @@ class TestDecoupleOnce:
                     monkeypatch.setattr(module, fn, lambda *a, _f=orig, _n=fn: calls.append(_n) or _f(*a))
         sol = free_energy(model, 1.0)
         fixed_point_residual(model, 1.0, sol.eta, sol.xi)
-        free_energy_term(model, 0, sol.eta, sol.xi, 1.0)
         assert calls == []
         ModelSpec(prior=model.prior, postulated_prior=model.postulated_prior, sigma=model.sigma)
         assert "stationary_distribution" in calls  # the counters see a new model's derivation
@@ -644,11 +630,11 @@ class TestSolveCache:
             return roots
 
         with mock.patch.object(solver, "_root", recording_root):
-            points = solve_fixed_point(model, beta)
+            sol = free_energy(model, beta)
         weights = model._decoupled.weights
-        for (eta, xi), reported in zip(points, points.free_energies):
+        for eta, xi, reported in sol.all_solutions:
             assert fixed_point_residual(model, beta, eta, xi) < RESIDUAL_TOL
-            fresh = sum(w * free_energy_term(model, i, eta, xi, beta) for i, w in enumerate(weights))
+            fresh = sum(w * g for w, g in zip(weights, solver._assess(model, beta, eta, xi)[1]))
             assert abs(fresh - reported) <= 1e-12
 
 
