@@ -252,6 +252,9 @@ def _build_betas(doc, errs: _Collector):
     if betas[0] <= 0:
         errs.add("sweep", f"start/stop/step round a beta to {betas[0]} at 12 decimals; need every beta > 0")
         return None
+    if any(b <= a for a, b in zip(betas, betas[1:])):
+        errs.add("sweep", "start/stop/step round two betas to one value at 12 decimals; need a larger step")
+        return None
     return betas
 
 

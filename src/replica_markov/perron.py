@@ -12,7 +12,6 @@ I(Q) = sup_T (tr(T Q) - log rho(P_T)) by damped Newton on that concave dual.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -118,10 +117,10 @@ def q_transition_matrix(
 
     rows = [val_to_row[v] for v in space.x_alphabet]
     s_vec = np.array([s_prob[s] for s in space.s_alphabet])
-    weight = functools.reduce(np.kron, [s_vec, p_marg[rows]] + [q_marg[rows]] * space.nu)
+    weight = _kron([s_vec, p_marg[rows]] + [q_marg[rows]] * space.nu)
     true_step = true_kernel.P[np.ix_(rows, rows)]
     post_step = postulated_kernel.P[np.ix_(rows, rows)]
-    step = functools.reduce(np.kron, [np.tile(s_vec, (len(s_vec), 1)), true_step] + [post_step] * space.nu)
+    step = _kron([np.tile(s_vec, (len(s_vec), 1)), true_step] + [post_step] * space.nu)
     member = np.zeros((len(weight), space.size))
     member[np.arange(len(weight)), space.ids] = 1.0
     joint = (member.T * weight) @ step @ member
@@ -138,8 +137,21 @@ def q_transition_matrix(
     return P
 
 
+def _kron(factors: list[np.ndarray]) -> np.ndarray:
+    """np.kron folded left to right over 1-D or 2-D factors, each entry the same products by broadcasting."""
+    out = factors[0]
+    for b in factors[1:]:
+        if out.ndim == 1:
+            out = (out[:, None] * b[None, :]).ravel()
+        else:
+            shape = (out.shape[0] * b.shape[0], out.shape[1] * b.shape[1])
+            out = (out[:, None, :, None] * b[None, :, None, :]).reshape(shape)
+    return out
+
+
 def _trace_terms(tilt: np.ndarray, space: QStateSpace) -> np.ndarray:
-    return np.tensordot(space.states, tilt, axes=2)
+    """tr(T Q_j) for every state j, as one dot over the flattened states."""
+    return space.states.reshape(space.size, -1).dot(tilt.reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,11 +213,12 @@ def pf_decomposition(M: np.ndarray) -> PfTriple:
         psi_n /= psi_n.sum()
         lam_n = lam @ Ms
         lam_n /= lam_n.sum()
-        rho_n = float(lam_n @ M @ psi_n) / float(lam_n @ psi_n)
+        lam_M = lam_n @ M
+        rho_n = float(lam_M @ psi_n) / float(lam_n @ psi_n)
         done = (
             abs(rho_n - rho) < PF_TOL * max(1.0, abs(rho_n))
             and np.max(np.abs(M @ psi_n - rho_n * psi_n)) < 0.5 * PF_RESIDUAL_TOL * rho_n
-            and np.max(np.abs(lam_n @ M - rho_n * lam_n)) < 0.5 * PF_RESIDUAL_TOL * rho_n
+            and np.max(np.abs(lam_M - rho_n * lam_n)) < 0.5 * PF_RESIDUAL_TOL * rho_n
         )
         psi, lam, rho = psi_n, lam_n, rho_n
         if done:
@@ -264,7 +277,8 @@ def log_pf_eigenvalue(base: np.ndarray, tilt: np.ndarray, space: QStateSpace) ->
 def pf_log_derivative(base: np.ndarray, tilt: np.ndarray, space: QStateSpace) -> np.ndarray:
     """d log rho / d tilt: (1/rho) sum_i lam_i sum_j psi_j Q_j P_ij e^{tr(T Q_j)}."""
     _, scaled, triple = _tilted_pf(base, tilt, space)
-    return np.tensordot(_twisted_weights(scaled, triple), space.states, axes=1)
+    d = space.nu + 1
+    return _twisted_weights(scaled, triple).dot(space.states.reshape(space.size, -1)).reshape(d, d)
 
 
 def pf_log_hessian(base: np.ndarray, tilt: np.ndarray, space: QStateSpace) -> np.ndarray:
@@ -321,7 +335,7 @@ def rate_function(
         t_max, scaled, triple = _tilted_pf(base, t, space)
         if not np.all(triple.psi > 0):
             raise IrreducibilityError("tilted matrix underflowed: psi has a zero entry")
-        grad = q_target - np.tensordot(_twisted_weights(scaled, triple), space.states, axes=1)
+        grad = q_target - _twisted_weights(scaled, triple).dot(f).reshape(q_target.shape)
         return float(np.sum(t * q_target)) - t_max - math.log(triple.rho), grad, scaled, triple
 
     val, grad, scaled, triple = dual(tilt)

@@ -288,11 +288,11 @@ class ChannelTable:
 
 def _padded(arrays: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
     width = max(len(a[0]) for a in arrays)
-    fill = (-np.inf, 0.0, 0.0)
-    return tuple(
-        np.array([np.pad(a[j], (0, width - len(a[j])), constant_values=fill[j]) for a in arrays])
-        for j in range(3)
-    )
+    tables = tuple(np.full((len(arrays), width), fill) for fill in (-np.inf, 0.0, 0.0))
+    for row, a in enumerate(arrays):
+        for table, column in zip(tables, a):
+            table[row, : len(column)] = column
+    return tables
 
 
 def channel_table(channels) -> ChannelTable:

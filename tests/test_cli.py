@@ -511,6 +511,8 @@ BAD_EXPERIMENTS = {
     "seed-negative": ("seed", {"seed": -1}),
     # rounded to 12 decimals, both betas of this range are 0
     "range-rounds-to-zero": ("sweep", {"sweep": {"start": 1e-13, "stop": 2e-13, "step": 1e-13}}),
+    # rounded to 12 decimals, the four betas of this range are all 1e-12
+    "range-rounds-to-one-beta": ("sweep", {"sweep": {"start": 1e-12, "stop": 1.3e-12, "step": 1e-13}}),
 }
 
 
@@ -658,6 +660,27 @@ def run_pf_rate(tmp_path, doc) -> tuple[int, bytes]:
     out.unlink(missing_ok=True)
     code = main(["pf", "rate", "--config", str(cfg), "--out", str(out)])
     return code, out.read_bytes() if out.exists() else b""
+
+
+DATA = Path(__file__).parent / "data"
+
+
+# Recorded from the code before the Perron hot path was vectorized: the
+# chain_ld chain and SNR law at the diagonal targets eps 0.14 (nu=2) and 0.10
+# (nu=3, the CI smoke document), and a fixed deriv-check draw.
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["pf", "rate", "--config", str(DATA / "pf_rate_nu2.json")], "pf_rate_nu2.csv"),
+        (["pf", "rate", "--config", str(DATA / "pf_rate_nu3.json")], "pf_rate_nu3.csv"),
+        (["pf", "deriv-check", "--cases", "4", "--seed", "7"], "pf_deriv_check.csv"),
+    ],
+    ids=["rate-nu2", "rate-nu3", "deriv-check"],
+)
+def test_pf_output_is_byte_identical_to_its_golden_file(tmp_path, argv, golden):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_pf_rate_reduces_the_snr_law_to_its_support(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from unittest import mock
@@ -15,6 +16,7 @@ from replica_markov import (
     is_irreducible,
     stationary_distribution,
 )
+from replica_markov import perron
 from replica_markov.perron import (
     enumerate_q_states,
     log_pf_eigenvalue,
@@ -23,8 +25,11 @@ from replica_markov.perron import (
     pf_log_hessian,
     q_transition_matrix,
     rate_function,
+    _kron,
     _max_cycle_mean,
     _tilted_pf,
+    _trace_terms,
+    _twisted_weights,
 )
 
 # The chain_ld benchmark chain: ternary, mirror-symmetric, with a two-point SNR law.
@@ -403,6 +408,60 @@ class TestPfLogDerivative:
             i, j = rng.integers(0, 4, size=2)
             bumped[i, j] += 0.2
             assert pf_decomposition(bumped).rho >= rho - 1e-12
+
+
+class TestHotPath:
+    """The broadcast and flat-dot forms give numpy's kron and tensordot bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kron_matches_numpy_kron(self, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, 5, size=int(rng.integers(2, 6)))
+        vectors = [rng.standard_normal(n) for n in lengths]
+        assert np.array_equal(_kron(vectors), functools.reduce(np.kron, vectors))
+        shapes = rng.integers(1, 5, size=(int(rng.integers(2, 6)), 2))
+        matrices = [rng.standard_normal(tuple(s)) for s in shapes]
+        assert np.array_equal(_kron(matrices), functools.reduce(np.kron, matrices))
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_flat_contractions_match_tensordot(self, nu):
+        rng = np.random.default_rng(20 + nu)
+        space, base = ternary_setup(nu)
+        d = nu + 1
+        wide = rng.standard_normal((2 * d, 2 * d))
+        # a general tilt, a symmetric one and two non-contiguous views
+        for tilt in (rng.standard_normal((d, d)), symmetric_tilt(rng, d, 0.3), wide[::2, ::2], wide[:d, :d].T):
+            assert np.array_equal(_trace_terms(tilt, space), np.tensordot(space.states, tilt, axes=2))
+            _, scaled, triple = _tilted_pf(base, tilt, space)
+            expected = np.tensordot(_twisted_weights(scaled, triple), space.states, axes=1)
+            assert np.array_equal(pf_log_derivative(base, tilt, space), expected)
+
+    @pytest.mark.parametrize("nu,eps,calls", [(2, 0.14, 4), (1, 1.5, 58)], ids=["converges", "backtracks"])
+    def test_rate_function_checks_every_triple(self, monkeypatch, nu, eps, calls):
+        # one pf_decomposition per dual evaluation, line-search candidates included
+        counts = {"pf": 0, "tilted": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(perron, "pf_decomposition", counted("pf", perron.pf_decomposition))
+        monkeypatch.setattr(perron, "_tilted_pf", counted("tilted", perron._tilted_pf))
+        space, base = ternary_setup(nu)
+        rate_function(space, base, round(TERNARY_MEAN_DIAG * (1.0 + eps), 12) * np.eye(nu + 1))
+        assert counts == {"pf": calls, "tilted": calls}
+
+    def test_underflowed_column_is_reducible(self):
+        # exp(terms - t_max) is 0 in the column of the zero state Q = 0
+        space, base = ternary_setup(1)
+        tilt = 200.0 * np.eye(2)
+        terms = _trace_terms(tilt, space)
+        assert np.count_nonzero(np.exp(terms - terms.max()) == 0.0) == 1
+        with pytest.raises(IrreducibilityError):
+            log_pf_eigenvalue(base, tilt, space)
 
 
 # I(Q) and the diagonal optimal tilt at Q = (1 + eps) TERNARY_MEAN_DIAG I, recorded
