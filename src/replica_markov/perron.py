@@ -190,7 +190,7 @@ def pf_decomposition(M: np.ndarray) -> PfTriple:
     residual check.
     """
     M = np.asarray(M, dtype=float)
-    if np.any(M < 0):
+    if (M < 0).any():
         raise ValidationError("matrix must be nonnegative")
     if not is_irreducible(M):
         raise IrreducibilityError("matrix must be irreducible")
@@ -217,8 +217,8 @@ def pf_decomposition(M: np.ndarray) -> PfTriple:
         rho_n = float(lam_M @ psi_n) / float(lam_n @ psi_n)
         done = (
             abs(rho_n - rho) < PF_TOL * max(1.0, abs(rho_n))
-            and np.max(np.abs(M @ psi_n - rho_n * psi_n)) < 0.5 * PF_RESIDUAL_TOL * rho_n
-            and np.max(np.abs(lam_M - rho_n * lam_n)) < 0.5 * PF_RESIDUAL_TOL * rho_n
+            and np.abs(M @ psi_n - rho_n * psi_n).max() < 0.5 * PF_RESIDUAL_TOL * rho_n
+            and np.abs(lam_M - rho_n * lam_n).max() < 0.5 * PF_RESIDUAL_TOL * rho_n
         )
         psi, lam, rho = psi_n, lam_n, rho_n
         if done:
@@ -333,24 +333,24 @@ def rate_function(
 
     def dual(t):
         t_max, scaled, triple = _tilted_pf(base, t, space)
-        if not np.all(triple.psi > 0):
+        if not (triple.psi > 0).all():
             raise IrreducibilityError("tilted matrix underflowed: psi has a zero entry")
         grad = q_target - _twisted_weights(scaled, triple).dot(f).reshape(q_target.shape)
-        return float(np.sum(t * q_target)) - t_max - math.log(triple.rho), grad, scaled, triple
+        return float((t * q_target).sum()) - t_max - math.log(triple.rho), grad, scaled, triple
 
     val, grad, scaled, triple = dual(tilt)
     it = 0
     for it in range(1, max_iter + 1):
-        gnorm = float(np.max(np.abs(grad)))
+        gnorm = float(np.abs(grad).max())
         if gnorm < grad_tol:
             return RateResult(val, tilt, gnorm, it, True, True)
         g = grad.ravel()
         g_span = span @ g
-        if val > value_cap or float(np.max(np.abs(g - span.T @ g_span))) > grad_tol:
+        if val > value_cap or float(np.abs(g - span.T @ g_span).max()) > grad_tol:
             return RateResult(math.inf, tilt, gnorm, it, False, False)
         hess = _log_hessian(scaled, triple, f_span)
         newton = np.linalg.lstsq(hess, g_span, rcond=None)[0]
-        if not np.all(np.isfinite(newton)):
+        if not np.isfinite(newton).all():
             break  # the Hessian underflowed: the tilt runs off to infinity
         direction = (span.T @ newton).reshape(tilt.shape)
         step = 1.0
@@ -360,7 +360,7 @@ def rate_function(
                 cand_val, cand_grad, cand_scaled, cand_triple = dual(cand)
             except (IrreducibilityError, ValidationError):
                 cand_val = None
-            if cand_val is not None and (cand_val > val or float(np.max(np.abs(cand_grad))) < gnorm):
+            if cand_val is not None and (cand_val > val or float(np.abs(cand_grad).max()) < gnorm):
                 break
             step *= 0.5
         else:
