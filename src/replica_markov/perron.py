@@ -151,7 +151,7 @@ def _kron(factors: list[np.ndarray]) -> np.ndarray:
 
 def _trace_terms(tilt: np.ndarray, space: QStateSpace) -> np.ndarray:
     """tr(T Q_j) for every state j, as one dot over the flattened states."""
-    return space.states.reshape(space.size, -1).dot(tilt.reshape(-1))
+    return space.states.reshape(space.size, -1).dot(np.ravel(tilt))
 
 
 @dataclass(frozen=True, eq=False)

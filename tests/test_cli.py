@@ -665,9 +665,10 @@ def run_pf_rate(tmp_path, doc) -> tuple[int, bytes]:
 DATA = Path(__file__).parent / "data"
 
 
-# Recorded from the code before the Perron hot path was vectorized: the
-# chain_ld chain and SNR law at the diagonal targets eps 0.14 (nu=2) and 0.10
-# (nu=3, the CI smoke document), and a fixed deriv-check draw.
+# Recorded from the code before the Perron hot path was vectorized, with BLAS
+# on one thread as conftest.py sets it (the thread count moves the last
+# digits): the chain_ld chain and SNR law at the diagonal targets eps 0.14
+# (nu=2) and 0.10 (nu=3, the CI smoke document), and a fixed deriv-check draw.
 @pytest.mark.parametrize(
     "argv,golden",
     [

@@ -18,6 +18,7 @@ from replica_markov import (
 )
 from replica_markov import perron
 from replica_markov.perron import (
+    QStateSpace,
     enumerate_q_states,
     log_pf_eigenvalue,
     pf_decomposition,
@@ -411,7 +412,7 @@ class TestPfLogDerivative:
 
 
 class TestHotPath:
-    """The broadcast and flat-dot forms give numpy's kron and tensordot bit for bit."""
+    """The per-tilt path: numpy's kron and tensordot bit for bit, and every triple checked."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_kron_matches_numpy_kron(self, seed):
@@ -428,10 +429,12 @@ class TestHotPath:
         rng = np.random.default_rng(20 + nu)
         space, base = ternary_setup(nu)
         d = nu + 1
+        random_space = QStateSpace(nu, (1.0,), (1.0,), rng.standard_normal((7, d, d)), np.arange(7))
         wide = rng.standard_normal((2 * d, 2 * d))
         # a general tilt, a symmetric one and two non-contiguous views
         for tilt in (rng.standard_normal((d, d)), symmetric_tilt(rng, d, 0.3), wide[::2, ::2], wide[:d, :d].T):
-            assert np.array_equal(_trace_terms(tilt, space), np.tensordot(space.states, tilt, axes=2))
+            for sp in (space, random_space):
+                assert np.array_equal(_trace_terms(tilt, sp), np.tensordot(sp.states, tilt, axes=2))
             _, scaled, triple = _tilted_pf(base, tilt, space)
             expected = np.tensordot(_twisted_weights(scaled, triple), space.states, axes=1)
             assert np.array_equal(pf_log_derivative(base, tilt, space), expected)
