@@ -190,9 +190,7 @@ def pf_decomposition(M: np.ndarray) -> PfTriple:
     residual check.
     """
     M = np.asarray(M, dtype=float)
-    if (M < 0).any():
-        raise ValidationError("matrix must be nonnegative")
-    if not is_irreducible(M):
+    if not is_irreducible(M):  # raises ValidationError on a negative entry
         raise IrreducibilityError("matrix must be irreducible")
     n = M.shape[0]
     if n == 1:

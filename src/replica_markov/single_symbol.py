@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -88,6 +88,10 @@ class _MixtureStats:
     cond_off: np.ndarray
     cond_var: np.ndarray
 
+    def log_density_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """log w - log sqrt(2 pi out_var) and 0.5 / out_var of each component: log w N(u) = first - second (u - out_mean)^2."""
+        return self.log_w - 0.5 * (_LOG_2PI + np.log(self.out_var)), 0.5 / self.out_var
+
 
 def _law_arrays(law: ConditionalInputLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log weights, means and variances of a law's nonzero components (a point mass has var 0)."""
@@ -102,31 +106,36 @@ def _law_arrays(law: ConditionalInputLaw) -> tuple[np.ndarray, np.ndarray, np.nd
 def _stats(log_w, mean, var, s, tau) -> _MixtureStats:
     """Statistics of atoms (mean, var) at SNR s and inverse noise variance tau, broadcast elementwise."""
     sqrt_s = np.sqrt(s)
+    return _scaled_stats(log_w, mean, var, sqrt_s, sqrt_s * mean, s * var, tau)
+
+
+def _scaled_stats(log_w, mean, var, sqrt_s, out_mean, sv, tau) -> _MixtureStats:
+    """``_stats`` from its factors that do not depend on tau: sqrt(s), out_mean = sqrt(s) mean and sv = s var."""
     noise = 1.0 / tau
-    sv = s * var
+    out_var = noise + sv
     # conditional mean m + gain*(u/sqrt(s) - m) as slope*u + offset
-    gain = sv / (sv + noise)
-    return _MixtureStats(
-        log_w, sqrt_s * mean, noise + sv, gain / sqrt_s, mean * (1.0 - gain), var * noise / (sv + noise)
-    )
+    gain = sv / out_var
+    return _MixtureStats(log_w, out_mean, out_var, gain / sqrt_s, mean * (1.0 - gain), var * noise / out_var)
 
 
 def _mixture_stats(law: ConditionalInputLaw, s: float, tau: float) -> _MixtureStats:
     return _stats(*_law_arrays(law), s, tau)
 
 
-def _posterior(stats: _MixtureStats, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _posterior(stats: _MixtureStats, u: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log q0(u), and the posterior mean and variance of X given U = u, elementwise in u.
 
     ``stats`` has the component axis first, its other axes broadcasting
     against u: numpy reduces a short leading axis several times faster than
-    a short last one.  The temporaries are updated in place: they bound the
-    kernel's working set.
+    a short last one.  ``factors`` are ``stats.log_density_factors()``,
+    which a caller evaluating one ``stats`` at many u computes once.  The
+    temporaries are updated in place: they bound the kernel's working set.
     """
+    log_norm, half_precision = factors
     logs = u - stats.out_mean
     logs *= logs
-    logs *= 0.5 / stats.out_var
-    np.subtract(stats.log_w - 0.5 * (_LOG_2PI + np.log(stats.out_var)), logs, out=logs)
+    logs *= half_precision
+    np.subtract(log_norm, logs, out=logs)
     top = logs.max(axis=0)
     logs -= top
     p = np.exp(logs, out=logs)
@@ -143,7 +152,8 @@ def _posterior(stats: _MixtureStats, u: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _law_posterior(law: ConditionalInputLaw, s: float, tau: float, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u = np.asarray(u, dtype=float)
     arrays = (a.reshape(a.shape + (1,) * u.ndim) for a in _law_arrays(law))
-    return _posterior(_stats(*arrays, s, tau), u)
+    stats = _stats(*arrays, s, tau)
+    return _posterior(stats, u, stats.log_density_factors())
 
 
 def output_density(ch: ScalarChannel, u, which: str = "true") -> np.ndarray | float:
@@ -176,6 +186,15 @@ def _trapezoid(intervals: int, midpoints: bool) -> tuple[np.ndarray, np.ndarray]
     w = (h / math.sqrt(math.pi)) * np.exp(-t * t)
     t.flags.writeable = w.flags.writeable = False
     return t, w
+
+
+@lru_cache(maxsize=4)
+def _first_levels(level: int) -> tuple[np.ndarray, tuple]:
+    """The nodes of the first two levels as one array, 2^level + 1 nodes then their 2^level midpoints, and their rules."""
+    rules = (_trapezoid(2**level, False), _trapezoid(2 ** (level + 1), True))
+    t = np.concatenate([nodes for nodes, _ in rules])
+    t.flags.writeable = False
+    return t, rules
 
 
 # mixture_expectation keeps its (fn, stats) signature, which tracing wraps,
@@ -228,35 +247,39 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
     weights = np.exp(stats.log_w)
     centre = stats.out_mean[..., None]
     scale = np.sqrt(2.0 * stats.out_var)[..., None]
-    entries = math.prod(np.broadcast_shapes(centre.shape, scale.shape))
+    entries = np.broadcast(centre, scale).size
     step = max(QUAD_MIN_BLOCK_NODES, QUAD_BLOCK_ENTRIES // entries)
 
-    def totals(*rules):
-        """Weighted sums of fn, one per (nodes, weights) rule.
+    def totals(t, rules):
+        """Weighted sums of fn, one per (nodes, weights) rule; t holds the nodes of all the rules in order.
 
         The nodes of all the rules go to fn in one call when they fit one
         block of ``step`` nodes; otherwise each rule's nodes go in the fewest
         blocks of at most ``step`` nodes, near-equal in size, so a block
         never holds the nodes of two rules.
         """
-        if len(rules) > 1 and sum(len(nodes) for nodes, _ in rules) > step:
-            return [total for rule in rules for total in totals(rule)]
-        t = np.concatenate([nodes for nodes, _ in rules])
+        if len(t) <= step:
+            vals = fn(centre + scale * t)
+            flat = vals.reshape(-1, vals.shape[-1])
+            sums, lo = [], 0
+            for _, w in rules:
+                # 0.0 + as in the running sum of the blocks below
+                sums.append(0.0 + (flat[:, lo : lo + len(w)] @ w).reshape(vals.shape[:-1]))
+                lo += len(w)
+            return [(a * weights).sum(axis=-1) for a in sums]
+        if len(rules) > 1:
+            return [total for rule in rules for total in totals(rule[0], (rule,))]
+        ((_, w),) = rules
         blocks = -(-len(t) // step)
         edges = [-(-len(t) * i // blocks) for i in range(blocks + 1)]
-        acc = [0.0] * len(rules)
+        acc = 0.0
         for lo, hi in zip(edges, edges[1:]):
             vals = fn(centre + scale * t[lo:hi])
-            flat = vals.reshape(-1, vals.shape[-1])
-            col = 0
-            for r, (_, w) in enumerate(rules):
-                w = w[lo:hi]  # several rules share one block, so lo = 0 and this is all of w
-                acc[r] = acc[r] + (flat[:, col : col + len(w)] @ w).reshape(vals.shape[:-1])
-                col += len(w)
-        return [(a * weights).sum(axis=-1) for a in acc]
+            acc = acc + (vals.reshape(-1, vals.shape[-1]) @ w[lo:hi]).reshape(vals.shape[:-1])
+        return [(acc * weights).sum(axis=-1)]
 
     intervals = 2 ** (_START_LEVEL + 1)
-    prev, mid = totals(_trapezoid(intervals // 2, False), _trapezoid(intervals, True))
+    prev, mid = totals(*_first_levels(_START_LEVEL))
     cur = 0.5 * prev + mid
     while not np.max(np.abs(cur - prev)) < QUAD_TOL:  # NaN refines until the raise
         if intervals >= QUAD_MAX_NODES:
@@ -264,7 +287,8 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
                 f"the trapezoid rule did not stabilize below {QUAD_TOL} by {QUAD_MAX_NODES + 1} nodes"
             )
         intervals *= 2
-        prev, cur = cur, 0.5 * cur + totals(_trapezoid(intervals, True))[0]
+        rule = _trapezoid(intervals, True)
+        prev, cur = cur, 0.5 * cur + totals(rule[0], (rule,))[0]
     _TALLY.nodes = max(_TALLY.nodes, intervals + 1)
     return cur if np.ndim(cur) else float(cur)
 
@@ -284,6 +308,22 @@ class ChannelTable:
     post: tuple[np.ndarray, np.ndarray, np.ndarray]
     second_moment: np.ndarray  # E[X1^2] under each channel's true law
     degenerate: np.ndarray  # lone identical point mass in both laws: error and variance exactly 0
+    # The factors of ``_scaled_stats`` that do not depend on (eta, xi):
+    # (log_w, mean, var, sqrt(s), sqrt(s) mean, s var) of the true laws,
+    # shaped (channels, components), and of the postulated laws with their
+    # components first, shaped (components, channels, 1, 1) (sqrt(s) with a
+    # component axis of 1).
+    true_factors: tuple = field(init=False, repr=False, compare=False)
+    post_factors: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        s = self.s[:, None]
+        sqrt_s = np.sqrt(s)
+        log_w, mean, var = self.true
+        object.__setattr__(self, "true_factors", (log_w, mean, var, sqrt_s, sqrt_s * mean, s * var))
+        log_w, mean, var = (a.T[..., None, None] for a in self.post)
+        s, sqrt_s = s[None, ..., None], sqrt_s[None, ..., None]
+        object.__setattr__(self, "post_factors", (log_w, mean, var, sqrt_s, sqrt_s * mean, s * var))
 
 
 def _padded(arrays: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
@@ -324,15 +364,16 @@ def channel_moments(channels, eta=None, xi=None) -> np.ndarray:
         return _one_channel(channels)[1][0]
     table = channels
     eta, xi = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(xi, dtype=float))
-    s = table.s[:, None]
-    true_stats = _stats(*table.true, s, eta[..., None, None])
+    true_stats = _scaled_stats(*table.true_factors, eta[..., None, None])
     # postulated components first, then the points, channels, true components and nodes of u
-    post = (a.T.reshape(a.shape[1:] + (1,) * eta.ndim + a.shape[:1] + (1, 1)) for a in table.post)
-    post_stats = _stats(*post, s[..., None], xi[..., None, None, None])
+    points = (1,) * eta.ndim
+    post = (a.reshape(a.shape[:1] + points + a.shape[1:]) for a in table.post_factors)
+    post_stats = _scaled_stats(*post, xi[..., None, None, None])
+    factors = post_stats.log_density_factors()
     slope, off = true_stats.cond_slope[..., None], true_stats.cond_off[..., None]
 
     def integrands(u):
-        log_q0, g, var = _posterior(post_stats, u)
+        log_q0, g, var = _posterior(post_stats, u, factors)
         out = np.empty((4, *g.shape))
         np.multiply(g, g, out=out[0])
         np.multiply(slope, u, out=out[1])
@@ -342,7 +383,8 @@ def channel_moments(channels, eta=None, xi=None) -> np.ndarray:
         np.negative(log_q0, out=out[3])
         return out
 
-    return np.moveaxis(mixture_expectation(integrands, true_stats), 0, -1)
+    moments = mixture_expectation(integrands, true_stats)
+    return moments.transpose((*range(1, moments.ndim), 0))
 
 
 def channel_errors(table: ChannelTable, moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -174,6 +174,14 @@ def _weighted_errors(dec: _Decoupled, moments: np.ndarray) -> tuple[np.ndarray, 
     return mse @ dec.ws, var @ dec.ws
 
 
+def _quotient(x: float, y: float) -> float:
+    """x / y for Python floats, with numpy's inf or NaN where y is 0 instead of ZeroDivisionError."""
+    try:
+        return x / y
+    except ZeroDivisionError:
+        return math.copysign(math.inf, x) * math.copysign(1.0, y) if x == x and x != 0.0 else math.nan
+
+
 def _root(f, a, b, fa, fb):
     """Roots of f in the brackets [a, b], with fa and fb of opposite signs, by Anderson-Bjorck regula falsi.
 
@@ -191,37 +199,52 @@ def _root(f, a, b, fa, fb):
     whatever f computed there is known at the root; a bracket narrower than
     1e-14 from the start is not evaluated and returns its end with the
     smaller |f|.
+
+    The per-bracket bookkeeping runs in Python floats, one bracket at a
+    time: a solve's batches hold 1 to 40 brackets, where a numpy call per
+    step and quantity costs more than the arithmetic.  Each float operation
+    is the one the array form made, in the same order, so the roots and the
+    points passed to f are the same to the bit.
     """
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    side = np.zeros(a.shape, dtype=int)
-    active = np.ones(a.shape, dtype=bool)
-    own_a, own_b = np.zeros(a.shape, dtype=bool), np.zeros(a.shape, dtype=bool)  # ends this call evaluated
-    c = np.where(abs(fa) <= abs(fb), a, b)
+    a, b, fa, fb = (np.array(v, dtype=float).tolist() for v in (a, b, fa, fb))
+    c = [x if abs(fx) <= abs(fy) else y for x, y, fx, fy in zip(a, b, fa, fb)]
+    side = [0] * len(c)  # the end the last step moved: -1 for b, 1 for a
+    own_a, own_b = [False] * len(c), [False] * len(c)  # ends this call evaluated
+    active = list(range(len(c)))
     for _ in range(_ROOT_MAX_ITER):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            secant = (a * fb - b * fa) / (fb - fa)
-        active &= b - a >= _ROOT_TOL
-        on_end = active & (((secant == a) & own_a) | ((secant == b) & own_b))
-        c = np.where(on_end, secant, c)
-        active &= ~on_end
-        if not active.any():
+        live = []
+        for i in active:
+            lo, hi, f_lo, f_hi = a[i], b[i], fa[i], fb[i]
+            if not hi - lo >= _ROOT_TOL:
+                continue
+            secant = _quotient(lo * f_hi - hi * f_lo, f_hi - f_lo)
+            if (secant == lo and own_a[i]) or (secant == hi and own_b[i]):
+                c[i] = secant
+                continue
+            c[i] = secant if lo < secant < hi else 0.5 * (lo + hi)
+            live.append(i)
+        active = live
+        if not active:
             break
-        c = np.where(active, np.where((a < secant) & (secant < b), secant, 0.5 * (a + b)), c)
-        idx = np.flatnonzero(active)
-        fc = np.zeros(a.shape)
-        fc[idx] = f(c[idx], idx)
-        active &= fc != 0.0
-        right = active & ((fc > 0.0) == (fb > 0.0))
-        left = active & ~right
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = 1.0 - fc / np.where(right, fb, fa)
-        m = np.where(m > 0.0, m, 0.5)
-        fa = np.where(right & (side == -1), m * fa, np.where(left, fc, fa))
-        fb = np.where(left & (side == 1), m * fb, np.where(right, fc, fb))
-        a, b = np.where(left, c, a), np.where(right, c, b)
-        own_a, own_b = own_a | left, own_b | right
-        side = np.where(right, -1, np.where(left, 1, side))
-    return c
+        fcs = np.asarray(f(np.array([c[i] for i in active]), np.array(active)), dtype=float).tolist()
+        live = []
+        for i, fc in zip(active, fcs):
+            if fc == 0.0:
+                continue
+            live.append(i)
+            # an end that moves twice running holds the last step's fc, never 0: m divides by it
+            if (fc > 0.0) == (fb[i] > 0.0):
+                if side[i] == -1:
+                    m = 1.0 - fc / fb[i]
+                    fa[i] *= m if m > 0.0 else 0.5
+                fb[i], b[i], own_b[i], side[i] = fc, c[i], True, -1
+            else:
+                if side[i] == 1:
+                    m = 1.0 - fc / fa[i]
+                    fb[i] *= m if m > 0.0 else 0.5
+                fa[i], a[i], own_a[i], side[i] = fc, c[i], True, 1
+        active = live
+    return np.array(c, dtype=float)
 
 
 def _roots(f, lo, hi, points: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
@@ -241,27 +264,32 @@ def _roots(f, lo, hi, points: int) -> tuple[list[np.ndarray], np.ndarray, np.nda
     xs = np.column_stack((lo, hi)) if points == 2 else np.geomspace(lo, hi, points).T
     every = np.arange(len(xs))
     fs = np.asarray(f(xs, np.repeat(every[:, None], points, axis=1)), dtype=float)
-    x0, f0 = xs[:, 0], fs[:, 0]
-    counts = np.full(len(xs), points)
+    # each row's grid as (x, f(x)) pairs in ascending x, in Python floats
+    grids = [list(zip(x, y)) for x, y in zip(xs.tolist(), fs.tolist())]
+    up = [r for r, grid in enumerate(grids) if not grid[0][1] <= 0.0]
     for _ in range(_MAX_HALVINGS):
-        up = ~(f0 <= 0.0)
-        if not up.any():
+        if not up:
             break
-        counts += up
-        x, fx = np.full(len(xs), np.nan), np.full(len(xs), np.nan)
-        x[up] = x0[up] / 2.0
-        fx[up] = f(x[up], every[up])
-        xs, fs = np.column_stack((x, xs)), np.column_stack((fx, fs))  # NaN where a row was not extended
-        x0, f0 = np.where(up, x, x0), np.where(up, fx, f0)
-    change = ((fs[:, :-1] < 0.0) & (fs[:, 1:] > 0.0)) | ((fs[:, 1:] < 0.0) & (fs[:, :-1] > 0.0))
-    row, col = np.nonzero(change)
-    refined = _root(lambda x, idx: f(x, row[idx]), xs[row, col], xs[row, col + 1], fs[row, col], fs[row, col + 1])
-    at, on = np.nonzero(fs == 0.0)
-    rows, roots = np.concatenate((at, row)), np.concatenate((xs[at, on], refined))
-    roots = roots[np.lexsort((roots, rows))]
-    ends = np.cumsum(np.bincount(rows, minlength=len(xs))).tolist()
-    per_row = [roots[a:b] for a, b in zip([0, *ends], ends)]
-    return per_row, counts, change.sum(axis=1)
+        x = [grids[r][0][0] / 2.0 for r in up]
+        fx = np.asarray(f(np.array(x), np.array(up)), dtype=float).tolist()
+        for r, point in zip(up, zip(x, fx)):
+            grids[r].insert(0, point)
+        up = [r for r, y in zip(up, fx) if not y <= 0.0]
+    brackets = [
+        (r, *left, *right)
+        for r, grid in enumerate(grids)
+        for left, right in zip(grid, grid[1:])
+        if (left[1] < 0.0 < right[1]) or (right[1] < 0.0 < left[1])
+    ]
+    roots = [[x for x, y in grid if y == 0.0] for grid in grids]
+    changes = np.zeros(len(grids), dtype=int)
+    if brackets:
+        row, a, fa, b, fb = zip(*brackets)
+        row = np.array(row)
+        np.add.at(changes, row, 1)
+        for r, x in zip(row.tolist(), _root(lambda x, idx: f(x, row[idx]), a, b, fa, fb).tolist()):
+            roots[r].append(x)
+    return [np.array(sorted(x), dtype=float) for x in roots], np.array([len(g) for g in grids]), changes
 
 
 def _first_roots(h, rows: list, solved: dict, lo, hi: float) -> np.ndarray:
@@ -283,12 +311,12 @@ def _first_roots(h, rows: list, solved: dict, lo, hi: float) -> np.ndarray:
         if 0 < at < len(known) and known[at - 1][0] == row[0] == known[at][0]:
             inner.append(r)
             ends.append(sorted((solved[known[at - 1]], solved[known[at]])))
-    left, right = np.broadcast_to(np.asarray(lo, dtype=float), len(rows)).copy(), np.full(len(rows), hi)
+    left, right = np.broadcast_to(np.asarray(lo, dtype=float), len(rows)).tolist(), [float(hi)] * len(rows)
     if inner:
-        inner, ends = np.array(inner), np.array(ends)
-        fs = h(ends, np.repeat(inner[:, None], 2, axis=1))
-        warm = (fs[:, 0] < 0.0) & (fs[:, 1] > 0.0)
-        left[inner[warm]], right[inner[warm]] = ends[warm].T
+        fs = h(np.array(ends), np.repeat(np.array(inner)[:, None], 2, axis=1)).tolist()
+        for r, (x_lo, x_hi), (f_lo, f_hi) in zip(inner, ends, fs):
+            if f_lo < 0.0 < f_hi:
+                left[r], right[r] = x_lo, x_hi
     return np.array([r[0] if r.size else np.nan for r in _roots(h, left, right, 2)[0]])
 
 

@@ -14,6 +14,8 @@ import numpy as np
 
 LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 _LOG_2PI = math.log(2.0 * math.pi)
+_ROOT_TOL = 1e-14
+_ROOT_MAX_ITER = 200
 
 
 def brute_force_log_evidence(inst, model) -> float:
@@ -259,3 +261,56 @@ def scipy_gaussian_log_evidence(inst, nu: float, sigma0_sq: float) -> float:
     c, low = cho_factor(K, lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     return -0.5 * (inst.m * _LOG_2PI + logdet + float(inst.y @ cho_solve((c, low), inst.y)))
+
+
+# The array form of solver._root, kept verbatim from before its bookkeeping
+# moved to Python floats: the solver's version must give the same roots, bit
+# for bit, from the same sequence of f calls.
+def reference_root(f, a, b, fa, fb):
+    """Roots of f in the brackets [a, b], with fa and fb of opposite signs, by Anderson-Bjorck regula falsi.
+
+    The brackets are 1-D arrays of independent brackets, solved in lockstep:
+    each step makes one call f(x, idx), where idx indexes the brackets still
+    active and x holds one point of each of them; a solved bracket is not
+    evaluated again.  When the same end moves twice running, the f value of
+    the stale end is scaled by m = 1 - f(c)/f(moved end), or halved when
+    m <= 0 (Anderson & Bjorck 1973), so both ends converge; a secant point
+    that rounds outside (a, b) is replaced by the midpoint.  A bracket stops
+    when it is narrower than 1e-14, when f is exactly 0, or when its secant
+    point rounds onto an end this call evaluated (that end is then the root,
+    and the far end would only be halved); an end the caller passed in never
+    stops it this way.  Each root is a point of its bracket passed to f, so
+    whatever f computed there is known at the root; a bracket narrower than
+    1e-14 from the start is not evaluated and returns its end with the
+    smaller |f|.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    side = np.zeros(a.shape, dtype=int)
+    active = np.ones(a.shape, dtype=bool)
+    own_a, own_b = np.zeros(a.shape, dtype=bool), np.zeros(a.shape, dtype=bool)  # ends this call evaluated
+    c = np.where(abs(fa) <= abs(fb), a, b)
+    for _ in range(_ROOT_MAX_ITER):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = (a * fb - b * fa) / (fb - fa)
+        active &= b - a >= _ROOT_TOL
+        on_end = active & (((secant == a) & own_a) | ((secant == b) & own_b))
+        c = np.where(on_end, secant, c)
+        active &= ~on_end
+        if not active.any():
+            break
+        c = np.where(active, np.where((a < secant) & (secant < b), secant, 0.5 * (a + b)), c)
+        idx = np.flatnonzero(active)
+        fc = np.zeros(a.shape)
+        fc[idx] = f(c[idx], idx)
+        active &= fc != 0.0
+        right = active & ((fc > 0.0) == (fb > 0.0))
+        left = active & ~right
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = 1.0 - fc / np.where(right, fb, fa)
+        m = np.where(m > 0.0, m, 0.5)
+        fa = np.where(right & (side == -1), m * fa, np.where(left, fc, fa))
+        fb = np.where(left & (side == 1), m * fb, np.where(right, fc, fb))
+        a, b = np.where(left, c, a), np.where(right, c, b)
+        own_a, own_b = own_a | left, own_b | right
+        side = np.where(right, -1, np.where(left, 1, side))
+    return c

@@ -684,6 +684,17 @@ def test_pf_output_is_byte_identical_to_its_golden_file(tmp_path, argv, golden):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+# Recorded before the replica solve kept its root-finding bookkeeping in Python
+# floats, with BLAS on one thread: the CI mismatched smoke document (binary
+# prior, discrete_markov postulated prior, sigma 1.2), a matched binary sweep
+# under a two-point SNR law and a sparse HMM sweep, each at beta 0.75 and 1.5.
+@pytest.mark.parametrize("name", ["replica_mismatched", "replica_binary_two_snr", "replica_sparse_hmm"])
+def test_replica_sweep_is_byte_identical_to_its_golden_file(tmp_path, name):
+    out = tmp_path / "out.csv"
+    assert main(["replica", "sweep", "--config", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
 def test_pf_rate_reduces_the_snr_law_to_its_support(tmp_path):
     code, merged = run_pf_rate(tmp_path, {**RATE_DOC, "snr": [[1.0, 0.5], [2.0, 0.5]]})
     assert code == 0

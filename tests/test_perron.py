@@ -315,8 +315,11 @@ class TestPfDecomposition:
         assert abs(rho - rho_eig) < 1e-12 * rho_eig
 
     def test_rejects_negative_and_reducible(self):
-        with pytest.raises(ValidationError):
+        # one scan for negative entries, in is_irreducible, with its message
+        with pytest.raises(ValidationError, match="^matrix must be nonnegative$"):
             pf_decomposition(np.array([[1.0, -0.1], [0.2, 1.0]]))
+        with pytest.raises(ValidationError, match="^matrix must be nonnegative$"):
+            pf_decomposition(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, -1e-300, 0.5]]))
         with pytest.raises(IrreducibilityError):
             pf_decomposition(np.eye(2))
 

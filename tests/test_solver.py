@@ -413,6 +413,114 @@ class TestRootHelpers:
         assert len(points) == evaluations and got[0] in points
         assert abs(got[0] - root) < 1e-14
 
+    @staticmethod
+    def random_batch(rng) -> tuple:
+        """(f, a, b, fa, fb) of 1-40 brackets, each with its own root function.
+
+        Kind 0 is a smooth exponential, 1 a cubic, 2 a line through a dyadic
+        root on a dyadic bracket (its first secant point is the root, where f
+        is exactly 0), 3 a steep tanh whose secant points overshoot (the stale
+        end's Illinois factor m goes <= 0 and is halved), 4 a bracket
+        narrower than 1e-14 from the start and 5 a sinh so steep that the
+        first secant point rounds onto the end nearer the root, which the
+        caller passed in and so does not stop the bracket.
+        """
+        n = int(rng.integers(1, 41))
+        kind = rng.integers(0, 6, n)
+        target = rng.uniform(0.1, 0.9, n)
+        target[kind == 2] = rng.integers(1, 16, (kind == 2).sum()) / 16.0
+        rate = rng.uniform(0.5, 40.0, n)
+        a, b = np.zeros(n), np.ones(n)
+        a[kind == 4], b[kind == 4] = target[kind == 4] - 3e-15, target[kind == 4] + 3e-15
+
+        def f(x, idx):
+            k, t, r = kind[idx], target[idx] + np.zeros_like(x), rate[idx]
+            d = x - t
+            with np.errstate(over="ignore"):
+                return np.select(
+                    [k == 0, k == 1, k == 2, k == 3, k == 5],
+                    [np.expm1(r * d), d**3 + 1e-3 * d, d, np.tanh(20.0 * r * d), np.sinh(80.0 * d)],
+                    np.expm1(d),
+                )
+
+        every = np.arange(n)
+        return f, a, b, f(a, every), f(b, every)
+
+    @staticmethod
+    def endgames(calls, a, b, fb, roots) -> set:
+        """The stops and fallbacks a batch shows, read off the points f was given and the values it returned."""
+        seen, evaluated = set(), [[] for _ in a]
+        for xs, idx, ys in calls:
+            for x, i, y in zip(xs, idx, ys):
+                evaluated[i].append((x, y))
+        for i, points in enumerate(evaluated):
+            # the same end moves twice running (f keeps its sign) and |f| does not fall: m <= 0
+            if any((y > 0.0) == (z > 0.0) and z / y >= 1.0 for (_, y), (_, z) in zip(points, points[1:])):
+                seen.add("halved")
+            if any(y == 0.0 for _, y in points):
+                seen.add("zero")
+            lo, hi = a[i], b[i]
+            for x, y in points:
+                lo, hi = (lo, x) if (y > 0.0) == (fb[i] > 0.0) else (x, hi)
+            if not points and hi - lo < 1e-14:
+                seen.add("narrow")
+            elif points and hi - lo >= 1e-14 and points[-1][1] != 0.0 and roots[i] in (lo, hi):
+                seen.add("on_end")
+        return seen
+
+    def test_root_matches_the_array_form_bit_for_bit(self):
+        from oracles import reference_root
+
+        rng = np.random.default_rng(20260)
+        seen = set()
+        for _ in range(40):
+            f, a, b, fa, fb = self.random_batch(rng)
+            logs = [], []
+
+            def logged(log):
+                def g(x, idx):
+                    y = f(x, idx)
+                    log.append((x.tolist(), idx.tolist(), y.tolist()))
+                    return y
+
+                return g
+
+            with np.errstate(all="ignore"):
+                want = reference_root(logged(logs[0]), a, b, fa, fb)
+            got = _root(logged(logs[1]), a, b, fa, fb)
+            assert np.array_equal(got, want)
+            assert [len(x) for x, _, _ in logs[1]] == [len(x) for x, _, _ in logs[0]]
+            assert logs[1] == logs[0]  # the same points, brackets and values, call by call
+            seen |= self.endgames(logs[1], a, b, fb, got)
+        assert seen == {"halved", "zero", "narrow", "on_end"}
+
+    def test_root_overflow_and_zero_division_match_the_array_form(self):
+        # products overflowing to inf, a secant inf/inf, a secant 0/0 and
+        # denormal f values give numpy's inf and NaN, not an exception, and
+        # the array form's points
+        from oracles import reference_root
+
+        a, b = np.array([0.5, 0.25, 0.0]), np.array([2.0, 0.75, 1.0])
+        fa, fb = np.array([-1e308, -0.0, -1.0]), np.array([1e308, 0.0, 5e-324])
+
+        def f(x, idx):
+            return np.where(idx == 2, (x - 0.999) * 1e-320, 1e308 * (x - 1.0))
+
+        logs = [], []
+        with np.errstate(all="ignore"):
+            want = reference_root(lambda x, idx: logs[0].append(x.tolist()) or f(x, idx), a, b, fa, fb)
+            got = _root(lambda x, idx: logs[1].append(x.tolist()) or f(x, idx), a, b, fa, fb)
+        assert np.array_equal(got, want, equal_nan=True) and logs[1] == logs[0]
+
+    @pytest.mark.parametrize("x", [1.0, -1.0, 0.0, -0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("y", [0.0, -0.0, 2.0, math.inf])
+    def test_quotient_is_numpys_division(self, x, y):
+        with np.errstate(all="ignore"):
+            want = float(np.float64(x) / np.float64(y))
+        got = solver._quotient(x, y)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want) or math.isnan(want)
+
     def test_first_roots_warm_bracket_and_fallback(self):
         # h(xi) = xi - (0.3 + 0.1 eta) on each row (group, eta).  Row (0, 0.3)
         # lies between solved rows of its group whose roots 0.32 and 0.34
