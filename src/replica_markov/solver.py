@@ -201,10 +201,10 @@ def _root(f, a, b, fa, fb):
     smaller |f|.
 
     The per-bracket bookkeeping runs in Python floats, one bracket at a
-    time: a solve's batches hold 1 to 40 brackets, where a numpy call per
-    step and quantity costs more than the arithmetic.  Each float operation
-    is the one the array form made, in the same order, so the roots and the
-    points passed to f are the same to the bit.
+    time: a batch holds one bracket per sign change of each row, typically
+    1 to 40, and at that size numpy's cost per call exceeds the arithmetic.
+    Each float operation is the one the array form made, in the same order,
+    so the roots and the points passed to f are the same to the bit.
     """
     a, b, fa, fb = (np.array(v, dtype=float).tolist() for v in (a, b, fa, fb))
     c = [x if abs(fx) <= abs(fy) else y for x, y, fx, fy in zip(a, b, fa, fb)]
