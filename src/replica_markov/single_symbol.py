@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -106,16 +106,13 @@ def _law_arrays(law: ConditionalInputLaw) -> tuple[np.ndarray, np.ndarray, np.nd
 def _stats(log_w, mean, var, s, tau) -> _MixtureStats:
     """Statistics of atoms (mean, var) at SNR s and inverse noise variance tau, broadcast elementwise."""
     sqrt_s = np.sqrt(s)
-    return _scaled_stats(log_w, mean, var, sqrt_s, sqrt_s * mean, s * var, tau)
-
-
-def _scaled_stats(log_w, mean, var, sqrt_s, out_mean, sv, tau) -> _MixtureStats:
-    """``_stats`` from its factors that do not depend on tau: sqrt(s), out_mean = sqrt(s) mean and sv = s var."""
     noise = 1.0 / tau
-    out_var = noise + sv
+    sv = s * var
     # conditional mean m + gain*(u/sqrt(s) - m) as slope*u + offset
-    gain = sv / out_var
-    return _MixtureStats(log_w, out_mean, out_var, gain / sqrt_s, mean * (1.0 - gain), var * noise / out_var)
+    gain = sv / (sv + noise)
+    return _MixtureStats(
+        log_w, sqrt_s * mean, noise + sv, gain / sqrt_s, mean * (1.0 - gain), var * noise / (sv + noise)
+    )
 
 
 def _mixture_stats(law: ConditionalInputLaw, s: float, tau: float) -> _MixtureStats:
@@ -188,15 +185,6 @@ def _trapezoid(intervals: int, midpoints: bool) -> tuple[np.ndarray, np.ndarray]
     return t, w
 
 
-@lru_cache(maxsize=4)
-def _first_levels(level: int) -> tuple[np.ndarray, tuple]:
-    """The nodes of the first two levels as one array, 2^level + 1 nodes then their 2^level midpoints, and their rules."""
-    rules = (_trapezoid(2**level, False), _trapezoid(2 ** (level + 1), True))
-    t = np.concatenate([nodes for nodes, _ in rules])
-    t.flags.writeable = False
-    return t, rules
-
-
 # mixture_expectation keeps its (fn, stats) signature, which tracing wraps,
 # so its call count and the node count it converged at are tallied here.  The
 # tally is kept per thread so that a library caller solving models on several
@@ -250,36 +238,32 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
     entries = np.broadcast(centre, scale).size
     step = max(QUAD_MIN_BLOCK_NODES, QUAD_BLOCK_ENTRIES // entries)
 
-    def totals(t, rules):
-        """Weighted sums of fn, one per (nodes, weights) rule; t holds the nodes of all the rules in order.
+    def totals(*rules):
+        """Weighted sums of fn, one per (nodes, weights) rule.
 
         The nodes of all the rules go to fn in one call when they fit one
         block of ``step`` nodes; otherwise each rule's nodes go in the fewest
         blocks of at most ``step`` nodes, near-equal in size, so a block
         never holds the nodes of two rules.
         """
-        if len(t) <= step:
-            vals = fn(centre + scale * t)
-            flat = vals.reshape(-1, vals.shape[-1])
-            sums, lo = [], 0
-            for _, w in rules:
-                # 0.0 + as in the running sum of the blocks below
-                sums.append(0.0 + (flat[:, lo : lo + len(w)] @ w).reshape(vals.shape[:-1]))
-                lo += len(w)
-            return [(a * weights).sum(axis=-1) for a in sums]
-        if len(rules) > 1:
-            return [total for rule in rules for total in totals(rule[0], (rule,))]
-        ((_, w),) = rules
+        if len(rules) > 1 and sum(len(nodes) for nodes, _ in rules) > step:
+            return [total for rule in rules for total in totals(rule)]
+        t = np.concatenate([nodes for nodes, _ in rules])
         blocks = -(-len(t) // step)
         edges = [-(-len(t) * i // blocks) for i in range(blocks + 1)]
-        acc = 0.0
+        acc = [0.0] * len(rules)
         for lo, hi in zip(edges, edges[1:]):
             vals = fn(centre + scale * t[lo:hi])
-            acc = acc + (vals.reshape(-1, vals.shape[-1]) @ w[lo:hi]).reshape(vals.shape[:-1])
-        return [(acc * weights).sum(axis=-1)]
+            flat = vals.reshape(-1, vals.shape[-1])
+            col = 0
+            for r, (_, w) in enumerate(rules):
+                w = w[lo:hi]  # several rules share one block, so lo = 0 and this is all of w
+                acc[r] = acc[r] + (flat[:, col : col + len(w)] @ w).reshape(vals.shape[:-1])
+                col += len(w)
+        return [(a * weights).sum(axis=-1) for a in acc]
 
     intervals = 2 ** (_START_LEVEL + 1)
-    prev, mid = totals(*_first_levels(_START_LEVEL))
+    prev, mid = totals(_trapezoid(intervals // 2, False), _trapezoid(intervals, True))
     cur = 0.5 * prev + mid
     while not np.max(np.abs(cur - prev)) < QUAD_TOL:  # NaN refines until the raise
         if intervals >= QUAD_MAX_NODES:
@@ -287,8 +271,7 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
                 f"the trapezoid rule did not stabilize below {QUAD_TOL} by {QUAD_MAX_NODES + 1} nodes"
             )
         intervals *= 2
-        rule = _trapezoid(intervals, True)
-        prev, cur = cur, 0.5 * cur + totals(rule[0], (rule,))[0]
+        prev, cur = cur, 0.5 * cur + totals(_trapezoid(intervals, True))[0]
     _TALLY.nodes = max(_TALLY.nodes, intervals + 1)
     return cur if np.ndim(cur) else float(cur)
 
@@ -308,22 +291,6 @@ class ChannelTable:
     post: tuple[np.ndarray, np.ndarray, np.ndarray]
     second_moment: np.ndarray  # E[X1^2] under each channel's true law
     degenerate: np.ndarray  # lone identical point mass in both laws: error and variance exactly 0
-    # The factors of ``_scaled_stats`` that do not depend on (eta, xi):
-    # (log_w, mean, var, sqrt(s), sqrt(s) mean, s var) of the true laws,
-    # shaped (channels, components), and of the postulated laws with their
-    # components first, shaped (components, channels, 1, 1) (sqrt(s) with a
-    # component axis of 1).
-    true_factors: tuple = field(init=False, repr=False, compare=False)
-    post_factors: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        s = self.s[:, None]
-        sqrt_s = np.sqrt(s)
-        log_w, mean, var = self.true
-        object.__setattr__(self, "true_factors", (log_w, mean, var, sqrt_s, sqrt_s * mean, s * var))
-        log_w, mean, var = (a.T[..., None, None] for a in self.post)
-        s, sqrt_s = s[None, ..., None], sqrt_s[None, ..., None]
-        object.__setattr__(self, "post_factors", (log_w, mean, var, sqrt_s, sqrt_s * mean, s * var))
 
 
 def _padded(arrays: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
@@ -364,11 +331,11 @@ def channel_moments(channels, eta=None, xi=None) -> np.ndarray:
         return _one_channel(channels)[1][0]
     table = channels
     eta, xi = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(xi, dtype=float))
-    true_stats = _scaled_stats(*table.true_factors, eta[..., None, None])
+    s = table.s[:, None]
+    true_stats = _stats(*table.true, s, eta[..., None, None])
     # postulated components first, then the points, channels, true components and nodes of u
-    points = (1,) * eta.ndim
-    post = (a.reshape(a.shape[:1] + points + a.shape[1:]) for a in table.post_factors)
-    post_stats = _scaled_stats(*post, xi[..., None, None, None])
+    post = (a.T.reshape(a.shape[1:] + (1,) * eta.ndim + a.shape[:1] + (1, 1)) for a in table.post)
+    post_stats = _stats(*post, s[..., None], xi[..., None, None, None])
     factors = post_stats.log_density_factors()
     slope, off = true_stats.cond_slope[..., None], true_stats.cond_off[..., None]
 

@@ -201,10 +201,14 @@ def _root(f, a, b, fa, fb):
     smaller |f|.
 
     The per-bracket bookkeeping runs in Python floats, one bracket at a
-    time: a batch holds one bracket per sign change of each row, typically
-    1 to 40, and at that size numpy's cost per call exceeds the arithmetic.
-    Each float operation is the one the array form made, in the same order,
-    so the roots and the points passed to f are the same to the bit.
+    time.  A batch holds one bracket per sign change of each row: 1 to 32 on
+    the two-beta sweeps of the benchmark, up to 320 on a 20-beta sweep and
+    up to 1600 on a 100-beta one.  Below about 100 brackets numpy's cost per
+    call exceeds the arithmetic and this form is faster; above, it is slower,
+    about five times at 1600.  So its gain depends on few brackets per
+    lockstep batch.  Each float operation is the one the array form made, in
+    the same order, so the roots and the points passed to f are the same to
+    the bit.
     """
     a, b, fa, fb = (np.array(v, dtype=float).tolist() for v in (a, b, fa, fb))
     c = [x if abs(fx) <= abs(fy) else y for x, y, fx, fy in zip(a, b, fa, fb)]
@@ -264,32 +268,27 @@ def _roots(f, lo, hi, points: int) -> tuple[list[np.ndarray], np.ndarray, np.nda
     xs = np.column_stack((lo, hi)) if points == 2 else np.geomspace(lo, hi, points).T
     every = np.arange(len(xs))
     fs = np.asarray(f(xs, np.repeat(every[:, None], points, axis=1)), dtype=float)
-    # each row's grid as (x, f(x)) pairs in ascending x, in Python floats
-    grids = [list(zip(x, y)) for x, y in zip(xs.tolist(), fs.tolist())]
-    up = [r for r, grid in enumerate(grids) if not grid[0][1] <= 0.0]
+    x0, f0 = xs[:, 0], fs[:, 0]
+    counts = np.full(len(xs), points)
     for _ in range(_MAX_HALVINGS):
-        if not up:
+        up = ~(f0 <= 0.0)
+        if not up.any():
             break
-        x = [grids[r][0][0] / 2.0 for r in up]
-        fx = np.asarray(f(np.array(x), np.array(up)), dtype=float).tolist()
-        for r, point in zip(up, zip(x, fx)):
-            grids[r].insert(0, point)
-        up = [r for r, y in zip(up, fx) if not y <= 0.0]
-    brackets = [
-        (r, *left, *right)
-        for r, grid in enumerate(grids)
-        for left, right in zip(grid, grid[1:])
-        if (left[1] < 0.0 < right[1]) or (right[1] < 0.0 < left[1])
-    ]
-    roots = [[x for x, y in grid if y == 0.0] for grid in grids]
-    changes = np.zeros(len(grids), dtype=int)
-    if brackets:
-        row, a, fa, b, fb = zip(*brackets)
-        row = np.array(row)
-        np.add.at(changes, row, 1)
-        for r, x in zip(row.tolist(), _root(lambda x, idx: f(x, row[idx]), a, b, fa, fb).tolist()):
-            roots[r].append(x)
-    return [np.array(sorted(x), dtype=float) for x in roots], np.array([len(g) for g in grids]), changes
+        counts += up
+        x, fx = np.full(len(xs), np.nan), np.full(len(xs), np.nan)
+        x[up] = x0[up] / 2.0
+        fx[up] = f(x[up], every[up])
+        xs, fs = np.column_stack((x, xs)), np.column_stack((fx, fs))  # NaN where a row was not extended
+        x0, f0 = np.where(up, x, x0), np.where(up, fx, f0)
+    change = ((fs[:, :-1] < 0.0) & (fs[:, 1:] > 0.0)) | ((fs[:, 1:] < 0.0) & (fs[:, :-1] > 0.0))
+    row, col = np.nonzero(change)
+    refined = _root(lambda x, idx: f(x, row[idx]), xs[row, col], xs[row, col + 1], fs[row, col], fs[row, col + 1])
+    at, on = np.nonzero(fs == 0.0)
+    rows, roots = np.concatenate((at, row)), np.concatenate((xs[at, on], refined))
+    roots = roots[np.lexsort((roots, rows))]
+    ends = np.cumsum(np.bincount(rows, minlength=len(xs))).tolist()
+    per_row = [roots[a:b] for a, b in zip([0, *ends], ends)]
+    return per_row, counts, change.sum(axis=1)
 
 
 def _first_roots(h, rows: list, solved: dict, lo, hi: float) -> np.ndarray:
@@ -311,12 +310,12 @@ def _first_roots(h, rows: list, solved: dict, lo, hi: float) -> np.ndarray:
         if 0 < at < len(known) and known[at - 1][0] == row[0] == known[at][0]:
             inner.append(r)
             ends.append(sorted((solved[known[at - 1]], solved[known[at]])))
-    left, right = np.broadcast_to(np.asarray(lo, dtype=float), len(rows)).tolist(), [float(hi)] * len(rows)
+    left, right = np.broadcast_to(np.asarray(lo, dtype=float), len(rows)).copy(), np.full(len(rows), hi)
     if inner:
-        fs = h(np.array(ends), np.repeat(np.array(inner)[:, None], 2, axis=1)).tolist()
-        for r, (x_lo, x_hi), (f_lo, f_hi) in zip(inner, ends, fs):
-            if f_lo < 0.0 < f_hi:
-                left[r], right[r] = x_lo, x_hi
+        inner, ends = np.array(inner), np.array(ends)
+        fs = h(ends, np.repeat(inner[:, None], 2, axis=1))
+        warm = (fs[:, 0] < 0.0) & (fs[:, 1] > 0.0)
+        left[inner[warm]], right[inner[warm]] = ends[warm].T
     return np.array([r[0] if r.size else np.nan for r in _roots(h, left, right, 2)[0]])
 
 
