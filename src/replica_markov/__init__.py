@@ -29,8 +29,6 @@ _HOMES = {
         "conditional_var",
         "cross_entropy",
         "mean_square_posterior_mean",
-        "output_density",
-        "posterior_mean",
     ),
     "solver": (
         "ModelSpec",

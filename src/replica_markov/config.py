@@ -51,11 +51,11 @@ class ExperimentConfig:
     n: int
     trials: int
     seed: int
-    units: str = "nats"
-    mh_steps: int = 60_000
-    mh_burn_in: int = 10_000
-    amp_iterations: int = 10
-    sparse_hmm_params: tuple[float, float] | None = None  # (kappa, gamma) when prior is sparse_hmm
+    units: str
+    mh_steps: int
+    mh_burn_in: int
+    amp_iterations: int
+    sparse_hmm_params: tuple[float, float] | None  # (kappa, gamma) when prior is sparse_hmm
 
 
 def _is_finite_number(value) -> bool:
@@ -159,10 +159,7 @@ def _build_prior(doc, path, errs: _Collector):
         delta = errs.expect(doc, path, "delta", (int, float), required=True)
         if alpha is None or delta is None:
             return None, None
-        if not (0 < alpha < 1) or not (0 < delta < 1):
-            errs.add(path, "binary chain needs alpha, delta in (0, 1); the boundary is reducible")
-            return None, None
-        return MarkovPrior.discrete(binary_markov_kernel(float(alpha), float(delta))), None
+        return _built(errs, path, lambda: MarkovPrior.discrete(binary_markov_kernel(float(alpha), float(delta)))), None
     if kind == "discrete_markov":
         kern = _build_transition(doc, path, errs)
         if kern is None:
@@ -225,6 +222,9 @@ def _build_betas(doc, errs: _Collector):
         betas = doc["betas"]
         if not isinstance(betas, list) or not betas:
             errs.add("sweep.betas", "expected a nonempty list")
+            return None
+        if len(betas) > _MAX_SWEEP_POINTS:
+            errs.add("sweep.betas", f"more than {_MAX_SWEEP_POINTS} betas")
             return None
         if not all(_is_finite_number(b) and b > 0 for b in betas):
             errs.add("sweep.betas", "beta values must be finite positive numbers")

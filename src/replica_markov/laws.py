@@ -81,12 +81,6 @@ class ConditionalInputLaw:
                 comps.append((float(w) * wi, atom))
         return ConditionalInputLaw(tuple(comps))
 
-    def mean(self) -> float:
-        m = 0.0
-        for w, atom in self.components:
-            m += w * (atom.x if isinstance(atom, PointMass) else atom.mean)
-        return m
-
     def second_moment(self) -> float:
         m2 = 0.0
         for w, atom in self.components:
@@ -95,9 +89,6 @@ class ConditionalInputLaw:
             else:
                 m2 += w * (atom.mean**2 + atom.var)
         return m2
-
-    def variance(self) -> float:
-        return self.second_moment() - self.mean() ** 2
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw i.i.d. samples from the mixture."""

@@ -93,7 +93,7 @@ class TransitionMatrix(_ValueEquality):
 def binary_markov_kernel(alpha: float, delta: float) -> TransitionMatrix:
     """Two-state chain on {-1, +1} with flip probabilities alpha and delta."""
     if not (0.0 < alpha < 1.0 and 0.0 < delta < 1.0):
-        raise ValidationError("binary kernel needs alpha, delta in (0, 1)")
+        raise ValidationError("binary kernel needs alpha, delta in (0, 1); the boundary is reducible")
     return TransitionMatrix((-1.0, 1.0), np.array([[1 - alpha, alpha], [delta, 1 - delta]]))
 
 

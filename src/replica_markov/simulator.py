@@ -68,10 +68,6 @@ class LinearModelInstance:
     seed: int
     index: int = 0
 
-    @property
-    def achieved_beta(self) -> float:
-        return self.n / self.m
-
     def design_matrix(self) -> np.ndarray:
         """Phi = A diag(sqrt(S))."""
         return self.A * np.sqrt(self.S)

@@ -6,15 +6,20 @@ normal.  A postulated channel with inverse noise variance xi and its own
 input law induces the posterior mean ("decision function") q1/q0 and the
 retrochannel.  Because the laws are finite Gaussian mixtures, the output
 density, the posterior mean, and the posterior variance are all closed
-forms.  Every expectation over the true channel is a 1-D integral against
-each Gaussian output component.  ``mixture_expectation`` is the one
-quadrature kernel, a nested trapezoid rule on the standardized line: it
-integrates every component of every batch entry in one call, with one
-adequacy rule over all of them.  ``channel_moments`` evaluates a
-``ChannelTable`` (all (state, SNR) channels of a model) at whole arrays of
-(eta, xi) points through it; the per-channel accessors
-(``conditional_mse``, ``conditional_var``, ``mean_square_posterior_mean``,
-``cross_entropy``) are one-channel views of the same call.
+forms (``_posterior``).  Every expectation over the true channel is a 1-D
+integral against each Gaussian output component.  ``mixture_expectation``
+is the one quadrature kernel, a nested trapezoid rule on the standardized
+line: it integrates every component of every batch entry in one call, with
+one adequacy rule over all of them.  ``channel_moments`` is the one way
+into it: it evaluates a ``ChannelTable`` (all (state, SNR) channels of a
+model) at whole arrays of (eta, xi) points.
+
+The one-channel accessors ``conditional_mse``, ``conditional_var``,
+``mean_square_posterior_mean`` and ``cross_entropy``, with the
+``ScalarChannel`` they take and ``_one_channel``, are kept only for the
+benchmark's tracer (``bench/tracer.py``), which hooks the four accessors; no
+command or oracle calls them.  They go when the tracer stops hooking them
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -115,10 +120,6 @@ def _stats(log_w, mean, var, s, tau) -> _MixtureStats:
     )
 
 
-def _mixture_stats(law: ConditionalInputLaw, s: float, tau: float) -> _MixtureStats:
-    return _stats(*_law_arrays(law), s, tau)
-
-
 def _posterior(stats: _MixtureStats, u: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log q0(u), and the posterior mean and variance of X given U = u, elementwise in u.
 
@@ -144,31 +145,6 @@ def _posterior(stats: _MixtureStats, u: np.ndarray, factors) -> tuple[np.ndarray
     means *= p
     m2 = means.sum(axis=0) / total
     return top + np.log(total), m1, m2 - m1 * m1
-
-
-def _law_posterior(law: ConditionalInputLaw, s: float, tau: float, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=float)
-    arrays = (a.reshape(a.shape + (1,) * u.ndim) for a in _law_arrays(law))
-    stats = _stats(*arrays, s, tau)
-    return _posterior(stats, u, stats.log_density_factors())
-
-
-def output_density(ch: ScalarChannel, u, which: str = "true") -> np.ndarray | float:
-    """Marginal channel-output density q0 (postulated) or p0 (true) at u."""
-    if which == "true":
-        log_q0 = _law_posterior(ch.true_law, ch.s, ch.eta, u)[0]
-    elif which == "postulated":
-        log_q0 = _law_posterior(ch.postulated_law, ch.s, ch.xi, u)[0]
-    else:
-        raise ValueError("which must be 'true' or 'postulated'")
-    out = np.exp(log_q0)
-    return float(out) if np.isscalar(u) else out
-
-
-def posterior_mean(ch: ScalarChannel, u) -> np.ndarray | float:
-    """Decision function q1/q0 of the postulated channel at output u."""
-    out = _law_posterior(ch.postulated_law, ch.s, ch.xi, u)[1]
-    return float(out) if np.isscalar(u) else out
 
 
 @lru_cache(maxsize=32)
@@ -204,7 +180,7 @@ def take_kernel_tally() -> tuple[int, int]:
     return out
 
 
-def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
+def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray:
     """E[fn(U)] for U ~ the mixture, by a nested trapezoid rule over all components at once.
 
     Component c is integrated on the standardized line, U = out_mean_c +
@@ -228,8 +204,8 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
     in blocks of 64 goes as 33 + 32.  The rule compares S_6 with S_7 first and
     refines until two successive estimates of every moment of every batch
     entry agree to 1e-9 in absolute terms; if the level of QUAD_MAX_NODES
-    intervals still disagrees, it raises QuadratureError.  Returns a float for
-    one unbatched integrand, else an array of shape (moments, ...) or (...).
+    intervals still disagrees, it raises QuadratureError.  Returns an array of
+    shape (moments, ...) or (...).
     """
     _TALLY.calls += 1
     weights = np.exp(stats.log_w)
@@ -273,7 +249,7 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray | float:
         intervals *= 2
         prev, cur = cur, 0.5 * cur + totals(_trapezoid(intervals, True))[0]
     _TALLY.nodes = max(_TALLY.nodes, intervals + 1)
-    return cur if np.ndim(cur) else float(cur)
+    return cur
 
 
 @dataclass(frozen=True)
@@ -314,7 +290,7 @@ def channel_table(channels) -> ChannelTable:
     )
 
 
-def channel_moments(channels, eta=None, xi=None) -> np.ndarray:
+def channel_moments(table: ChannelTable, eta, xi) -> np.ndarray:
     """[E g^2, E X1 g, E Var_q, -E log q0] over the true channel, in one kernel call.
 
     g = <X>_q(U) is the postulated decision function, Var_q(U) the
@@ -323,13 +299,9 @@ def channel_moments(channels, eta=None, xi=None) -> np.ndarray:
     cond_slope_c * u + cond_off_c, so the cross term integrates that mean
     against g row by row.
 
-    ``channels`` is a ChannelTable evaluated at the points (eta, xi), arrays
-    broadcast together; the result has shape (*points, channels, 4).  A
-    ScalarChannel is the one-channel view at its own (eta, xi), of shape (4,).
+    ``table`` is evaluated at the points (eta, xi), arrays broadcast
+    together; the result has shape (*points, channels, 4).
     """
-    if isinstance(channels, ScalarChannel):
-        return _one_channel(channels)[1][0]
-    table = channels
     eta, xi = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(xi, dtype=float))
     s = table.s[:, None]
     true_stats = _stats(*table.true, s, eta[..., None, None])
@@ -381,12 +353,12 @@ def conditional_var(ch: ScalarChannel) -> float:
 
 def mean_square_posterior_mean(ch: ScalarChannel) -> float:
     """E[<X>_q(U)^2] over the true output law (the MMSE second-moment term)."""
-    return float(channel_moments(ch)[0])
+    return float(_one_channel(ch)[1][0][0])
 
 
 def cross_entropy(ch: ScalarChannel) -> float:
     """-E[log q0(U)] with U from the true channel, in nats."""
-    return float(channel_moments(ch)[3])
+    return float(_one_channel(ch)[1][0][3])
 
 
 def _degenerate_same_point(true_law: ConditionalInputLaw, post_law: ConditionalInputLaw) -> bool:

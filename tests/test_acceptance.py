@@ -42,7 +42,7 @@ from replica_markov.simulator import (
     mh_mse_experiment,
     sample_instance,
 )
-from replica_markov.single_symbol import ScalarChannel, conditional_mse, conditional_var, output_density
+from replica_markov.single_symbol import ScalarChannel, _posterior, _stats, channel_table, conditional_mse, conditional_var
 from oracles import brute_force_posterior_mean, scalar_awgn_mi_binary
 
 SEED = 20260809
@@ -299,9 +299,11 @@ def test_12_property_suites():
                 comps.append((float(w), PointMass(float(rng.normal()))))
             else:
                 comps.append((float(w), GaussianAtom(float(rng.normal()), float(rng.uniform(0.2, 2.0)))))
-        ch = ScalarChannel.matched(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)),
-                                   ConditionalInputLaw(tuple(comps)))
-        total = float(np.trapezoid(output_density(ch, u, "true"), u))
+        eta, s = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0))
+        law = ConditionalInputLaw(tuple(comps))
+        # the output density at u: _posterior on a one-row table's stats, component axis first
+        stats = _stats(*(a.T for a in channel_table([(law, law, s)]).true), s, eta)
+        total = float(np.trapezoid(np.exp(_posterior(stats, u, stats.log_density_factors())[0]), u))
         density_ok = density_ok and abs(total - 1.0) < 1e-9
     for _ in range(20):
         alpha = float(rng.uniform(0.1, 0.9))

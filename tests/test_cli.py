@@ -475,6 +475,10 @@ BAD_EXPERIMENTS = {
     "step-nan": ("sweep.step", {"sweep": {"start": 0.5, "stop": 1.0, "step": math.nan}}),
     "range-too-long": ("sweep", {"sweep": {"start": 0.1, "stop": 1e12, "step": 0.1}}),
     "range-overflows": ("sweep", {"sweep": {"start": 1e-300, "stop": 1e300, "step": 1e-300}}),
+    # a list is capped at the range's _MAX_SWEEP_POINTS too
+    "betas-too-many": ("sweep.betas", {"sweep": {"betas": [0.001 * (i + 1) for i in range(10_001)]}}),
+    # the kernel checks the flip rates; the builder names the path
+    "binary-alpha-one": ("model.prior", {"model": {"prior": {"type": "binary_markov", "alpha": 1.0, "delta": 0.3}}}),
     "sigma-infinite": ("model.sigma", {"model": {"prior": base_doc()["model"]["prior"], "sigma": math.inf}}),
     "sigma0-sq-infinite": (
         "model.prior",
@@ -560,6 +564,7 @@ BAD_RATES = {
     "snr-infinite": ("snr", {"snr": math.inf}),
     "chain-string-states": ("chain", {"chain": {"states": ["a", "b"], "transition": [[0.7, 0.3], [0.3, 0.7]]}}),
     "chain-string-alpha": ("chain.alpha", {"chain": {"type": "binary_markov", "alpha": "a", "delta": 0.3}}),
+    "chain-alpha-one": ("chain", {"chain": {"type": "binary_markov", "alpha": 1.0, "delta": 0.3}}),
     "chain-reducible": ("chain.transition", {"chain": {"states": [-1, 1], "transition": [[1, 0], [0, 1]]}}),
     "chain-periodic": ("chain.transition", {"chain": {"states": [-1, 1], "transition": [[0, 1], [1, 0]]}}),
     "chain-gauss-markov": ("chain.type", {"chain": {"type": "gauss_markov", "nu": 0.5, "sigma0_sq": 1.0}}),

@@ -308,7 +308,6 @@ class TestLaws:
 
     def test_moments(self):
         law = ConditionalInputLaw(((0.25, PointMass(2.0)), (0.75, GaussianAtom(1.0, 4.0))))
-        assert abs(law.mean() - (0.25 * 2.0 + 0.75 * 1.0)) < 1e-15
         assert abs(law.second_moment() - (0.25 * 4.0 + 0.75 * 5.0)) < 1e-15
 
     def test_mix_flattens(self):

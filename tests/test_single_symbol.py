@@ -14,11 +14,9 @@ from replica_markov import (
     conditional_var,
     cross_entropy,
     mean_square_posterior_mean,
-    output_density,
-    posterior_mean,
 )
 from replica_markov import single_symbol
-from replica_markov.single_symbol import _mixture_stats, channel_table, mixture_expectation
+from replica_markov.single_symbol import _law_arrays, _posterior, _stats, channel_table, mixture_expectation
 from oracles import binary_output_density, scalar_posterior_mean_binary
 
 
@@ -54,12 +52,30 @@ def random_channel(rng) -> ScalarChannel:
     return ScalarChannel.matched(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)), law)
 
 
+def posterior(law: ConditionalInputLaw, s: float, tau: float, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log output density, posterior mean and posterior variance at outputs u of the channel of ``law``.
+
+    The channel has SNR s and inverse noise variance tau.  This is
+    ``_posterior`` on a one-row table's stats, transposed so the component
+    axis comes first.
+    """
+    stats = _stats(*(a.T for a in channel_table([(law, law, s)]).true), s, tau)
+    return _posterior(stats, np.asarray(u, dtype=float), stats.log_density_factors())
+
+
+def density(law: ConditionalInputLaw, s: float, eta: float, u) -> np.ndarray:
+    return np.exp(posterior(law, s, eta, u)[0])
+
+
+def decision(law: ConditionalInputLaw, s: float, xi: float, u) -> np.ndarray:
+    return posterior(law, s, xi, u)[1]
+
+
 class TestOutputDensity:
     def test_binary_mixture_closed_form(self):
         alpha = 0.3
-        ch = ScalarChannel.matched(0.7, 1.0, binary_law(alpha))
         u = np.linspace(-4, 4, 41)
-        assert np.allclose(output_density(ch, u, "true"), binary_output_density(u, 0.7, alpha), atol=1e-14)
+        assert np.allclose(density(binary_law(alpha), 1.0, 0.7, u), binary_output_density(u, 0.7, alpha), atol=1e-14)
 
     def test_sparse_hmm_inactive_state_density(self):
         # (1 - gk) N(0, 1/eta) + gk N(0, 1/eta + 1)
@@ -67,55 +83,50 @@ class TestOutputDensity:
         law = ConditionalInputLaw(
             ((1.0 - gamma * kappa, PointMass(0.0)), (gamma * kappa, GaussianAtom(0.0, 1.0)))
         )
-        ch = ScalarChannel.matched(eta, 1.0, law)
         u = np.linspace(-5, 5, 31)
         expected = (1.0 - gamma * kappa) * np.sqrt(eta / (2 * np.pi)) * np.exp(-eta * u**2 / 2) + (
             gamma * kappa
         ) * np.sqrt(eta / (2 * np.pi * (1 + eta))) * np.exp(-eta * u**2 / (2 * (1 + eta)))
-        assert np.allclose(output_density(ch, u, "true"), expected, atol=1e-14)
+        assert np.allclose(density(law, 1.0, eta, u), expected, atol=1e-14)
 
     def test_point_mass_is_pure_noise(self):
-        ch = ScalarChannel.matched(2.0, 1.0, ConditionalInputLaw.point_masses([0.0], [1.0]))
         u = np.linspace(-3, 3, 13)
         expected = np.sqrt(2.0 / (2 * np.pi)) * np.exp(-u**2)
-        assert np.allclose(output_density(ch, u, "true"), expected, atol=1e-14)
+        assert np.allclose(density(ConditionalInputLaw.point_masses([0.0], [1.0]), 1.0, 2.0, u), expected, atol=1e-14)
 
     def test_integrates_to_one_on_random_channels(self):
         rng = np.random.default_rng(11)
         u = np.linspace(-40, 40, 400_001)
         for _ in range(50):
             ch = random_channel(rng)
-            total = np.trapezoid(output_density(ch, u, "true"), u)
+            total = np.trapezoid(density(ch.true_law, ch.s, ch.eta, u), u)
             assert abs(total - 1.0) < 1e-9
 
 
 class TestPosteriorMean:
     def test_binary_sigmoid_form(self):
         alpha, eta = 0.3, 0.7
-        ch = ScalarChannel.matched(eta, 1.0, binary_law(alpha))
+        law = binary_law(alpha)
         u = np.linspace(-4, 4, 17)
-        assert np.allclose(posterior_mean(ch, u), scalar_posterior_mean_binary(u, eta, alpha), atol=1e-12)
-        assert abs(posterior_mean(ch, 0.0) - (2 * alpha - 1)) < 1e-12
+        assert np.allclose(decision(law, 1.0, eta, u), scalar_posterior_mean_binary(u, eta, alpha), atol=1e-12)
+        assert abs(decision(law, 1.0, eta, 0.0)[0] - (2 * alpha - 1)) < 1e-12
 
     def test_single_gaussian_is_linear_estimator(self):
         m, v, s, xi = 0.4, 1.7, 2.0, 0.8
-        ch = ScalarChannel.matched(xi, s, ConditionalInputLaw.gaussian(m, v))
         u = np.linspace(-5, 5, 11)
         gain = s * v / (s * v + 1.0 / xi)
         expected = m + gain * (u / math.sqrt(s) - m)
-        assert np.allclose(posterior_mean(ch, u), expected, atol=1e-12)
+        assert np.allclose(decision(ConditionalInputLaw.gaussian(m, v), s, xi, u), expected, atol=1e-12)
 
     def test_saturates_at_extreme_output(self):
         law = ConditionalInputLaw.point_masses([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3])
-        ch = ScalarChannel.matched(1.0, 1.0, law)
-        assert abs(posterior_mean(ch, 60.0) - 2.0) < 1e-9
-        assert abs(posterior_mean(ch, -60.0) - (-1.0)) < 1e-9
+        assert abs(decision(law, 1.0, 1.0, 60.0)[0] - 2.0) < 1e-9
+        assert abs(decision(law, 1.0, 1.0, -60.0)[0] - (-1.0)) < 1e-9
 
     def test_monotone_for_two_point_and_gaussian_laws(self):
         u = np.linspace(-10, 10, 2001)
         for law in (binary_law(0.25), ConditionalInputLaw.gaussian(0.3, 1.2)):
-            ch = ScalarChannel.matched(1.3, 1.0, law)
-            g = posterior_mean(ch, u)
+            g = decision(law, 1.0, 1.3, u)
             assert np.all(np.diff(g) >= -1e-12)
 
 
@@ -198,7 +209,8 @@ class TestInvariants:
         rng = np.random.default_rng(31)
         for _ in range(20):
             ch = random_channel(rng)
-            assert -1e-12 <= conditional_mse(ch) <= ch.true_law.variance() + 1e-9
+            mean = sum(w * (atom.x if isinstance(atom, PointMass) else atom.mean) for w, atom in ch.true_law.components)
+            assert -1e-12 <= conditional_mse(ch) <= ch.true_law.second_moment() - mean**2 + 1e-9
 
     def test_cross_entropy_is_entropy_when_matched(self):
         alpha, eta = 0.3, 0.7
@@ -223,7 +235,7 @@ class TestQuadratureKernel:
         # no block mixes them.  A batch too large for 16 nodes a block still
         # gets 16-node blocks (65 as 5 x 13).
         law = ConditionalInputLaw(((0.4, PointMass(-1.0)), (0.6, GaussianAtom(2.0, 0.5))))
-        stats = _mixture_stats(law, 1.5, 0.8)
+        stats = _stats(*_law_arrays(law), 1.5, 0.8)
         w, m, v = np.exp(stats.log_w), stats.out_mean, stats.out_var
         half = single_symbol._HALF_WIDTH
         cases = (
@@ -247,7 +259,7 @@ class TestQuadratureKernel:
         # E U^4 = sum w (m^4 + 6 m^2 v + 3 v^2) and E cos(aU) = sum w cos(a m) exp(-a^2 v / 2)
         rng = np.random.default_rng(41)
         for _ in range(50):
-            stats = _mixture_stats(random_law(rng), float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)))
+            stats = _stats(*_law_arrays(random_law(rng)), float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)))
             w, m, v = np.exp(stats.log_w), stats.out_mean, stats.out_var
             a = float(rng.uniform(0.5, 3.0))
             fourth = float(w @ (m**4 + 6.0 * m**2 * v + 3.0 * v**2))
@@ -258,7 +270,7 @@ class TestQuadratureKernel:
     def test_step_integrand_raises(self):
         # a step at one component's mean sits off-centre in the other
         # component, so successive levels never agree to 1e-9
-        stats = _mixture_stats(binary_law(0.5), 1.0, 1.0)
+        stats = _stats(*_law_arrays(binary_law(0.5)), 1.0, 1.0)
         with pytest.raises(QuadratureError):
             mixture_expectation(lambda u: (u > 1.0).astype(float), stats)
 
@@ -278,7 +290,7 @@ class TestQuadratureKernel:
 
         def stacked(channels, etas, xis):
             return np.array(
-                [[channel_moments(ScalarChannel(e, x, s, t, q)) for t, q, s in channels] for e, x in zip(etas, xis)]
+                [[channel_moments(channel_table([(t, q, s)]), e, x)[0] for t, q, s in channels] for e, x in zip(etas, xis)]
             )
 
         for channels, etas, xis in cases:
@@ -318,7 +330,7 @@ class TestQuadratureKernel:
         rng = np.random.default_rng(17)
         for _ in range(10):
             ch = random_channel(rng)
-            e_g2, cross, var, neg_log_q0 = channel_moments(ch)
+            e_g2, cross, var, neg_log_q0 = channel_moments(channel_table([(ch.true_law, ch.postulated_law, ch.s)]), ch.eta, ch.xi)[0]
             # matched channel: E[X1 g] = E[g^2] by the tower property
             assert abs(cross - e_g2) < 1e-9
             assert e_g2 == mean_square_posterior_mean(ch)

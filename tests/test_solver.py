@@ -414,6 +414,22 @@ class TestRootHelpers:
         assert len(points) == evaluations and got[0] in points
         assert abs(got[0] - root) < 1e-14
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "Known stall (CHANGES.md, FOUND on solver._root spending all 200 steps on a bracket "
+            "where f is flat at one end): the Illinois factor m = 1 - fc/fa is about 1e-9 at the "
+            "flat end, the bracket swaps ends without shrinking, and _root returns 0.000851 with "
+            "no error.  The check is at full strength and fails honestly."
+        ),
+    )
+    def test_flat_end_bracket_converges(self):
+        def fn(x):
+            return np.expm1(24.99 * (x - 0.5193))
+
+        got = _root(lambda x, _: fn(x), [0.0], [1.0], [fn(0.0)], [fn(1.0)])
+        assert abs(got[0] - 0.5193) < 1e-9
+
     @staticmethod
     def random_batch(rng) -> tuple:
         """(f, a, b, fa, fb) of 1-40 brackets, each with its own root function.
