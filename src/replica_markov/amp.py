@@ -25,7 +25,7 @@ reconstruction error approaches the decoupled MMSE prediction across beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +44,11 @@ class AmpDivergence(RuntimeError):
 class AmpConfig:
     kappa: float
     gamma: float
-    n: int = 1000
-    beta: float = 1.0
-    trials: int = 20
-    iterations: int = 10
-    seed: int = 0
+    n: int
+    beta: float
+    trials: int
+    iterations: int
+    seed: int
 
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
@@ -85,33 +85,28 @@ def threshold_funcs(theta, c: float, kappa: float):
 @dataclass
 class AmpState:
     mu: np.ndarray
-    upsilon: np.ndarray
     c: float
     z: np.ndarray
-    iteration: int
-    mse_trace: list[float] = field(default_factory=list)
+    mse_trace: list[float]
 
 
-def turbo_amp(
-    y: np.ndarray, A: np.ndarray, config: AmpConfig, x_true: np.ndarray | None = None
-) -> AmpState:
-    """Run the configured number of iterations; trace MSE against x_true if given."""
+def turbo_amp(y: np.ndarray, A: np.ndarray, config: AmpConfig, x_true: np.ndarray) -> AmpState:
+    """Run the configured number of iterations, tracing the MSE against x_true."""
     m, n = A.shape
     beta = n / m
     scale = 1.0 / math.sqrt(m)
     At = A.T
-    state = AmpState(np.zeros(n), np.zeros(n), C0, np.asarray(y, dtype=float).copy(), 0)
+    state = AmpState(np.zeros(n), C0, np.asarray(y, dtype=float).copy(), [])
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for it in range(config.iterations):
             theta = scale * (At @ state.z) + state.mu
             mu, ups, fprime = threshold_funcs(theta, state.c, config.kappa)
             c = 1.0 + (beta / n) * float(ups.sum())
             z = y - scale * (A @ mu) + (state.z / m) * float(fprime.sum())
-            state = AmpState(mu, ups, c, z, it + 1, state.mse_trace)
+            state = AmpState(mu, c, z, state.mse_trace)
             if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(z)) and np.isfinite(c)):
                 raise AmpDivergence(f"non-finite state at iteration {it + 1}")
-            if x_true is not None:
-                state.mse_trace.append(float(np.sum((mu - x_true) ** 2) / n))
+            state.mse_trace.append(float(np.sum((mu - x_true) ** 2) / n))
     return state
 
 

@@ -31,11 +31,17 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
+# One BLAS thread unless the environment names another count: the thread
+# count moves the last digits of a result, and the golden files under
+# tests/data were written with one.  BLAS reads these when numpy loads.
+for _blas_threads in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_blas_threads, "1")
 
-from .config import ConfigError, ExperimentConfig, validate_config, validate_rate_config
-from .markov_core import binary_markov_kernel
-from .simulator import empirical_free_energy, measurement_count, mh_mse_experiment, sample_instance
+import numpy as np  # noqa: E402 - after the thread counts above
+
+from .config import SIMULATION_TASKS, ConfigError, ExperimentConfig, validate_config, validate_rate_config  # noqa: E402
+from .markov_core import binary_markov_kernel  # noqa: E402
+from .simulator import empirical_free_energy, measurement_count, mh_mse_experiment, sample_instance  # noqa: E402
 
 if TYPE_CHECKING:
     from .amp import AmpConfig
@@ -85,13 +91,10 @@ def _amp_config(config: ExperimentConfig, beta_index: int) -> AmpConfig:
     )
 
 
-_FINITE_N_TASKS = ("exact_sim", "mh", "amp")
-
-
 def _replica_beta(config: ExperimentConfig, beta_index: int) -> float:
     """The load a row's replica prediction is evaluated at: n/m when finite-n tasks run, else the requested beta."""
     beta = config.betas[beta_index]
-    if any(t in config.tasks for t in _FINITE_N_TASKS):
+    if any(t in config.tasks for t in SIMULATION_TASKS):
         return config.n / measurement_count(config.n, beta)
     return beta
 
@@ -112,7 +115,7 @@ def compute_row(config: ExperimentConfig, beta_index: int, replica: ReplicaSolut
     factor = _units_factor(config.units)
     failures = []
     replica_beta = _replica_beta(config, beta_index)
-    if any(t in config.tasks for t in _FINITE_N_TASKS):
+    if any(t in config.tasks for t in SIMULATION_TASKS):
         row.achieved_beta = replica_beta
     if isinstance(replica, Exception):
         failures.append(f"replica: {replica}")

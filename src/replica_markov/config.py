@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # each validator imports the layer it builds for: a pf proces
 
 SCHEMA_VERSION = 1
 TASKS = ("replica", "exact_sim", "mh", "amp")
+SIMULATION_TASKS = ("exact_sim", "mh", "amp")  # the finite-n tasks: they need n and trials
 _MAX_SWEEP_POINTS = 10_000
 
 
@@ -311,8 +312,7 @@ def validate_config(document: dict) -> ExperimentConfig:
         errs.add("amp.iterations", "need iterations >= 1")
     if amp_doc.get("scaling", "unit_columns") != "unit_columns":
         errs.add("amp.scaling", "only 'unit_columns' (A/sqrt(m) in every matrix step) is supported")
-    needs_sim = any(t in tasks for t in ("exact_sim", "mh", "amp"))
-    if needs_sim:
+    if any(t in tasks for t in SIMULATION_TASKS):
         if n < 1:
             errs.add("n", "simulation tasks need n >= 1")
         if trials < 1:

@@ -23,6 +23,9 @@ MAX_NU = 3
 PF_RESIDUAL_TOL = 1e-10
 PF_TOL = 1e-13  # relative change of rho at which the power iteration stops
 PF_MAX_ITER = 100  # steps of M + cI before the dense fallback
+RATE_GRAD_TOL = 1e-8  # largest gradient entry of the dual at which rate_function stops
+RATE_MAX_ITER = 20_000  # Newton steps of rate_function
+RATE_VALUE_CAP = 1e3  # a dual value above this reports the target infeasible
 _DEDUP_DECIMALS = 12
 _SPAN_RTOL = 1e-10  # singular values of the state differences below this (relative) are null
 
@@ -296,15 +299,7 @@ class RateResult:
     feasible: bool
 
 
-def rate_function(
-    space: QStateSpace,
-    base: np.ndarray,
-    q_target: np.ndarray,
-    *,
-    grad_tol: float = 1e-8,
-    max_iter: int = 20_000,
-    value_cap: float = 1e3,
-) -> RateResult:
+def rate_function(space: QStateSpace, base: np.ndarray, q_target: np.ndarray) -> RateResult:
     """I(Q) = sup_T (tr(T Q) - log rho(P_T)) by damped Newton from T = 0.
 
     The dual is concave.  Each iterate's one PF triple gives its value, its
@@ -318,7 +313,7 @@ def rate_function(
     underflows to reducible, whose psi has a zero entry, or whose PF triple
     fails its residual check (rho far below the largest entry) is rejected.
     A target outside the convex hull drives the tilt to infinity: it is
-    reported infeasible (value = inf) once the value exceeds value_cap, or,
+    reported infeasible (value = inf) once the value exceeds RATE_VALUE_CAP, or,
     when exp underflow stops the tilt T first, if the dual still rises at
     infinity along T: tr(T Q) above the largest cycle mean of tr(T Q_j).
     """
@@ -338,13 +333,13 @@ def rate_function(
 
     val, grad, scaled, triple = dual(tilt)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, RATE_MAX_ITER + 1):
         gnorm = float(np.abs(grad).max())
-        if gnorm < grad_tol:
+        if gnorm < RATE_GRAD_TOL:
             return RateResult(val, tilt, gnorm, it, True, True)
         g = grad.ravel()
         g_span = span @ g
-        if val > value_cap or float(np.abs(g - span.T @ g_span).max()) > grad_tol:
+        if val > RATE_VALUE_CAP or float(np.abs(g - span.T @ g_span).max()) > RATE_GRAD_TOL:
             return RateResult(math.inf, tilt, gnorm, it, False, False)
         hess = _log_hessian(scaled, triple, f_span)
         newton = np.linalg.lstsq(hess, g_span, rcond=None)[0]
@@ -365,13 +360,13 @@ def rate_function(
             break  # no improving step at machine precision
         tilt, val, grad, scaled, triple = cand, cand_val, cand_grad, cand_scaled, cand_triple
     gnorm = float(np.max(np.abs(grad)))
-    if gnorm >= grad_tol:
+    if gnorm >= RATE_GRAD_TOL:
         # stopped short of the sup: if the dual rises without bound along the
-        # tilt, the sup is infinite even where exp underflow hid it from value_cap
+        # tilt, the sup is infinite even where exp underflow hid it from RATE_VALUE_CAP
         slope = float(np.sum(tilt * q_target)) - _max_cycle_mean(base, _trace_terms(tilt, space))
-        if slope > grad_tol * float(np.abs(tilt).sum()):
+        if slope > RATE_GRAD_TOL * float(np.abs(tilt).sum()):
             return RateResult(math.inf, tilt, gnorm, it, False, False)
-    return RateResult(val, tilt, gnorm, it, gnorm < grad_tol, val <= value_cap)
+    return RateResult(val, tilt, gnorm, it, gnorm < RATE_GRAD_TOL, val <= RATE_VALUE_CAP)
 
 
 def _max_cycle_mean(base: np.ndarray, w: np.ndarray) -> float:

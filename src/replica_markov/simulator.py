@@ -157,7 +157,6 @@ def sample_instance(model: ModelSpec, n: int, beta: float, seed: int, index: int
 @dataclass(frozen=True)
 class EvidenceEstimate:
     log_z: float
-    method: str  # exact_enumeration | gaussian_closed_form
     meta: dict = field(default_factory=dict)
 
 
@@ -224,7 +223,7 @@ def exact_log_evidence_discrete(inst: LinearModelInstance, model: ModelSpec) -> 
             sums.append(float(np.exp(w, out=w).sum()))
     best = max(tops)
     acc = sum(s * math.exp(t - best) for t, s in zip(tops, sums))
-    return EvidenceEstimate(best + math.log(acc), "exact_enumeration", {"paths": total})
+    return EvidenceEstimate(best + math.log(acc), {"paths": total})
 
 
 def gaussian_log_evidence(inst: LinearModelInstance, nu: float, sigma0_sq: float) -> EvidenceEstimate:
@@ -238,7 +237,7 @@ def gaussian_log_evidence(inst: LinearModelInstance, nu: float, sigma0_sq: float
     quad = float(z @ z)
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
     log_z = -0.5 * (inst.m * _LOG_2PI + logdet + quad)
-    return EvidenceEstimate(log_z, "gaussian_closed_form")
+    return EvidenceEstimate(log_z)
 
 
 def log_evidence(inst: LinearModelInstance, model: ModelSpec) -> EvidenceEstimate:

@@ -69,10 +69,6 @@ class ScalarChannel:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
 
-    @staticmethod
-    def matched(eta: float, s: float, law: ConditionalInputLaw) -> "ScalarChannel":
-        return ScalarChannel(eta, eta, s, law, law)
-
 
 @dataclass(frozen=True)
 class _MixtureStats:

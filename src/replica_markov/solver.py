@@ -142,12 +142,12 @@ class SolveDiagnostics:
     is solved alone (``free_energies``), and those two count its own solve.
     """
 
-    scan_points: int = 0  # eta values of the geometric scan, left-end extensions included
-    brackets: int = 0  # sign changes the scan found, each refined to a root
-    evaluations: int = 0  # root-function evaluations, one per point, inner xi solves included
-    kernel_calls: int = 0  # quadrature kernel (mixture_expectation) calls, shared with the batch's other betas
-    max_nodes: int = 0  # largest trapezoid node count (2^k + 1) any quadrature of the batch converged at
-    residual: float = math.nan  # largest fixed_point_residual over the verified candidates
+    scan_points: int  # eta values of the geometric scan, left-end extensions included
+    brackets: int  # sign changes the scan found, each refined to a root
+    evaluations: int  # root-function evaluations, one per point, inner xi solves included
+    kernel_calls: int  # quadrature kernel (mixture_expectation) calls, shared with the batch's other betas
+    max_nodes: int  # largest trapezoid node count (2^k + 1) any quadrature of the batch converged at
+    residual: float  # largest fixed_point_residual over the verified candidates
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ class ReplicaSolution:
     mutual_info: float | None
     mmse: float | None
     all_solutions: tuple[tuple[float, float, float], ...]  # (eta, xi, G-value)
-    diagnostics: SolveDiagnostics = SolveDiagnostics()
+    diagnostics: SolveDiagnostics
 
 
 def _weighted_errors(dec: _Decoupled, moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from .laws import ConditionalInputLaw, PointMass
+from replica_markov.laws import ConditionalInputLaw, PointMass
 
 _GRID_POINTS = 160_001
 _LOG_2PIE = float(np.log(2.0 * np.pi)) + 1.0

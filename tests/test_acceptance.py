@@ -25,7 +25,6 @@ from replica_markov import (
 from replica_markov.amp import AmpConfig, amp_experiment
 from replica_markov.cli import rows_to_csv, run_sweep
 from replica_markov.config import validate_config
-from replica_markov.iid_reference import iid_replica
 from replica_markov.laws import ConditionalInputLaw
 from replica_markov.perron import (
     enumerate_q_states,
@@ -43,6 +42,7 @@ from replica_markov.simulator import (
     sample_instance,
 )
 from replica_markov.single_symbol import ScalarChannel, _posterior, _stats, channel_table, conditional_mse, conditional_var
+from iid_reference import iid_replica
 from oracles import brute_force_posterior_mean, scalar_awgn_mi_binary
 
 SEED = 20260809
@@ -308,7 +308,8 @@ def test_12_property_suites():
     for _ in range(20):
         alpha = float(rng.uniform(0.1, 0.9))
         law = ConditionalInputLaw.point_masses([-1.0, 1.0], [1 - alpha, alpha])
-        ch = ScalarChannel.matched(float(rng.uniform(0.3, 3.0)), 1.0, law)
+        eta = float(rng.uniform(0.3, 3.0))
+        ch = ScalarChannel(eta, eta, 1.0, law, law)
         var_ok = var_ok and abs(conditional_var(ch) - conditional_mse(ch)) < 1e-9
     mmse_ok = True
     for model, m2 in ((BINARY_SYM, 1.0), (ModelSpec(prior=sparse_hmm_prior(0.3, 0.8)), 0.3)):

@@ -64,7 +64,7 @@ class TestThresholdFuncs:
 
 class TestTurboAmp:
     def test_zero_observation_is_fixed_point(self):
-        cfg = AmpConfig(kappa=0.3, gamma=0.8, n=50, beta=1.0, iterations=6, seed=0)
+        cfg = AmpConfig(kappa=0.3, gamma=0.8, n=50, beta=1.0, trials=1, iterations=6, seed=0)
         rng = np.random.default_rng(1)
         A = rng.standard_normal((50, 50))
         state = turbo_amp(np.zeros(50), A, cfg, x_true=np.zeros(50))
@@ -72,48 +72,50 @@ class TestTurboAmp:
         assert state.mse_trace == [0.0] * 6
 
     def test_trace_length_and_finiteness(self):
-        cfg = AmpConfig(kappa=0.3, gamma=0.8, n=300, beta=0.5, iterations=10, seed=2)
+        cfg = AmpConfig(kappa=0.3, gamma=0.8, n=300, beta=0.5, trials=1, iterations=10, seed=2)
         y, A, x = sample_sparse_instance(cfg, 0)
         state = turbo_amp(y, A, cfg, x_true=x)
         assert len(state.mse_trace) == 10
         assert all(np.isfinite(v) for v in state.mse_trace)
-        assert state.c > 0 and np.all(state.upsilon >= 0)
+        assert state.c >= 1.0  # c = 1 + (beta/n) sum(G), and G >= 0
 
     def test_permutation_equivariance(self):
-        cfg = AmpConfig(kappa=0.4, gamma=0.9, n=60, beta=1.0, iterations=5, seed=3)
+        cfg = AmpConfig(kappa=0.4, gamma=0.9, n=60, beta=1.0, trials=1, iterations=5, seed=3)
         y, A, x = sample_sparse_instance(cfg, 0)
         perm = np.random.default_rng(4).permutation(cfg.n)
-        base = turbo_amp(y, A, cfg)
-        permuted = turbo_amp(y, A[:, perm], cfg)
+        base = turbo_amp(y, A, cfg, x)
+        permuted = turbo_amp(y, A[:, perm], cfg, x[perm])
         assert np.allclose(permuted.mu, base.mu[perm], atol=1e-12)
 
     def test_divergence_names_iteration(self):
-        cfg = AmpConfig(kappa=0.5, gamma=1.0, n=400, beta=0.5, iterations=10, seed=5)
+        cfg = AmpConfig(kappa=0.5, gamma=1.0, n=400, beta=0.5, trials=1, iterations=10, seed=5)
         y, A, x = sample_sparse_instance(cfg, 0)
         with pytest.raises(AmpDivergence, match="iteration"):
-            turbo_amp(y * 1e150, A * 1e150, cfg)
+            turbo_amp(y * 1e150, A * 1e150, cfg, x)
 
     def test_config_validation(self):
+        valid = {"kappa": 0.5, "gamma": 0.5, "n": 1000, "beta": 1.0, "trials": 20, "iterations": 10, "seed": 0}
+        AmpConfig(**valid)
         with pytest.raises(ValidationError):
-            AmpConfig(kappa=0.0, gamma=0.5)
+            AmpConfig(**{**valid, "kappa": 0.0})
         with pytest.raises(ValidationError):
-            AmpConfig(kappa=0.5, gamma=1.2)
+            AmpConfig(**{**valid, "gamma": 1.2})
         with pytest.raises(ValidationError):
-            AmpConfig(kappa=0.5, gamma=0.5, iterations=0)
+            AmpConfig(**{**valid, "iterations": 0})
         with pytest.raises(ValidationError, match="trials must be >= 1"):
-            AmpConfig(kappa=0.5, gamma=0.5, trials=0)
+            AmpConfig(**{**valid, "trials": 0})
         for n, beta in ((0, 1.0), (10, 0.0), (10, math.nan), (10, math.inf)):
             with pytest.raises(ValidationError, match="need n >= 1 and 0 < beta < inf"):
-                AmpConfig(kappa=0.5, gamma=0.5, n=n, beta=beta)
+                AmpConfig(**{**valid, "n": n, "beta": beta})
 
     def test_a_non_integer_n_is_rejected_before_sampling(self):
         # it once failed deep in sample_sparse_instance with a TypeError
         with pytest.raises(ValidationError, match="n must be an integer"):
-            AmpConfig(kappa=0.3, gamma=0.5, n=20.5, trials=2, iterations=2)
+            AmpConfig(kappa=0.3, gamma=0.5, n=20.5, beta=1.0, trials=2, iterations=2, seed=0)
 
     def test_m_is_the_shared_measurement_count(self):
         # n=10 at beta=3: round(10/3) = 3 measurements, as in every other oracle (ceil gave 4)
-        cfg = AmpConfig(kappa=0.3, gamma=0.8, n=10, beta=3.0)
+        cfg = AmpConfig(kappa=0.3, gamma=0.8, n=10, beta=3.0, trials=1, iterations=1, seed=0)
         assert cfg.m == measurement_count(10, 3.0) == 3
         assert sample_sparse_instance(cfg, 0)[1].shape == (3, 10)
 
@@ -155,7 +157,8 @@ class TestAmpExperiment:
         # trials peak at about one (m, n) matrix above the starting size, where
         # holding the previous trial's matrix while drawing the next takes two.
         # The warm-up call keeps the lazy imports of the first Generator out of the count.
-        amp_experiment(AmpConfig(kappa=0.3, gamma=0.8, n=20, trials=2, iterations=2), replica_reference=0.0)
+        warm_up = AmpConfig(kappa=0.3, gamma=0.8, n=20, beta=1.0, trials=2, iterations=2, seed=0)
+        amp_experiment(warm_up, replica_reference=0.0)
         cfg = AmpConfig(kappa=0.3, gamma=0.8, n=400, beta=1.0, trials=3, iterations=5, seed=11)
         tracemalloc.start()
         try:

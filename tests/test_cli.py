@@ -894,18 +894,54 @@ def test_replica_sweep_with_a_deterministic_postulated_row_exits_0(tmp_path):
     assert all(math.isfinite(float(r[col])) for r in rows for col in ("eta", "xi", "free_energy"))
 
 
+def run_python(args: list[str], environ: dict | None = None) -> subprocess.CompletedProcess:
+    """A fresh interpreter, importing this tree's replica_markov, run on ``args`` in ``environ`` (default ours)."""
+    environ = os.environ if environ is None else environ
+    src = str(Path(replica_markov.__file__).resolve().parents[1])
+    env = {**environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def loaded_modules(code: str) -> set[str]:
     """The modules a fresh interpreter holds after running ``code``."""
-    src = str(Path(replica_markov.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = run_python(["-c", f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"])
+    out.check_returncode()
     return set(json.loads(out.stdout.splitlines()[-1]))
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # importing scipy (scipy.special alone) took about 0.3 s of every CLI call's set-up
     assert not any(m.split(".")[0] == "scipy" for m in loaded_modules("import replica_markov.cli"))
+    # and every subcommand runs where scipy cannot be imported: the package needs numpy only
+    sparse = {"prior": {"type": "sparse_hmm", "kappa": 0.3, "gamma": 0.8}}
+    docs = {
+        "replica sweep": base_doc(),
+        "simulate exact": base_doc(n=4, trials=2),
+        "simulate mh": base_doc(n=4, trials=2, mh={"steps": 200, "burn_in": 50}),
+        "simulate amp": base_doc(model=sparse, n=50, trials=2, amp={"iterations": 2}),
+        "pf rate": RATE_DOC,
+    }
+    out = ["--out", str(tmp_path / "out.csv")]
+    calls = [["pf", "deriv-check", "--cases", "2", *out]]
+    for command, doc in docs.items():
+        cfg = tmp_path / f"{command.replace(' ', '_')}.json"
+        cfg.write_text(json.dumps(doc))
+        calls.append([*command.split(), "--config", str(cfg), *out])
+    block = "import sys\nsys.modules['scipy'] = None\n"
+    run = run_python(["-c", f"{block}from replica_markov.cli import main\nprint([main(a) for a in {calls!r}])"])
+    assert (run.returncode, run.stdout.splitlines()[-1:]) == (0, [str([0] * len(calls))]), run.stderr
+
+
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_the_command_runs_blas_on_one_thread_unless_told_otherwise(tmp_path):
+    # on a multi-core machine, BLAS's default thread count changed the digits of pf rate's tilt
+    out = tmp_path / "rate.csv"
+    argv = ["-m", "replica_markov.cli", "pf", "rate", "--config", str(DATA / "pf_rate_nu3.json"), "--out", str(out)]
+    run = run_python(argv, {k: v for k, v in os.environ.items() if k not in BLAS_THREADS})
+    assert run.returncode == 0, run.stderr
+    assert out.read_bytes() == (DATA / "pf_rate_nu3.csv").read_bytes()
 
 
 def main_code(tmp_path, argv: list[str] | None, doc: dict | None) -> str:

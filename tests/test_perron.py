@@ -527,7 +527,7 @@ class TestRateFunction:
 
     @pytest.mark.parametrize("weight", [1.0001, 1.01, 1.5, -0.5])
     def test_target_just_outside_hull_is_infeasible(self, weight):
-        # exp underflow stops the tilt long before the value reaches value_cap
+        # exp underflow stops the tilt long before the value reaches RATE_VALUE_CAP
         kern = binary_markov_kernel(0.3, 0.3)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
         base = q_transition_matrix(space, kern)
@@ -597,13 +597,15 @@ class TestRateFunction:
         oracle = np.max(target_trace - log_mgf)
         assert abs(res.value - oracle) < 1e-6
 
-    def test_extreme_state_matches_path_enumeration(self):
+    def test_extreme_state_matches_path_enumeration(self, monkeypatch):
+        monkeypatch.setattr(perron, "RATE_GRAD_TOL", 1e-10)
+        monkeypatch.setattr(perron, "RATE_MAX_ITER", 200_000)
         alpha = delta = 0.25
         kern = binary_markov_kernel(alpha, delta)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
         base = q_transition_matrix(space, kern)
         j = 0
-        res = rate_function(space, base, space.states[j], grad_tol=1e-10, max_iter=200_000)
+        res = rate_function(space, base, space.states[j])
         exact = -math.log(base[j, j])
         # sup attained only in the limit of a diverging tilt; the ascent value
         # approaches -log P(j|j) from below
@@ -620,12 +622,13 @@ class TestRateFunction:
         r8 = math.log(w[j] * base[j, j] ** 8) / 8
         assert abs(r8 - (-res.value)) < abs(r4 - (-res.value))
 
-    def test_infeasible_target_detected(self):
+    def test_infeasible_target_detected(self, monkeypatch):
+        monkeypatch.setattr(perron, "RATE_MAX_ITER", 3000)
         kern = binary_markov_kernel(0.3, 0.3)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
         base = q_transition_matrix(space, kern)
         outside = 3.0 * space.states[0] - 2.0 * space.states[1]
-        res = rate_function(space, base, outside, max_iter=3000)
+        res = rate_function(space, base, outside)
         assert not res.feasible and res.value == math.inf
 
     def test_sandwich_bound_on_tilted_rows(self):

@@ -49,7 +49,8 @@ def random_table_channels(rng) -> list:
 
 def random_channel(rng) -> ScalarChannel:
     law = random_law(rng)
-    return ScalarChannel.matched(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)), law)
+    eta, s = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0))
+    return ScalarChannel(eta, eta, s, law, law)
 
 
 def posterior(law: ConditionalInputLaw, s: float, tau: float, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,19 +135,21 @@ class TestConditionalMse:
     def test_matched_gaussian_closed_form(self):
         # sigma0^2 (1/eta) / (s sigma0^2 + 1/eta); equals 0.5 at all-ones
         for s, v, eta in ((1.0, 1.0, 1.0), (2.0, 0.5, 0.7), (0.5, 3.0, 1.9)):
-            ch = ScalarChannel.matched(eta, s, ConditionalInputLaw.gaussian(0.2, v))
+            law = ConditionalInputLaw.gaussian(0.2, v)
+            ch = ScalarChannel(eta, eta, s, law, law)
             expected = v * (1.0 / eta) / (s * v + 1.0 / eta)
             assert abs(conditional_mse(ch) - expected) < 1e-10
-        ch = ScalarChannel.matched(1.0, 1.0, ConditionalInputLaw.gaussian(0.0, 1.0))
+        law = ConditionalInputLaw.gaussian(0.0, 1.0)
+        ch = ScalarChannel(1.0, 1.0, 1.0, law, law)
         assert abs(conditional_mse(ch) - 0.5) < 1e-12
 
     def test_noiseless_limit_vanishes(self):
-        ch = ScalarChannel.matched(1e6, 1.0, binary_law(0.4))
+        ch = ScalarChannel(1e6, 1e6, 1.0, binary_law(0.4), binary_law(0.4))
         assert conditional_mse(ch) < 1e-6
 
     def test_monte_carlo_oracle_matched_binary(self):
         alpha, eta, s = 0.3, 0.7, 1.0
-        ch = ScalarChannel.matched(eta, s, binary_law(alpha))
+        ch = ScalarChannel(eta, eta, s, binary_law(alpha), binary_law(alpha))
         rng = np.random.default_rng(123)
         n = 10_000_000
         x = np.where(rng.random(n) < alpha, 1.0, -1.0)
@@ -156,7 +159,8 @@ class TestConditionalMse:
         assert abs(conditional_mse(ch) - mc) < 3 * se
 
     def test_degenerate_point_mass_short_circuits(self):
-        ch = ScalarChannel.matched(1.0, 1.0, ConditionalInputLaw.point_masses([0.7], [1.0]))
+        law = ConditionalInputLaw.point_masses([0.7], [1.0])
+        ch = ScalarChannel(1.0, 1.0, 1.0, law, law)
         assert conditional_mse(ch) == 0.0
         assert conditional_var(ch) == 0.0
 
@@ -169,7 +173,8 @@ class TestConditionalVar:
             assert abs(conditional_var(ch) - conditional_mse(ch)) < 1e-9
 
     def test_matched_gaussian_closed_form(self):
-        ch = ScalarChannel.matched(0.8, 1.5, ConditionalInputLaw.gaussian(0.0, 2.0))
+        law = ConditionalInputLaw.gaussian(0.0, 2.0)
+        ch = ScalarChannel(0.8, 0.8, 1.5, law, law)
         expected = 2.0 * (1.0 / 0.8) / (1.5 * 2.0 + 1.0 / 0.8)
         assert abs(conditional_var(ch) - expected) < 1e-10
 
@@ -214,7 +219,7 @@ class TestInvariants:
 
     def test_cross_entropy_is_entropy_when_matched(self):
         alpha, eta = 0.3, 0.7
-        ch = ScalarChannel.matched(eta, 1.0, binary_law(alpha))
+        ch = ScalarChannel(eta, eta, 1.0, binary_law(alpha), binary_law(alpha))
         u = np.linspace(-14, 14, 200_001)
         f = binary_output_density(u, eta, alpha)
         entropy = -np.trapezoid(f * np.log(f), u)

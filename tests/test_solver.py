@@ -23,9 +23,9 @@ from replica_markov import (
     sparse_hmm_prior,
 )
 from replica_markov import solver
-from replica_markov.iid_reference import iid_replica
 from replica_markov.single_symbol import QuadratureError
 from replica_markov.solver import RESIDUAL_TOL, _first_roots, _root, _roots
+from iid_reference import iid_replica
 from oracles import LOG_2PIE, g_bar_binary, sparse_hmm_hand_path
 
 BINARY_SYM = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)))
