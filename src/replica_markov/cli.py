@@ -145,12 +145,10 @@ def compute_row(config: ExperimentConfig, beta_index: int, replica: ReplicaSolut
         except Exception as exc:
             failures.append(f"mh: {exc}")
     if "amp" in config.tasks:
-        from .amp import amp_experiment, replica_mmse_reference
+        from .amp import amp_experiment
 
         try:
-            cfg = _amp_config(config, beta_index)
-            ref = row.mmse if row.mmse is not None else replica_mmse_reference(cfg.kappa, cfg.gamma, replica_beta)
-            res = amp_experiment(cfg, replica_reference=ref)
+            res = amp_experiment(_amp_config(config, beta_index), replica_reference=row.mmse)
             row.amp_mse, row.amp_mse_stderr = res.mean_mse, res.std_err
         except Exception as exc:
             failures.append(f"amp: {exc}")
@@ -271,7 +269,7 @@ def _random_q_setup(rng: np.random.Generator):
     delta = float(rng.uniform(0.05, 0.95))
     kern = binary_markov_kernel(alpha, delta)
     space = enumerate_q_states([1.0], [-1.0, 1.0], nu)
-    base = q_transition_matrix(space, kern)
+    base = q_transition_matrix(space, kern, ((1.0, 1.0),))
     t = 0.3 * rng.standard_normal((nu + 1, nu + 1))
     return space, base, 0.5 * (t + t.T)
 

@@ -17,8 +17,8 @@ import numpy as np
 WEIGHT_TOL = 1e-12
 
 
-class LawValidationError(ValueError):
-    """Raised when a mixture violates its normalization or shape contract."""
+class ValidationError(ValueError):
+    """Raised when a law, kernel or distribution violates its contract."""
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class PointMass:
 
     def __post_init__(self):
         if not math.isfinite(self.x):
-            raise LawValidationError(f"point mass needs a finite x, got {self.x}")
+            raise ValidationError(f"point mass needs a finite x, got {self.x}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class GaussianAtom:
 
     def __post_init__(self):
         if not (math.isfinite(self.mean) and 0.0 < self.var < math.inf):
-            raise LawValidationError(f"gaussian atom needs a finite mean and var > 0, got {self.mean}, {self.var}")
+            raise ValidationError(f"gaussian atom needs a finite mean and var > 0, got {self.mean}, {self.var}")
 
 
 Atom = PointMass | GaussianAtom
@@ -51,16 +51,16 @@ class ConditionalInputLaw:
 
     def __post_init__(self):
         if len(self.components) == 0:
-            raise LawValidationError("mixture needs at least one component")
+            raise ValidationError("mixture needs at least one component")
         total = 0.0
         for w, atom in self.components:
             if not w >= 0.0:  # also rejects NaN
-                raise LawValidationError(f"mixture weight {w} is not a nonnegative number")
+                raise ValidationError(f"mixture weight {w} is not a nonnegative number")
             if not isinstance(atom, (PointMass, GaussianAtom)):
-                raise LawValidationError(f"unknown atom type {type(atom)!r}")
+                raise ValidationError(f"unknown atom type {type(atom)!r}")
             total += w
         if not abs(total - 1.0) <= WEIGHT_TOL:
-            raise LawValidationError(f"mixture weights sum to {total!r}, not 1")
+            raise ValidationError(f"mixture weights sum to {total!r}, not 1")
 
     @staticmethod
     def point_masses(values, probs) -> "ConditionalInputLaw":

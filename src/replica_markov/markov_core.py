@@ -16,14 +16,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .laws import ConditionalInputLaw
+from .laws import ConditionalInputLaw, ValidationError
 
 STOCHASTIC_TOL = 1e-12
 STATIONARY_TOL = 1e-12
-
-
-class ValidationError(ValueError):
-    """Raised when a kernel or distribution violates its contract."""
 
 
 class IrreducibilityError(ValueError):

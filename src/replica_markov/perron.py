@@ -82,48 +82,30 @@ def enumerate_q_states(s_alphabet, x_alphabet, nu: int) -> QStateSpace:
     return QStateSpace(nu, s_alphabet, x_alphabet, qs[first], ids)
 
 
-def q_transition_matrix(
-    space: QStateSpace,
-    true_kernel: TransitionMatrix,
-    postulated_kernel: TransitionMatrix | None = None,
-    s_dist=None,
-) -> np.ndarray:
+def q_transition_matrix(space: QStateSpace, kernel: TransitionMatrix, s_dist) -> np.ndarray:
     """Transition matrix of the coupling-matrix chain in the stationary regime.
 
-    Entry (i, j) aggregates, over the preimage tuples of states i and j, the
-    joint weight P_S(s') P_S(s) p(x0') pi(x0', x0) prod_k q(xk') pitilde(xk', xk)
-    normalized by the state-i marginal.  The time-(n-1) marginals p and q
-    are the stationary distributions of the true and postulated kernels (the
-    stationary-start convention).  Over tuples the weights are
-    Kronecker products, kron(P_S, p, q, ..., q) and
-    kron(1 P_S^T, pi, pitilde, ..., pitilde), folded onto the states by the
-    one-hot membership matrix of ``space.ids``.  A reducible coupling chain
-    raises IrreducibilityError: it has no Perron-Frobenius triple.
+    ``s_dist`` is the SNR law as (value, probability) pairs over
+    ``space.s_alphabet``.  Entry (i, j) aggregates, over the preimage tuples
+    of states i and j, the joint weight P_S(s') P_S(s) prod_k p(xk') pi(xk', xk)
+    normalized by the state-i marginal, with p the stationary distribution
+    of the kernel (the stationary-start convention).  Over tuples the
+    weights are Kronecker products, kron(P_S, p, ..., p) and
+    kron(1 P_S^T, pi, ..., pi), folded onto the states by the one-hot
+    membership matrix of ``space.ids``.  A reducible coupling chain raises
+    IrreducibilityError: it has no Perron-Frobenius triple.
     """
-    if postulated_kernel is None:
-        postulated_kernel = true_kernel
-    values = true_kernel.state_values()
-    if tuple(postulated_kernel.state_values()) != tuple(values):
-        raise ValidationError("true and postulated kernels must share the signal alphabet")
+    values = kernel.state_values()
     if set(space.x_alphabet) != set(float(v) for v in values):
         raise ValidationError("state space alphabet does not match the kernel alphabet")
-    if s_dist is None:
-        if len(space.s_alphabet) != 1:
-            raise ValidationError("s_dist required when the SNR alphabet is not a singleton")
-        s_dist = ((space.s_alphabet[0], 1.0),)
     s_prob = {float(v): float(p) for v, p in s_dist}
     if set(s_prob) != set(space.s_alphabet):
         raise ValidationError("s_dist support must equal the SNR alphabet")
     val_to_row = {float(v): i for i, v in enumerate(values)}
-    p_marg = stationary_distribution(true_kernel)
-    q_marg = stationary_distribution(postulated_kernel)
-
     rows = [val_to_row[v] for v in space.x_alphabet]
     s_vec = np.array([s_prob[s] for s in space.s_alphabet])
-    weight = _kron([s_vec, p_marg[rows]] + [q_marg[rows]] * space.nu)
-    true_step = true_kernel.P[np.ix_(rows, rows)]
-    post_step = postulated_kernel.P[np.ix_(rows, rows)]
-    step = _kron([np.tile(s_vec, (len(s_vec), 1)), true_step] + [post_step] * space.nu)
+    weight = _kron([s_vec] + [stationary_distribution(kernel)[rows]] * (space.nu + 1))
+    step = _kron([np.tile(s_vec, (len(s_vec), 1))] + [kernel.P[np.ix_(rows, rows)]] * (space.nu + 1))
     member = np.zeros((len(weight), space.size))
     member[np.arange(len(weight)), space.ids] = 1.0
     joint = (member.T * weight) @ step @ member

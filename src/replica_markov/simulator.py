@@ -296,13 +296,11 @@ def _mh_discrete_batch(
     steps: int,
     burn_in: int,
     rng: np.random.Generator,
-    keep_samples: bool = False,
 ):
     """Single-site Metropolis over C chains run in lockstep.
 
-    phis: (C, m, n); ys: (C, m).  Returns per-chain posterior means, overall
-    acceptance rate, and (optionally) thinned post-burn-in samples for
-    error estimation.  Each step reads its prior ratios, value change and
+    phis: (C, m, n); ys: (C, m).  Returns per-chain posterior means and the
+    overall acceptance rate.  Each step reads its prior ratios, value change and
     new state from ``_mh_tables``, the proposed column from a (C, n, m) copy
     of phis, and carries ||r||^2 of the residual from the last accepted move.
     """
@@ -317,7 +315,6 @@ def _mh_discrete_batch(
     r = ys - np.einsum("cmn,cn->cm", phis, values[idx])
     norm = np.einsum("cm,cm->c", r, r)
     mean_acc = np.zeros((C, n))
-    kept = []
     accepted = 0
     rows = np.arange(C)
     block = 1024
@@ -330,7 +327,6 @@ def _mh_discrete_batch(
         at = sites + rows * (n + 2) + 1
         before, after, col_at = at - 1, at + 1, sites + rows * n
         for t in range(cnt):
-            step = done + t
             pos = at[t]
             jump = jumps[t]
             old = flat[pos]
@@ -342,15 +338,10 @@ def _mh_discrete_batch(
             np.copyto(r, r_new, where=acc[:, None])
             np.copyto(norm, norm_new, where=acc)
             accepted += int(np.count_nonzero(acc))
-            if step >= burn_in:
-                cur = values[idx]
-                mean_acc += cur
-                if keep_samples and (step - burn_in) % 10 == 0:
-                    kept.append(cur)
+            if done + t >= burn_in:
+                mean_acc += values[idx]
         done += cnt
-    post = mean_acc / (steps - burn_in)
-    samples = np.array(kept) if keep_samples else None
-    return post, accepted / (steps * C), samples
+    return mean_acc / (steps - burn_in), accepted / (steps * C)
 
 
 def mh_mse_experiment(
@@ -375,6 +366,6 @@ def mh_mse_experiment(
     ys = np.stack([inst.y for inst in insts])
     xs = np.stack([inst.x for inst in insts])
     rng = _rng(seed, 0x3C)
-    post, rate, _ = _mh_discrete_batch(phis, ys, *tables, model.sigma**2, steps, burn_in, rng)
+    post, rate = _mh_discrete_batch(phis, ys, *tables, model.sigma**2, steps, burn_in, rng)
     mses = np.sum((xs - post) ** 2, axis=1) / n
     return float(mses.mean()), float(mses.std(ddof=1) / math.sqrt(instances)), rate

@@ -174,14 +174,6 @@ def _weighted_errors(dec: _Decoupled, moments: np.ndarray) -> tuple[np.ndarray, 
     return mse @ dec.ws, var @ dec.ws
 
 
-def _quotient(x: float, y: float) -> float:
-    """x / y for Python floats, with numpy's inf or NaN where y is 0 instead of ZeroDivisionError."""
-    try:
-        return x / y
-    except ZeroDivisionError:
-        return math.copysign(math.inf, x) * math.copysign(1.0, y) if x == x and x != 0.0 else math.nan
-
-
 def _root(f, a, b, fa, fb):
     """Roots of f in the brackets [a, b], with fa and fb of opposite signs, by Anderson-Bjorck regula falsi.
 
@@ -200,6 +192,13 @@ def _root(f, a, b, fa, fb):
     1e-14 from the start is not evaluated and returns its end with the
     smaller |f|.
 
+    Every bracket passed in is a strict sign change: fa and fb are nonzero
+    and of opposite signs, as ``_roots`` hands them over.  Each step gives
+    the end it moves that step's f(c), never 0, since f(c) == 0 ends the
+    bracket, and a new point joins the end whose sign f had at the start.
+    The scaling touches only the other end, which keeps its sign or flushes
+    to +-0.  So f_hi - f_lo is never 0, and the secant divides by it.
+
     The per-bracket bookkeeping runs in Python floats, one bracket at a
     time.  A batch holds one bracket per sign change of each row: 1 to 32 on
     the two-beta sweeps of the benchmark, up to 320 on a 20-beta sweep and
@@ -213,6 +212,7 @@ def _root(f, a, b, fa, fb):
     a, b, fa, fb = (np.array(v, dtype=float).tolist() for v in (a, b, fa, fb))
     c = [x if abs(fx) <= abs(fy) else y for x, y, fx, fy in zip(a, b, fa, fb)]
     side = [0] * len(c)  # the end the last step moved: -1 for b, 1 for a
+    b_pos = [v > 0.0 for v in fb]  # the sign of f at b, which an fb scaled to +0 no longer shows
     own_a, own_b = [False] * len(c), [False] * len(c)  # ends this call evaluated
     active = list(range(len(c)))
     for _ in range(_ROOT_MAX_ITER):
@@ -221,7 +221,7 @@ def _root(f, a, b, fa, fb):
             lo, hi, f_lo, f_hi = a[i], b[i], fa[i], fb[i]
             if not hi - lo >= _ROOT_TOL:
                 continue
-            secant = _quotient(lo * f_hi - hi * f_lo, f_hi - f_lo)
+            secant = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
             if (secant == lo and own_a[i]) or (secant == hi and own_b[i]):
                 c[i] = secant
                 continue
@@ -237,7 +237,7 @@ def _root(f, a, b, fa, fb):
                 continue
             live.append(i)
             # an end that moves twice running holds the last step's fc, never 0: m divides by it
-            if (fc > 0.0) == (fb[i] > 0.0):
+            if (fc > 0.0) == b_pos[i]:
                 if side[i] == -1:
                     m = 1.0 - fc / fb[i]
                     fa[i] *= m if m > 0.0 else 0.5

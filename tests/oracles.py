@@ -67,7 +67,7 @@ def brute_force_posterior_mean(inst, model) -> np.ndarray:
     return w @ values[paths] / w.sum()
 
 
-def reference_mh_batch(phis, ys, values, log_init, log_pi, sigma_sq, steps, burn_in, rng, keep_samples=False):
+def reference_mh_batch(phis, ys, values, log_init, log_pi, sigma_sq, steps, burn_in, rng):
     """Lockstep single-site Metropolis with per-step branches on the path ends.
 
     The branching form of ``simulator._mh_discrete_batch``: it draws the
@@ -80,7 +80,6 @@ def reference_mh_batch(phis, ys, values, log_init, log_pi, sigma_sq, steps, burn
     x = values[idx]
     r = ys - np.einsum("cmn,cn->cm", phis, x)
     mean_acc = np.zeros((C, n))
-    kept = []
     accepted = 0
     rows = np.arange(C)
     block = 1024
@@ -116,14 +115,9 @@ def reference_mh_batch(phis, ys, values, log_init, log_pi, sigma_sq, steps, burn
             r[acc] = r_new[acc]
             accepted += int(acc.sum())
             if step >= burn_in:
-                cur = values[idx]
-                mean_acc += cur
-                if keep_samples and (step - burn_in) % 10 == 0:
-                    kept.append(cur.copy())
+                mean_acc += values[idx]
         done += cnt
-    post = mean_acc / (steps - burn_in)
-    samples = np.array(kept) if keep_samples else None
-    return post, accepted / (steps * C), samples
+    return mean_acc / (steps - burn_in), accepted / (steps * C)
 
 
 def reference_chain_path(kern, initial, n, rng) -> np.ndarray:
@@ -286,6 +280,7 @@ def reference_root(f, a, b, fa, fb):
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     side = np.zeros(a.shape, dtype=int)
+    b_pos = fb > 0.0  # the sign of f at b, which an fb scaled to +0 no longer shows
     active = np.ones(a.shape, dtype=bool)
     own_a, own_b = np.zeros(a.shape, dtype=bool), np.zeros(a.shape, dtype=bool)  # ends this call evaluated
     c = np.where(abs(fa) <= abs(fb), a, b)
@@ -303,7 +298,7 @@ def reference_root(f, a, b, fa, fb):
         fc = np.zeros(a.shape)
         fc[idx] = f(c[idx], idx)
         active &= fc != 0.0
-        right = active & ((fc > 0.0) == (fb > 0.0))
+        right = active & ((fc > 0.0) == b_pos)
         left = active & ~right
         with np.errstate(divide="ignore", invalid="ignore"):
             m = 1.0 - fc / np.where(right, fb, fa)

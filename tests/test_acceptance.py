@@ -77,7 +77,7 @@ def test_02_pf_derivative_vs_finite_differences():
         nu = int(rng.integers(0, 2))
         kern = binary_markov_kernel(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95)))
         space = enumerate_q_states([1.0], [-1.0, 1.0], nu)
-        base = q_transition_matrix(space, kern)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         t = 0.4 * rng.standard_normal((nu + 1, nu + 1))
         tilt = 0.5 * (t + t.T)
         formula = pf_log_derivative(base, tilt, space)
@@ -250,7 +250,7 @@ def test_10_metropolis_hastings():
     t0 = time.perf_counter()
     inst = sample_instance(BINARY_SYM, 2, 1.0, seed=SEED)
     chains = 16
-    post, _rate, _ = _mh_discrete_batch(
+    post, _rate = _mh_discrete_batch(
         np.repeat(inst.design_matrix()[None], chains, axis=0),
         np.repeat(inst.y[None], chains, axis=0),
         *_log_tables(BINARY_SYM.prior, "MH"),

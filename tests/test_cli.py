@@ -693,11 +693,24 @@ def test_pf_output_is_byte_identical_to_its_golden_file(tmp_path, argv, golden):
 # floats, with BLAS on one thread: the CI mismatched smoke document (binary
 # prior, discrete_markov postulated prior, sigma 1.2), a matched binary sweep
 # under a two-point SNR law and a sparse HMM sweep, each at beta 0.75 and 1.5.
-@pytest.mark.parametrize("name", ["replica_mismatched", "replica_binary_two_snr", "replica_sparse_hmm"])
+# replica_amp, the sparse HMM sweep with its AMP columns (n=200, 2 trials, 5
+# iterations), was recorded before the sweep's rows left the AMP reference to
+# amp_experiment.
+@pytest.mark.parametrize(
+    "name", ["replica_mismatched", "replica_binary_two_snr", "replica_sparse_hmm", "replica_amp"]
+)
 def test_replica_sweep_is_byte_identical_to_its_golden_file(tmp_path, name):
     out = tmp_path / "out.csv"
     assert main(["replica", "sweep", "--config", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+# Recorded before the MH sampler dropped its sample log: the CI smoke_mh
+# ternary chain with a zero transition, 16 trials of 400 steps.
+def test_simulate_mh_is_byte_identical_to_its_golden_file(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "mh", "--config", str(DATA / "simulate_mh.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "simulate_mh.csv").read_bytes()
 
 
 def test_pf_rate_reduces_the_snr_law_to_its_support(tmp_path):

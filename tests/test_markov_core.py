@@ -145,7 +145,7 @@ class TestStationaryDistribution:
         prior = MarkovPrior.discrete(kernel)
         ModelSpec(prior=prior)
         ModelSpec(prior=prior, postulated_prior=MarkovPrior.discrete(kernel), sigma=1.2)
-        q_transition_matrix(enumerate_q_states([1.0], kernel.state_values(), 1), kernel)
+        q_transition_matrix(enumerate_q_states([1.0], kernel.state_values(), 1), kernel, ((1.0, 1.0),))
         assert len(solves) == 1
 
 
@@ -303,7 +303,8 @@ class TestEffectiveStatesDiscrete:
 
 class TestLaws:
     def test_weight_normalization_enforced(self):
-        with pytest.raises(Exception):
+        # a law raises the package's one ValidationError, as a kernel does
+        with pytest.raises(ValidationError, match="mixture weights sum"):
             ConditionalInputLaw(((0.5, PointMass(0.0)), (0.4, PointMass(1.0))))
 
     def test_moments(self):

@@ -64,24 +64,22 @@ def tuples(space):
     return [(s, x) for s in space.s_alphabet for x in itertools.product(space.x_alphabet, repeat=space.nu + 1)]
 
 
-def tuple_loop_transition_matrix(space, kern, post, s_dist):
+def tuple_loop_transition_matrix(space, kern, s_dist):
     """The coupling-chain matrix summed tuple by tuple over (s, x) x (s', x').
 
-    Replica 0 follows the true kernel ``kern``, replicas 1..nu the postulated
-    ``post``, each from its stationary law.
+    Every replica follows ``kern`` from its stationary law.
     """
     s_prob = dict(s_dist)
     row = {float(v): i for i, v in enumerate(kern.state_values())}
-    laws = [stationary_distribution(kern)] + [stationary_distribution(post)] * space.nu
-    steps = [kern.P] + [post.P] * space.nu
+    law = stationary_distribution(kern)
     indexed = [(s, [row[v] for v in x], i) for (s, x), i in zip(tuples(space), space.ids.tolist())]
     joint = np.zeros((space.size, space.size))
     marginal = np.zeros(space.size)
     for s_old, r_old, i in indexed:
-        w_old = s_prob[s_old] * math.prod(law[r] for law, r in zip(laws, r_old))
+        w_old = s_prob[s_old] * math.prod(law[r] for r in r_old)
         marginal[i] += w_old
         for s_new, r_new, j in indexed:
-            w_step = math.prod(step[a, b] for step, a, b in zip(steps, r_old, r_new))
+            w_step = math.prod(kern.P[a, b] for a, b in zip(r_old, r_new))
             joint[i, j] += w_old * s_prob[s_new] * w_step
     return joint / marginal[:, None]
 
@@ -153,14 +151,14 @@ class TestTransitionMatrix:
     def test_iid_rows_equal_marginal(self):
         kern = binary_markov_kernel(0.5, 0.5)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        P = q_transition_matrix(space, kern)
+        P = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         # every row is P(Q_j); for the symmetric iid chain both states have mass 1/2
         assert np.allclose(P, 0.5)
 
     def test_degenerate_single_state(self):
         kern = binary_markov_kernel(0.3, 0.3)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 0)
-        P = q_transition_matrix(space, kern)
+        P = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         assert P.shape == (1, 1) and abs(P[0, 0] - 1.0) < 1e-15
 
     def test_rows_stochastic_binary_asymmetric(self):
@@ -173,7 +171,7 @@ class TestTransitionMatrix:
         alpha = delta = 0.3
         kern = binary_markov_kernel(alpha, delta)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        P = q_transition_matrix(space, kern)
+        P = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         rng = np.random.default_rng(17)
         n = 1_000_000
         # stationary symmetric chain: draw (x0', x1') uniform, then step each
@@ -194,18 +192,11 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("nu", [0, 1, 2, 3])
     def test_matches_tuple_loop_ternary_two_snrs(self, nu):
         space, base = ternary_setup(nu)
-        oracle = tuple_loop_transition_matrix(space, TERNARY, TERNARY, TERNARY_SNR)
+        oracle = tuple_loop_transition_matrix(space, TERNARY, TERNARY_SNR)
         assert np.max(np.abs(base - oracle)) < 1e-14
         # a copy of the kernel solves its own stationary law
         copy = TransitionMatrix(TERNARY.state_values(), TERNARY.P.copy())
-        assert np.array_equal(base, q_transition_matrix(space, TERNARY, copy, s_dist=TERNARY_SNR))
-
-    @pytest.mark.parametrize("nu", [1, 2, 3])
-    def test_matches_tuple_loop_with_postulated_kernel(self, nu):
-        post = TransitionMatrix((-1, 0, 1), np.array([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]))
-        space, _ = ternary_setup(nu)
-        P = q_transition_matrix(space, TERNARY, post, s_dist=TERNARY_SNR)
-        assert np.max(np.abs(P - tuple_loop_transition_matrix(space, TERNARY, post, TERNARY_SNR))) < 1e-14
+        assert np.array_equal(base, q_transition_matrix(space, copy, s_dist=TERNARY_SNR))
 
     def test_ids_index_every_tuple(self):
         space, _ = ternary_setup(2)
@@ -241,7 +232,7 @@ class TestPfDecomposition:
     def test_tilt_zero_recovers_base(self):
         kern = binary_markov_kernel(0.3, 0.4)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        base = q_transition_matrix(space, kern)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         t_max, scaled, triple = _tilted_pf(base, np.zeros((2, 2)), space)
         assert t_max == 0.0 and np.array_equal(scaled, base)
         assert abs(triple.rho - 1.0) < 1e-12
@@ -328,7 +319,7 @@ class TestPfLogDerivative:
     def test_iid_zero_tilt_gives_mean(self):
         kern = binary_markov_kernel(0.5, 0.5)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        base = q_transition_matrix(space, kern)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         d = pf_log_derivative(base, np.zeros((2, 2)), space)
         mean = 0.5 * space.states[0] + 0.5 * space.states[1]
         assert np.allclose(d, mean, atol=1e-12)
@@ -336,7 +327,7 @@ class TestPfLogDerivative:
     def test_iid_general_tilt_moment_generating_form(self):
         kern = binary_markov_kernel(0.5, 0.5)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        base = q_transition_matrix(space, kern)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         tilt = np.array([[0.2, -0.1], [-0.1, 0.3]])
         weights = np.array([0.5, 0.5]) * np.exp(
             [float(np.sum(tilt * q)) for q in space.states]
@@ -351,7 +342,7 @@ class TestPfLogDerivative:
             nu = int(rng.integers(0, 2))
             kern = binary_markov_kernel(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95)))
             space = enumerate_q_states([1.0], [-1.0, 1.0], nu)
-            base = q_transition_matrix(space, kern)
+            base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
             t = 0.3 * rng.standard_normal((nu + 1, nu + 1))
             tilt = 0.5 * (t + t.T)
             formula = pf_log_derivative(base, tilt, space)
@@ -530,7 +521,7 @@ class TestRateFunction:
         # exp underflow stops the tilt long before the value reaches RATE_VALUE_CAP
         kern = binary_markov_kernel(0.3, 0.3)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        base = q_transition_matrix(space, kern)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         res = rate_function(space, base, weight * space.states[0] + (1.0 - weight) * space.states[1])
         assert not res.feasible and not res.converged and res.value == math.inf
 
@@ -566,7 +557,7 @@ class TestRateFunction:
         # unreachable and the dual rises without bound along that entry
         kern = binary_markov_kernel(0.3, 0.3)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        base = q_transition_matrix(space, kern)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         res = rate_function(space, base, np.array([[1.2, 0.1], [0.1, 1.0]]))
         assert not res.feasible and not res.converged and res.value == math.inf
         assert res.iterations == 1
@@ -574,7 +565,7 @@ class TestRateFunction:
     def test_zero_at_chain_mean(self):
         kern = binary_markov_kernel(0.3, 0.5)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        base = q_transition_matrix(space, kern)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         res = rate_function(space, base, chain_mean_q(space, base))
         assert res.converged and res.feasible
         assert abs(res.value) < 1e-9
@@ -582,7 +573,7 @@ class TestRateFunction:
     def test_iid_matches_grid_search_legendre(self):
         kern = binary_markov_kernel(0.5, 0.5)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        base = q_transition_matrix(space, kern)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         probs = np.full(2, 0.5)
         # target between the two states
         target = 0.7 * space.states[0] + 0.3 * space.states[1]
@@ -603,7 +594,7 @@ class TestRateFunction:
         alpha = delta = 0.25
         kern = binary_markov_kernel(alpha, delta)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        base = q_transition_matrix(space, kern)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         j = 0
         res = rate_function(space, base, space.states[j])
         exact = -math.log(base[j, j])
@@ -626,7 +617,7 @@ class TestRateFunction:
         monkeypatch.setattr(perron, "RATE_MAX_ITER", 3000)
         kern = binary_markov_kernel(0.3, 0.3)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        base = q_transition_matrix(space, kern)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         outside = 3.0 * space.states[0] - 2.0 * space.states[1]
         res = rate_function(space, base, outside)
         assert not res.feasible and res.value == math.inf
@@ -635,7 +626,7 @@ class TestRateFunction:
         rng = np.random.default_rng(12)
         kern = binary_markov_kernel(0.35, 0.6)
         space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
-        base = q_transition_matrix(space, kern)
+        base = q_transition_matrix(space, kern, s_dist=((1.0, 1.0),))
         for _ in range(10):
             t = 0.5 * rng.standard_normal((2, 2))
             t_max, scaled, triple = _tilted_pf(base, 0.5 * (t + t.T), space)

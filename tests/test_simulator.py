@@ -285,7 +285,7 @@ class TestEmpiricalFreeEnergy:
 
 def replicate_chain_means(inst, model, chains, steps, burn_in, seed):
     """Posterior mean of one instance from replicate lockstep chains; its error is the spread of the chain means."""
-    post, rate, _ = simulator._mh_discrete_batch(
+    post, rate = simulator._mh_discrete_batch(
         np.repeat(inst.design_matrix()[None], chains, axis=0),
         np.repeat(inst.y[None], chains, axis=0),
         *simulator._log_tables(model.prior, "MH"),
@@ -313,8 +313,8 @@ class TestMetropolisHastings:
         assert np.all(np.abs(mean) <= 4 * se + 0.02)
 
     def test_detailed_balance_three_state_target(self):
-        # n=1 with a 3-letter alphabet: empirical marginals over 10^6 total
-        # steps (12 replicate chains) must match the enumerated posterior
+        # n=1 with a 3-letter alphabet: the posterior mean over 10^6 total
+        # steps (12 replicate chains) must match the enumerated posterior's
         kern = TransitionMatrix((-1.0, 0.0, 1.0), np.full((3, 3), 1.0 / 3.0))
         model = ModelSpec(prior=MarkovPrior.discrete(kern))
         inst = sample_instance(model, 1, 1.0, seed=73)
@@ -323,7 +323,7 @@ class TestMetropolisHastings:
         ll = np.array([-0.5 * float(np.sum((inst.y - phi[:, 0] * v) ** 2)) for v in vals])
         w = np.exp(ll - ll.max()) / np.exp(ll - ll.max()).sum()
         chains, steps, burn = 12, 84_000, 4_000
-        post, rate, samples = simulator._mh_discrete_batch(
+        post, rate = simulator._mh_discrete_batch(
             np.repeat(phi[None], chains, axis=0),
             np.repeat(inst.y[None], chains, axis=0),
             vals,
@@ -333,13 +333,10 @@ class TestMetropolisHastings:
             steps,
             burn,
             simulator._rng(79),
-            keep_samples=True,
         )
         assert 0.01 <= rate <= 0.99
-        for k, v in enumerate(vals):
-            freq = (samples[:, :, 0] == v).mean(axis=0)  # per chain
-            se = freq.std(ddof=1) / math.sqrt(chains)
-            assert abs(freq.mean() - w[k]) <= max(3 * se, 0.004)
+        se = post[:, 0].std(ddof=1) / math.sqrt(chains)  # spread of the replicate chain means
+        assert abs(post[:, 0].mean() - w @ vals) <= max(3 * se, 0.004)
 
     @pytest.mark.parametrize(
         "model,n",
@@ -363,11 +360,10 @@ class TestMetropolisHastings:
             3000,
             500,
         )
-        post, rate, samples = simulator._mh_discrete_batch(*args, simulator._rng(89), keep_samples=True)
-        ref_post, ref_rate, ref_samples = reference_mh_batch(*args, simulator._rng(89), keep_samples=True)
+        post, rate = simulator._mh_discrete_batch(*args, simulator._rng(89))
+        ref_post, ref_rate = reference_mh_batch(*args, simulator._rng(89))
         assert np.array_equal(post, ref_post)
         assert rate == ref_rate
-        assert np.array_equal(samples, ref_samples)
 
     def test_batch_experiment_close_to_replica_mmse(self):
         # the n=10 posterior-mean MSE sits ~7% above the large-system value,
@@ -394,7 +390,7 @@ class TestMetropolisHastings:
         n, instances, steps, burn_in, seed = 6, 5, 2_000, 500, 13
         mse, se, rate = mh_mse_experiment(MISMATCHED, n, 1.0, instances, steps, burn_in, seed)
         insts = [sample_instance(MISMATCHED, n, 1.0, seed, index=i) for i in range(instances)]
-        post, hand_rate, _ = simulator._mh_discrete_batch(
+        post, hand_rate = simulator._mh_discrete_batch(
             np.stack([inst.design_matrix() for inst in insts]),
             np.stack([inst.y for inst in insts]),
             *simulator._log_tables(MISMATCHED.postulated_prior, "MH"),

@@ -1,4 +1,3 @@
-import itertools
 import math
 from unittest import mock
 
@@ -512,16 +511,17 @@ class TestRootHelpers:
         assert seen == {"halved", "zero", "narrow", "on_end"}
 
     def test_root_overflow_and_zero_division_match_the_array_form(self):
-        # products overflowing to inf, a secant inf/inf, a secant 0/0 and
-        # denormal f values give numpy's inf and NaN, not an exception, and
-        # the array form's points
+        # products overflowing to inf, a secant inf/inf and denormal f values
+        # give numpy's inf and NaN, not an exception, and the array form's
+        # points; a bracket with an end at f = 0 is not a sign change, so
+        # _roots never hands one to _root
         from oracles import reference_root
 
-        a, b = np.array([0.5, 0.25, 0.0]), np.array([2.0, 0.75, 1.0])
-        fa, fb = np.array([-1e308, -0.0, -1.0]), np.array([1e308, 0.0, 5e-324])
+        a, b = np.array([0.5, 0.0]), np.array([2.0, 1.0])
+        fa, fb = np.array([-1e308, -1.0]), np.array([1e308, 5e-324])
 
         def f(x, idx):
-            return np.where(idx == 2, (x - 0.999) * 1e-320, 1e308 * (x - 1.0))
+            return np.where(idx == 1, (x - 0.999) * 1e-320, 1e308 * (x - 1.0))
 
         logs = [], []
         with np.errstate(all="ignore"):
@@ -529,13 +529,24 @@ class TestRootHelpers:
             got = _root(lambda x, idx: logs[1].append(x.tolist()) or f(x, idx), a, b, fa, fb)
         assert np.array_equal(got, want, equal_nan=True) and logs[1] == logs[0]
 
-    def test_quotient_is_numpys_division(self):
-        for x, y in itertools.product([1.0, -1.0, 0.0, -0.0, math.inf, math.nan], [0.0, -0.0, 2.0, math.inf]):
-            with np.errstate(all="ignore"):
-                want = float(np.float64(x) / np.float64(y))
-            got = solver._quotient(x, y)
-            assert got == want or (math.isnan(got) and math.isnan(want)), (x, y)
-            assert math.copysign(1.0, got) == math.copysign(1.0, want) or math.isnan(want), (x, y)
+    def test_root_keeps_the_side_of_an_end_scaled_to_zero(self):
+        # f is the smallest denormal, -5e-324, left of its sign change: the
+        # midpoints there move a twice running, so fb is halved to +0.  Later
+        # points with f < 0 must still move a, not b, or the two ends share a
+        # sign and the bracket loses its root (it stopped at 0.6125)
+        from oracles import reference_root
+
+        r0 = 0.6469080561386775
+
+        def f(x, idx):
+            return np.where(x < r0, -5e-324, 5e-324 * (1.0 + (x - r0)))
+
+        logs = [], []
+        args = np.array([0.5]), np.array([0.8]), np.array([-5e-324]), np.array([5e-324])
+        want = reference_root(lambda x, idx: logs[0].append(x.tolist()) or f(x, idx), *args)
+        got = _root(lambda x, idx: logs[1].append(x.tolist()) or f(x, idx), *args)
+        assert abs(got[0] - r0) < 1e-14
+        assert np.array_equal(got, want) and logs[1] == logs[0]
 
     def test_first_roots_warm_bracket_and_fallback(self):
         # h(xi) = xi - (0.3 + 0.1 eta) on each row (group, eta).  Row (0, 0.3)
