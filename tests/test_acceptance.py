@@ -59,11 +59,14 @@ def report(tag: str, ok: bool, elapsed: float, detail: str = ""):
 
 def test_01_stationary_distribution():
     stationary_distribution(binary_markov_kernel(0.2, 0.5))  # warm up
-    kern = binary_markov_kernel(0.2, 0.5)  # a fresh kernel: the law is solved, not looked up
-    t0 = time.perf_counter()
-    sd = stationary_distribution(kern)
-    elapsed = time.perf_counter() - t0
-    err = max(abs(sd[0] - 5.0 / 7.0), abs(sd[1] - 2.0 / 7.0))
+    # the fastest of 5 solves, so one stall of the machine does not fail the bound
+    elapsed, err = math.inf, 0.0
+    for _ in range(5):
+        kern = binary_markov_kernel(0.2, 0.5)  # a fresh kernel: the law is solved, not looked up
+        t0 = time.perf_counter()
+        sd = stationary_distribution(kern)
+        elapsed = min(elapsed, time.perf_counter() - t0)
+        err = max(err, abs(sd[0] - 5.0 / 7.0), abs(sd[1] - 2.0 / 7.0))
     ok = err < 1e-12 and elapsed < 1e-3
     assert report("01 stationary-distribution", ok, elapsed, f"max err {err:.2e}")
 

@@ -713,6 +713,16 @@ def test_simulate_mh_is_byte_identical_to_its_golden_file(tmp_path):
     assert out.read_bytes() == (DATA / "simulate_mh.csv").read_bytes()
 
 
+# Recorded before the Gauss-Markov covariance was gathered from its n lag
+# powers: the closed-form evidence (nu 0.5, n=64, 4 trials, betas 0.5 and
+# 1.5) and the meet-in-the-middle enumeration (binary flip 0.3, n=12, 4 trials).
+@pytest.mark.parametrize("name", ["simulate_exact_gauss", "simulate_exact_binary"])
+def test_simulate_exact_is_byte_identical_to_its_golden_file(tmp_path, name):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "exact", "--config", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
 def test_pf_rate_reduces_the_snr_law_to_its_support(tmp_path):
     code, merged = run_pf_rate(tmp_path, {**RATE_DOC, "snr": [[1.0, 0.5], [2.0, 0.5]]})
     assert code == 0

@@ -47,6 +47,15 @@ TERNARY_ONE_ZERO = ModelSpec(
         TransitionMatrix((-1.0, 0.3, 1.0), np.array([[0.6, 0.2, 0.2], [0.0, 0.5, 0.5], [0.2, 0.2, 0.6]]))
     )
 )
+# four states, two zeros in the column of 0.3: MH proposes jumps of 1, 2 and 3 states
+FOUR_ZERO = ModelSpec(
+    prior=MarkovPrior.discrete(
+        TransitionMatrix(
+            (-1.0, 0.3, 0.7, 2.0),
+            np.array([[0.4, 0.0, 0.3, 0.3], [0.3, 0.0, 0.4, 0.3], [0.2, 0.3, 0.2, 0.3], [0.25, 0.25, 0.25, 0.25]]),
+        )
+    )
+)
 MISMATCHED = ModelSpec(
     prior=BINARY_SYM.prior, postulated_prior=MarkovPrior.discrete(binary_markov_kernel(0.2, 0.4)), sigma=1.2
 )
@@ -339,26 +348,39 @@ class TestMetropolisHastings:
         assert abs(post[:, 0].mean() - w @ vals) <= max(3 * se, 0.004)
 
     @pytest.mark.parametrize(
-        "model,n",
+        "model,n,steps,burn_in",
         [
-            (BINARY_SYM, 10),
-            (MISMATCHED, 10),
-            (TERNARY_ONE_ZERO, 8),
-            (TERNARY_ZERO, 8),
-            (BINARY_SYM, 1),
-            (TERNARY_ONE_ZERO, 2),
+            (BINARY_SYM, 10, 3000, 500),
+            (MISMATCHED, 10, 3000, 500),
+            (TERNARY_ONE_ZERO, 8, 3000, 500),
+            (TERNARY_ZERO, 8, 3000, 500),
+            (BINARY_SYM, 1, 3000, 500),
+            (TERNARY_ONE_ZERO, 2, 3000, 500),
+            (FOUR_ZERO, 8, 3000, 500),
+            (BINARY_SYM, 10, 2500, 1500),
+            (ModelSpec(prior=TERNARY_ONE_ZERO.prior, sigma=0.7), 8, 3000, 500),
         ],
-        ids=["binary", "mismatched", "ternary-one-zero", "ternary-zero-column", "binary-n1", "ternary-one-zero-n2"],
+        ids=[
+            "binary",
+            "mismatched",
+            "ternary-one-zero",
+            "ternary-zero-column",
+            "binary-n1",
+            "ternary-one-zero-n2",
+            "four-state-zero-column",  # jumps of 1 to 3 states
+            "binary-burn-in-ends-in-second-block",  # 2500 steps cross both 1024-step block boundaries
+            "ternary-one-zero-sigma-0.7",
+        ],
     )
-    def test_table_step_makes_the_branching_loops_moves(self, model, n):
+    def test_table_step_makes_the_branching_loops_moves(self, model, n, steps, burn_in):
         insts = [sample_instance(model, n, 1.0, seed=83, index=i) for i in range(16)]
         args = (
             np.stack([inst.design_matrix() for inst in insts]),
             np.stack([inst.y for inst in insts]),
             *simulator._log_tables(model.postulated, "MH"),
             model.sigma**2,
-            3000,
-            500,
+            steps,
+            burn_in,
         )
         post, rate = simulator._mh_discrete_batch(*args, simulator._rng(89))
         ref_post, ref_rate = reference_mh_batch(*args, simulator._rng(89))
