@@ -10,6 +10,7 @@ _HOMES = {
     "laws": ("ConditionalInputLaw", "GaussianAtom", "PointMass"),
     "markov_core": (
         "EffectiveStates",
+        "GaussMarkovPrior",
         "HiddenMarkovPrior",
         "IrreducibilityError",
         "MarkovPrior",

@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 # One BLAS thread unless the environment names another count: the thread
@@ -228,8 +228,6 @@ def _dump_instances(config: ExperimentConfig, directory: str):
 def _cmd_sweep(args, task: str | None = None) -> int:
     """``replica sweep``, or ``simulate exact|mh`` with the document's tasks replaced by ``task``."""
     config = _load_config(args.config, args.seed, task_override=None if task is None else [task])
-    if getattr(args, "units", None):
-        config = replace(config, units=args.units)
     rows = run_sweep(config)
     _write_out(rows_to_csv(rows), args.out)
     if getattr(args, "dump_instances", None):
@@ -348,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accepted and ignored: every reported fixed point already passed the solver's residual check",
     )
-    sweep.add_argument("--units", choices=["nats", "bits"], default=None)
     _common_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .laws import ConditionalInputLaw, GaussianAtom, PointMass
 from .markov_core import (
+    GaussMarkovPrior,
     HiddenMarkovPrior,
     IrreducibilityError,
     MarkovPrior,
@@ -160,7 +161,7 @@ def _build_prior(doc, path, errs: _Collector):
         delta = errs.expect(doc, path, "delta", (int, float), required=True)
         if alpha is None or delta is None:
             return None, None
-        return _built(errs, path, lambda: MarkovPrior.discrete(binary_markov_kernel(float(alpha), float(delta)))), None
+        return _built(errs, path, lambda: MarkovPrior(binary_markov_kernel(float(alpha), float(delta)))), None
     if kind == "discrete_markov":
         kern = _build_transition(doc, path, errs)
         if kern is None:
@@ -171,13 +172,13 @@ def _build_prior(doc, path, errs: _Collector):
         ):
             errs.add(f"{path}.initial", f"expected a list of {kern.dim} probabilities")
             return None, None
-        return _built(errs, f"{path}.initial", lambda: MarkovPrior.discrete(kern, initial)), None
+        return _built(errs, f"{path}.initial", lambda: MarkovPrior(kern, initial)), None
     if kind == "gauss_markov":
         nu = errs.expect(doc, path, "nu", (int, float), required=True)
         s0 = errs.expect(doc, path, "sigma0_sq", (int, float), required=True)
         if nu is None or s0 is None:
             return None, None
-        return _built(errs, path, lambda: MarkovPrior.gauss_markov(float(nu), float(s0))), None
+        return _built(errs, path, lambda: GaussMarkovPrior(float(nu), float(s0))), None
     if kind == "sparse_hmm":
         kappa = errs.expect(doc, path, "kappa", (int, float), required=True)
         gamma = errs.expect(doc, path, "gamma", (int, float), required=True)
@@ -325,12 +326,15 @@ def validate_config(document: dict) -> ExperimentConfig:
         # exact_sim and mh work with the postulated posterior
         post = model.postulated
         if "exact_sim" in tasks:
-            if not isinstance(post, MarkovPrior):
+            if isinstance(post, HiddenMarkovPrior):
                 errs.add("tasks", "the exact_sim task requires a discrete or Gauss-Markov prior")
-            elif post.is_gauss_markov and model.sigma != 1.0:
+            elif isinstance(post, GaussMarkovPrior) and model.sigma != 1.0:
                 errs.add("model.sigma", "the exact_sim task's Gauss-Markov closed form needs sigma = 1")
-        if "mh" in tasks and not (isinstance(post, MarkovPrior) and not post.is_gauss_markov):
-            errs.add("tasks", "the mh task requires a discrete Markov prior")
+        if "mh" in tasks:
+            if not isinstance(post, MarkovPrior):
+                errs.add("tasks", "the mh task requires a discrete Markov prior")
+            elif post.kernel.dim < 2:
+                errs.add("tasks", "the mh task needs a chain of at least two states: a one-state chain has no move")
     if errs.errors:
         raise ConfigError(errs.errors)
     return ExperimentConfig(

@@ -95,53 +95,37 @@ def binary_markov_kernel(alpha: float, delta: float) -> TransitionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class MarkovPrior(_ValueEquality):
-    """Signal prior: a finite-state kernel or a Gauss-Markov recursion.
+    """Discrete signal prior: a finite-state kernel and its initial law (stationary by default)."""
 
-    Discrete: kernel + initial distribution (defaults to stationary).
-    Gauss-Markov: X_n = nu * X_{n-1} + N(0, sigma0_sq), started from the
-    stationary marginal N(0, sigma0_sq / (1 - nu^2)).
-    """
-
-    kernel: TransitionMatrix | None = None
-    initial: np.ndarray | None = None
-    nu: float | None = None
-    sigma0_sq: float | None = None
+    kernel: TransitionMatrix
+    initial: np.ndarray | None = None  # None: the kernel's stationary law
 
     def __post_init__(self):
-        if (self.kernel is None) == (self.nu is None):
-            raise ValidationError("specify exactly one of kernel (discrete) or nu (gauss_markov)")
-        if self.kernel is not None:
-            init = self.initial
-            if init is None:
-                init = stationary_distribution(self.kernel)
-            init = np.asarray(init, dtype=float)
-            if init.shape != (self.kernel.dim,):
-                raise ValidationError("initial distribution length mismatch")
-            if not (np.all(init >= 0) and abs(init.sum() - 1.0) <= STOCHASTIC_TOL):  # also rejects NaN
-                raise ValidationError("initial distribution must be a probability vector")
-            object.__setattr__(self, "initial", init)
-        else:
-            if not (0.0 < self.nu < 1.0):
-                raise ValidationError(f"gauss_markov needs nu in (0, 1), got {self.nu}")
-            if self.sigma0_sq is None or not 0.0 < self.sigma0_sq < math.inf:
-                raise ValidationError(f"gauss_markov needs a finite sigma0_sq > 0, got {self.sigma0_sq}")
+        init = stationary_distribution(self.kernel) if self.initial is None else self.initial
+        init = np.asarray(init, dtype=float)
+        if init.shape != (self.kernel.dim,):
+            raise ValidationError("initial distribution length mismatch")
+        if not (np.all(init >= 0) and abs(init.sum() - 1.0) <= STOCHASTIC_TOL):  # also rejects NaN
+            raise ValidationError("initial distribution must be a probability vector")
+        object.__setattr__(self, "initial", init)
 
-    @property
-    def is_gauss_markov(self) -> bool:
-        return self.nu is not None
+
+@dataclass(frozen=True)
+class GaussMarkovPrior:
+    """Gauss-Markov signal prior: X_n = nu * X_{n-1} + N(0, sigma0_sq), started
+    from the stationary marginal N(0, sigma0_sq / (1 - nu^2))."""
+
+    nu: float
+    sigma0_sq: float
+
+    def __post_init__(self):
+        if not (0.0 < self.nu < 1.0):
+            raise ValidationError(f"gauss_markov needs nu in (0, 1), got {self.nu}")
+        if not 0.0 < self.sigma0_sq < math.inf:
+            raise ValidationError(f"gauss_markov needs a finite sigma0_sq > 0, got {self.sigma0_sq}")
 
     def stationary_variance(self) -> float:
-        if not self.is_gauss_markov:
-            raise ValidationError("stationary_variance is a Gauss-Markov property")
         return self.sigma0_sq / (1.0 - self.nu**2)
-
-    @staticmethod
-    def discrete(kernel: TransitionMatrix, initial=None) -> "MarkovPrior":
-        return MarkovPrior(kernel=kernel, initial=initial)
-
-    @staticmethod
-    def gauss_markov(nu: float, sigma0_sq: float) -> "MarkovPrior":
-        return MarkovPrior(nu=nu, sigma0_sq=sigma0_sq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +234,7 @@ class EffectiveStates:
         return float(sum(w * law.second_moment() for w, law in zip(self.weights, self.laws)))
 
 
-def effective_states(prior: MarkovPrior | HiddenMarkovPrior) -> EffectiveStates:
+def effective_states(prior: MarkovPrior | GaussMarkovPrior | HiddenMarkovPrior) -> EffectiveStates:
     """Reduce a prior to effective states for the single-symbol analysis.
 
     For an HMM the pair (X_n, Upsilon_n) is a Markov chain with kernel
@@ -265,7 +249,7 @@ def effective_states(prior: MarkovPrior | HiddenMarkovPrior) -> EffectiveStates:
     """
     if isinstance(prior, HiddenMarkovPrior):
         chain, emissions = prior.hidden, prior.emissions
-    elif prior.is_gauss_markov:
+    elif isinstance(prior, GaussMarkovPrior):
         return EffectiveStates(("gauss",), np.array([1.0]), (ConditionalInputLaw.gaussian(0.0, prior.sigma0_sq),))
     else:
         chain = prior.kernel

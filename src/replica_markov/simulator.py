@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .markov_core import HiddenMarkovPrior, MarkovPrior, ValidationError, stationary_distribution
+from .markov_core import GaussMarkovPrior, HiddenMarkovPrior, MarkovPrior, ValidationError, stationary_distribution
 
 if TYPE_CHECKING:
     from .solver import ModelSpec
@@ -130,7 +130,7 @@ def sample_prior_path(prior, n: int, rng: np.random.Generator) -> np.ndarray:
             if cnt:
                 x[mask] = law.sample(rng, cnt)
         return x
-    if prior.is_gauss_markov:
+    if isinstance(prior, GaussMarkovPrior):
         x = np.empty(n)
         x[0] = rng.normal(0.0, math.sqrt(prior.stationary_variance()))
         z = rng.normal(0.0, math.sqrt(prior.sigma0_sq), size=n - 1)
@@ -162,7 +162,7 @@ class EvidenceEstimate:
 
 def _log_tables(prior, use: str):
     """(state values, log initial law, log kernel) of a discrete Markov prior."""
-    if not isinstance(prior, MarkovPrior) or prior.is_gauss_markov:
+    if not isinstance(prior, MarkovPrior):
         raise ValidationError(f"{use} requires a discrete Markov prior")
     kern = prior.kernel
     with np.errstate(divide="ignore"):
@@ -243,7 +243,7 @@ def gaussian_log_evidence(inst: LinearModelInstance, nu: float, sigma0_sq: float
 def log_evidence(inst: LinearModelInstance, model: ModelSpec) -> EvidenceEstimate:
     """Dispatch to the exact method available for the model's prior family."""
     prior = model.postulated
-    if isinstance(prior, MarkovPrior) and prior.is_gauss_markov:
+    if isinstance(prior, GaussMarkovPrior):
         if model.sigma != 1.0:
             raise ValidationError("gaussian closed form assumes matched unit noise")
         return gaussian_log_evidence(inst, prior.nu, prior.sigma0_sq)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .markov_core import (
+    GaussMarkovPrior,
     HiddenMarkovPrior,
     MarkovPrior,
     ValidationError,
@@ -106,8 +107,8 @@ class ModelSpec:
     rejected at construction.
     """
 
-    prior: MarkovPrior | HiddenMarkovPrior
-    postulated_prior: MarkovPrior | HiddenMarkovPrior | None = None
+    prior: MarkovPrior | GaussMarkovPrior | HiddenMarkovPrior
+    postulated_prior: MarkovPrior | GaussMarkovPrior | HiddenMarkovPrior | None = None
     snr: float | tuple = 1.0
     sigma: float = 1.0
     _decoupled: _Decoupled = field(init=False, repr=False)
@@ -122,7 +123,7 @@ class ModelSpec:
         object.__setattr__(self, "_decoupled", _decouple(self.prior, self.postulated, self.snr))
 
     @property
-    def postulated(self) -> MarkovPrior | HiddenMarkovPrior:
+    def postulated(self) -> MarkovPrior | GaussMarkovPrior | HiddenMarkovPrior:
         """The prior the postulated posterior uses: ``postulated_prior``, or the true prior when none is given."""
         return self.postulated_prior if self.postulated_prior is not None else self.prior
 

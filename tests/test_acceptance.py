@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from replica_markov import (
+    GaussMarkovPrior,
     MarkovPrior,
     ModelSpec,
     binary_markov_kernel,
@@ -46,8 +47,8 @@ from iid_reference import iid_replica
 from oracles import brute_force_posterior_mean, scalar_awgn_mi_binary
 
 SEED = 20260809
-BINARY_SYM = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)))
-BINARY_ASYM = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.2, 0.5)))
+BINARY_SYM = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)))
+BINARY_ASYM = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.2, 0.5)))
 
 
 def report(tag: str, ok: bool, elapsed: float, detail: str = ""):
@@ -133,7 +134,7 @@ def test_04_gauss_markov_closed_form():
     t0 = time.perf_counter()
     worst = 0.0
     for beta in (0.5, 1.0, 2.0):
-        model = ModelSpec(prior=MarkovPrior.gauss_markov(0.5, 1.0))
+        model = ModelSpec(prior=GaussMarkovPrior(0.5, 1.0))
         sol = free_energy(model, beta)
         worst = max(worst, abs(sol.free_energy - gauss_markov_free_energy(beta, 1.0)))
     eta_err = abs(gauss_markov_eta(1.0, 1.0) - (math.sqrt(5.0) - 1.0) / 2.0)
@@ -145,7 +146,7 @@ def test_04_gauss_markov_closed_form():
 def test_05a_gauss_markov_vs_exact_evidence():
     t0 = time.perf_counter()
     nu = 0.1  # the criterion pins no nu; see 05b for the large-nu behaviour
-    model = ModelSpec(prior=MarkovPrior.gauss_markov(nu, 1.0))
+    model = ModelSpec(prior=GaussMarkovPrior(nu, 1.0))
     worst = 0.0
     for beta in (0.5, 1.0, 2.0):
         emp, _se = empirical_free_energy(model, 64, beta, trials=500, seed=SEED)
@@ -173,7 +174,7 @@ def test_05b_gauss_markov_nu_independence():
     assert len(set(closed.values())) == 1  # closed form carries no nu: holds
     results = {}
     for nu in (0.1, 0.5, 0.8):
-        model = ModelSpec(prior=MarkovPrior.gauss_markov(nu, 1.0))
+        model = ModelSpec(prior=GaussMarkovPrior(nu, 1.0))
         results[nu] = empirical_free_energy(model, 64, beta, trials=500, seed=SEED)
     elapsed = time.perf_counter() - t0
     pairs_ok = True
@@ -203,7 +204,7 @@ def test_06_binary_markov_vs_enumeration():
 
 def test_07_iid_reduction():
     t0 = time.perf_counter()
-    model = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.5, 0.5)))
+    model = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.5, 0.5)))
     law = ConditionalInputLaw.point_masses([-1.0, 1.0], [0.5, 0.5])
     worst = 0.0
     for beta in np.arange(0.2, 3.01, 0.2):

@@ -353,6 +353,16 @@ class TestMainEntry:
         assert capsys.readouterr().err == ""
         assert out.read_text().splitlines()[1].split(",")[10] != ""
 
+    def test_simulate_mh_rejects_a_one_state_chain(self, tmp_path, capsys):
+        # the other commands run this chain; MH has no move to propose on it, so it is bad input, not exit 3
+        prior = {"type": "discrete_markov", "states": [0.5], "transition": [[1.0]]}
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps(base_doc(model={"prior": prior}, n=4, trials=2, mh={"steps": 100, "burn_in": 10})))
+        for argv in (["replica", "sweep"], ["simulate", "exact"]):
+            assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 0
+        assert main(["simulate", "mh", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 2
+        assert "config error: tasks: the mh task needs a chain of at least two states" in capsys.readouterr().err
+
     def test_instance_dump_round_trips(self, tmp_path):
         from replica_markov.simulator import LinearModelInstance
 
@@ -398,6 +408,11 @@ class TestMainEntry:
         assert f"config error: {flag}:" in capsys.readouterr().err
 
 
+PRIOR_DOCS = {
+    "discrete": base_doc()["model"]["prior"],
+    "gauss": {"type": "gauss_markov", "nu": 0.5, "sigma0_sq": 1.0},
+    "hmm": {"type": "sparse_hmm", "kappa": 0.3, "gamma": 0.5},
+}
 BAD_EXPERIMENTS = {
     "snr-string": ("model.snr[0]", {"model": {"prior": base_doc()["model"]["prior"], "snr": [["a", 1.0]]}}),
     "snr-null": ("model.snr[0]", {"model": {"prior": base_doc()["model"]["prior"], "snr": [[None, 1.0]]}}),
@@ -468,6 +483,11 @@ BAD_EXPERIMENTS = {
         "tasks",
         {"model": {"prior": {"type": "gauss_markov", "nu": 0.5, "sigma0_sq": 1.0}}, "tasks": ["mh"]},
     ),
+    # a postulated prior of another family than the true prior
+    **{
+        f"postulated-{true}-{post}": ("model", {"model": {"prior": PRIOR_DOCS[true], "postulated_prior": PRIOR_DOCS[post]}})
+        for true, post in itertools.permutations(PRIOR_DOCS, 2)
+    },
     # JSON's NaN, Infinity and 1e400 parse as floats; each is rejected where its value is checked
     "betas-nan": ("sweep.betas", {"sweep": {"betas": [math.nan]}}),
     "betas-infinite": ("sweep.betas", {"sweep": {"betas": [math.inf]}}),
@@ -762,12 +782,12 @@ def test_one_parser_serves_every_call_without_carrying_options(tmp_path, monkeyp
         assert main([*argv, "--out", str(out)]) == 0
         return out.read_bytes()
 
-    sweep = ["replica", "sweep", "--config", str(cfg)]
+    exact = ["simulate", "exact", "--config", str(cfg)]
     deriv = ["pf", "deriv-check", "--cases", "2"]
     # the second call of each pair omits an option the first one set
-    pairs = [(run([*sweep, "--units", "bits"]), run(sweep)), (run([*deriv, "--seed", "5"]), run(deriv))]
+    pairs = [(run([*exact, "--seed", "5"]), run(exact)), (run([*deriv, "--seed", "5"]), run(deriv))]
     monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
-    for (with_option, without), argv in zip(pairs, [sweep, deriv]):
+    for (with_option, without), argv in zip(pairs, [exact, deriv]):
         assert without == run(argv) != with_option
 
 

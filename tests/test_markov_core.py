@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from replica_markov import (
     ConditionalInputLaw,
+    GaussMarkovPrior,
     GaussianAtom,
     HiddenMarkovPrior,
     IrreducibilityError,
@@ -142,9 +143,9 @@ class TestStationaryDistribution:
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
         kernel = binary_markov_kernel(0.2, 0.5)
-        prior = MarkovPrior.discrete(kernel)
+        prior = MarkovPrior(kernel)
         ModelSpec(prior=prior)
-        ModelSpec(prior=prior, postulated_prior=MarkovPrior.discrete(kernel), sigma=1.2)
+        ModelSpec(prior=prior, postulated_prior=MarkovPrior(kernel), sigma=1.2)
         q_transition_matrix(enumerate_q_states([1.0], kernel.state_values(), 1), kernel, ((1.0, 1.0),))
         assert len(solves) == 1
 
@@ -183,16 +184,16 @@ class TestIrreducibility:
 class TestPriors:
     def test_gauss_markov_bounds(self):
         with pytest.raises(ValidationError):
-            MarkovPrior.gauss_markov(1.0, 1.0)
+            GaussMarkovPrior(1.0, 1.0)
         with pytest.raises(ValidationError):
-            MarkovPrior.gauss_markov(0.5, 0.0)
+            GaussMarkovPrior(0.5, 0.0)
 
     def test_gauss_markov_stationary_variance(self):
-        prior = MarkovPrior.gauss_markov(0.5, 1.0)
+        prior = GaussMarkovPrior(0.5, 1.0)
         assert abs(prior.stationary_variance() - 1.0 / 0.75) < 1e-15
 
     def test_discrete_defaults_to_stationary_initial(self):
-        prior = MarkovPrior.discrete(binary_markov_kernel(0.2, 0.5))
+        prior = MarkovPrior(binary_markov_kernel(0.2, 0.5))
         assert np.allclose(prior.initial, [5.0 / 7.0, 2.0 / 7.0], atol=1e-12)
 
     def test_hmm_requires_irreducible_hidden_chain(self):
@@ -211,8 +212,8 @@ class TestPriors:
         equal_pairs = [
             (kernel, twin),
             (negative_zero, cycle),
-            (MarkovPrior.discrete(kernel), MarkovPrior.discrete(twin)),
-            (MarkovPrior.gauss_markov(0.5, 1.0), MarkovPrior.gauss_markov(0.5, 1.0)),
+            (MarkovPrior(kernel), MarkovPrior(twin)),
+            (GaussMarkovPrior(0.5, 1.0), GaussMarkovPrior(0.5, 1.0)),
             (sparse_hmm_prior(0.3, 0.3), sparse_hmm_prior(0.3, 0.3)),
         ]
         for a, b in equal_pairs:
@@ -221,10 +222,10 @@ class TestPriors:
             kernel,
             binary_markov_kernel(0.2, 0.4),
             TransitionMatrix(("a", "b"), kernel.P),
-            MarkovPrior.discrete(kernel),
-            MarkovPrior.discrete(kernel, initial=[0.5, 0.5]),
-            MarkovPrior.gauss_markov(0.5, 1.0),
-            MarkovPrior.gauss_markov(0.6, 1.0),
+            MarkovPrior(kernel),
+            MarkovPrior(kernel, initial=[0.5, 0.5]),
+            GaussMarkovPrior(0.5, 1.0),
+            GaussMarkovPrior(0.6, 1.0),
             sparse_hmm_prior(0.3, 0.3),
             sparse_hmm_prior(0.3, 0.4),
             HiddenMarkovPrior(kernel, (ConditionalInputLaw.gaussian(0.0, 1.0),) * 2),
@@ -232,8 +233,8 @@ class TestPriors:
         for i, a in enumerate(unequal):
             for b in unequal[i + 1 :]:
                 assert (a == b) is False and a != b
-        assert len(set(unequal + [twin, MarkovPrior.discrete(twin)])) == len(unequal)
-        assert kernel != kernel.P.tolist() and MarkovPrior.discrete(kernel) != kernel
+        assert len(set(unequal + [twin, MarkovPrior(twin)])) == len(unequal)
+        assert kernel != kernel.P.tolist() and MarkovPrior(kernel) != kernel
 
 
 class TestJointChain:
@@ -280,7 +281,7 @@ class TestJointChain:
 
 class TestEffectiveStatesDiscrete:
     def test_rows_become_point_mass_laws(self):
-        eff = effective_states(MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)))
+        eff = effective_states(MarkovPrior(binary_markov_kernel(0.3, 0.3)))
         assert eff.labels == (-1.0, 1.0)
         law = eff.laws[0]
         weights = {atom.x: w for w, atom in law.components}
@@ -289,14 +290,14 @@ class TestEffectiveStatesDiscrete:
     def test_chain_is_the_hidden_chain_emitting_its_own_values(self):
         kern = TransitionMatrix((-1.0, 0.5, 2.0), np.array([[0.6, 0.0, 0.4], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]]))
         own = tuple(ConditionalInputLaw.point_masses([v], [1.0]) for v in kern.states)
-        eff = effective_states(MarkovPrior.discrete(kern))
+        eff = effective_states(MarkovPrior(kern))
         hidden = effective_states(HiddenMarkovPrior(kern, own))
         assert eff.labels == hidden.labels and eff.laws == hidden.laws
         assert np.array_equal(eff.weights, hidden.weights)
         assert eff.laws[0] == ConditionalInputLaw.point_masses(kern.states, kern.P[0])
 
     def test_gauss_markov_single_state(self):
-        eff = effective_states(MarkovPrior.gauss_markov(0.5, 2.0))
+        eff = effective_states(GaussMarkovPrior(0.5, 2.0))
         assert len(eff.labels) == 1
         assert eff.second_moment() == 2.0
 

@@ -37,11 +37,13 @@ from replica_markov.perron import (
 TERNARY = TransitionMatrix((-1, 0, 1), np.array([[0.6, 0.2, 0.2], [0.25, 0.5, 0.25], [0.2, 0.2, 0.6]]))
 TERNARY_SNR = ((0.5, 0.5), (2.0, 0.5))
 TERNARY_MEAN_DIAG = 1.25 * 5.0 / 7.0  # E[S] E[X^2] under the stationary law
+# not reversible: pi = (2, 1, 2) / 5 and pi_0 P[0, 1] = 0 != pi_1 P[1, 0], so its Hessian is not symmetric term by term
+TERNARY_ZERO = TransitionMatrix((-1, 0, 1), np.array([[0.5, 0.0, 0.5], [0.5, 0.0, 0.5], [0.25, 0.5, 0.25]]))
 
 
-def ternary_setup(nu):
-    space = enumerate_q_states([s for s, _ in TERNARY_SNR], TERNARY.state_values(), nu)
-    return space, q_transition_matrix(space, TERNARY, s_dist=TERNARY_SNR)
+def ternary_setup(nu, kernel=TERNARY):
+    space = enumerate_q_states([s for s, _ in TERNARY_SNR], kernel.state_values(), nu)
+    return space, q_transition_matrix(space, kernel, s_dist=TERNARY_SNR)
 
 
 def symmetric_tilt(rng, d, scale):
@@ -368,10 +370,10 @@ class TestPfLogDerivative:
             fd = central_difference(lambda t: log_pf_eigenvalue(base, t, space), tilt, 1e-5)
             assert np.max(np.abs(formula - fd)) / np.max(np.abs(fd)) < 1e-7
 
-    @pytest.mark.parametrize("nu", [1, 2, 3])
-    def test_hessian_matches_gradient_differences(self, nu):
+    @staticmethod
+    def check_hessian(nu, kernel):
         rng = np.random.default_rng(10 + nu)
-        space, base = ternary_setup(nu)
+        space, base = ternary_setup(nu, kernel)
         for _ in range(2):
             tilt = symmetric_tilt(rng, nu + 1, 0.2)
             hess = pf_log_hessian(base, tilt, space)
@@ -380,6 +382,15 @@ class TestPfLogDerivative:
             flat = hess.reshape((nu + 1) ** 2, -1)
             assert np.allclose(flat, flat.T, atol=1e-12)
             assert np.linalg.eigvalsh(flat).min() > -1e-12  # log rho is convex
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_hessian_matches_gradient_differences(self, nu):
+        self.check_hessian(nu, TERNARY)
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_hessian_matches_gradient_differences_on_a_non_reversible_chain(self, nu):
+        # a reversible chain's Hessian hides a lost transpose (a + a.T -> 2a); this one moves by 0.6-2%
+        self.check_hessian(nu, TERNARY_ZERO)
 
     def test_hessian_iid_is_covariance(self):
         # iid coupling chain: the asymptotic covariance is the one-step covariance

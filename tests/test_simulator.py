@@ -11,6 +11,7 @@ from oracles import (
 )
 
 from replica_markov import (
+    GaussMarkovPrior,
     MarkovPrior,
     ModelSpec,
     TransitionMatrix,
@@ -33,23 +34,23 @@ from replica_markov.simulator import (
     sample_instance,
 )
 
-BINARY_SYM = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)))
-GM = ModelSpec(prior=MarkovPrior.gauss_markov(0.8, 1.0))
+BINARY_SYM = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)))
+GM = ModelSpec(prior=GaussMarkovPrior(0.8, 1.0))
 # zero transitions give paths of prior weight 0, i.e. -inf log weights
 TERNARY_ZERO = ModelSpec(
-    prior=MarkovPrior.discrete(
+    prior=MarkovPrior(
         TransitionMatrix((-1.0, 0.0, 1.0), np.array([[0.5, 0.0, 0.5], [0.5, 0.0, 0.5], [0.25, 0.5, 0.25]]))
     )
 )
 # one zero transition and a non-dyadic state: a uniform MH start can hold the forbidden pair (0.3, -1)
 TERNARY_ONE_ZERO = ModelSpec(
-    prior=MarkovPrior.discrete(
+    prior=MarkovPrior(
         TransitionMatrix((-1.0, 0.3, 1.0), np.array([[0.6, 0.2, 0.2], [0.0, 0.5, 0.5], [0.2, 0.2, 0.6]]))
     )
 )
 # four states, two zeros in the column of 0.3: MH proposes jumps of 1, 2 and 3 states
 FOUR_ZERO = ModelSpec(
-    prior=MarkovPrior.discrete(
+    prior=MarkovPrior(
         TransitionMatrix(
             (-1.0, 0.3, 0.7, 2.0),
             np.array([[0.4, 0.0, 0.3, 0.3], [0.3, 0.0, 0.4, 0.3], [0.2, 0.3, 0.2, 0.3], [0.25, 0.25, 0.25, 0.25]]),
@@ -57,7 +58,7 @@ FOUR_ZERO = ModelSpec(
     )
 )
 MISMATCHED = ModelSpec(
-    prior=BINARY_SYM.prior, postulated_prior=MarkovPrior.discrete(binary_markov_kernel(0.2, 0.4)), sigma=1.2
+    prior=BINARY_SYM.prior, postulated_prior=MarkovPrior(binary_markov_kernel(0.2, 0.4)), sigma=1.2
 )
 SNR_PAIR = ModelSpec(prior=BINARY_SYM.prior, snr=((0.5, 0.5), (2.0, 0.5)))
 BRUTE_FORCE_CASES = {
@@ -179,8 +180,8 @@ class TestExactEvidenceDiscrete:
     def test_flat_likelihood_limit(self):
         sigma = 1e6
         model = ModelSpec(
-            prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)),
-            postulated_prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)),
+            prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)),
+            postulated_prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)),
             sigma=sigma,
         )
         inst = sample_instance(model, 4, 1.0, seed=17)
@@ -233,7 +234,7 @@ class TestGaussianEvidence:
         # enumerated evidence approaches the closed form within the
         # discretization error (n = 5 keeps 15^n inside the path budget)
         nu, s0, n = 0.5, 1.0, 5
-        inst = sample_instance(ModelSpec(prior=MarkovPrior.gauss_markov(nu, s0)), n, 1.0, seed=37)
+        inst = sample_instance(ModelSpec(prior=GaussMarkovPrior(nu, s0)), n, 1.0, seed=37)
         grid = np.linspace(-3.5, 3.5, 15)
         step = grid[1] - grid[0]
         var0 = s0 / (1 - nu**2)
@@ -242,7 +243,7 @@ class TestGaussianEvidence:
         P = np.exp(-0.5 * (grid[None, :] - nu * grid[:, None]) ** 2 / s0)
         P /= P.sum(axis=1, keepdims=True)
         kern = TransitionMatrix(tuple(grid), P)
-        disc = ModelSpec(prior=MarkovPrior.discrete(kern, init))
+        disc = ModelSpec(prior=MarkovPrior(kern, init))
         approx = exact_log_evidence_discrete(inst, disc)
         exact = gaussian_log_evidence(inst, nu, s0)
         assert abs(approx.log_z - exact.log_z) < 1e-2
@@ -256,7 +257,7 @@ class TestGaussianEvidence:
         ids=["acceptance-05a", "nu-0.95"],
     )
     def test_numpy_cholesky_matches_scipy(self, nu, n, betas, seed, trials):
-        model = ModelSpec(prior=MarkovPrior.gauss_markov(nu, 1.0))
+        model = ModelSpec(prior=GaussMarkovPrior(nu, 1.0))
         for beta in betas:
             for i in range(trials):
                 inst = sample_instance(model, n, beta, seed, index=i)
@@ -275,7 +276,7 @@ class TestEmpiricalFreeEnergy:
         # single-state prior at 0: y = w and -(1/n) log Z concentrates at
         # (m/2n)(log 2pi + E[w^2])
         kern = TransitionMatrix((0.0,), np.array([[1.0]]))
-        model = ModelSpec(prior=MarkovPrior.discrete(kern))
+        model = ModelSpec(prior=MarkovPrior(kern))
         mean, se = empirical_free_energy(model, 8, 1.0, trials=400, seed=43)
         assert abs(mean - LOG_2PIE / 2.0) < 3 * se
 
@@ -325,7 +326,7 @@ class TestMetropolisHastings:
         # n=1 with a 3-letter alphabet: the posterior mean over 10^6 total
         # steps (12 replicate chains) must match the enumerated posterior's
         kern = TransitionMatrix((-1.0, 0.0, 1.0), np.full((3, 3), 1.0 / 3.0))
-        model = ModelSpec(prior=MarkovPrior.discrete(kern))
+        model = ModelSpec(prior=MarkovPrior(kern))
         inst = sample_instance(model, 1, 1.0, seed=73)
         phi = inst.design_matrix()
         vals = np.array([-1.0, 0.0, 1.0])

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from replica_markov import (
     ConditionalInputLaw,
+    GaussMarkovPrior,
     MarkovPrior,
     ModelSpec,
     TransitionMatrix,
+    ValidationError,
     binary_markov_kernel,
     fixed_point_residual,
     free_energies,
@@ -27,15 +29,15 @@ from replica_markov.solver import RESIDUAL_TOL, _first_roots, _root, _roots
 from iid_reference import iid_replica
 from oracles import LOG_2PIE, g_bar_binary, sparse_hmm_hand_path
 
-BINARY_SYM = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)))
-GM_UNIT = ModelSpec(prior=MarkovPrior.gauss_markov(0.5, 1.0))
+BINARY_SYM = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)))
+GM_UNIT = ModelSpec(prior=GaussMarkovPrior(0.5, 1.0))
 
 
 def states_0_10_model(sigma: float) -> ModelSpec:
     """iid true law 0.1 at 0 and 0.9 at 10, postulated 0.99 at 0: its xi equation has several roots."""
     states = (0.0, 10.0)
-    true = MarkovPrior.discrete(TransitionMatrix(states, np.array([[0.1, 0.9], [0.1, 0.9]])))
-    post = MarkovPrior.discrete(TransitionMatrix(states, np.array([[0.99, 0.01], [0.99, 0.01]])))
+    true = MarkovPrior(TransitionMatrix(states, np.array([[0.1, 0.9], [0.1, 0.9]])))
+    post = MarkovPrior(TransitionMatrix(states, np.array([[0.99, 0.01], [0.99, 0.01]])))
     return ModelSpec(prior=true, postulated_prior=post, sigma=sigma)
 
 
@@ -52,8 +54,8 @@ class TestFixedPoint:
         # which the inner solve reaches by halving that bound.  Points recorded
         # before the eta and xi solves shared one bracket search.
         states = (0.0, 10.0)
-        true = MarkovPrior.discrete(TransitionMatrix(states, np.array([[0.1, 0.9], [0.1, 0.9]])))
-        post = MarkovPrior.discrete(TransitionMatrix(states, np.array([[0.99, 0.01], [0.99, 0.01]])))
+        true = MarkovPrior(TransitionMatrix(states, np.array([[0.1, 0.9], [0.1, 0.9]])))
+        post = MarkovPrior(TransitionMatrix(states, np.array([[0.99, 0.01], [0.99, 0.01]])))
         model = ModelSpec(prior=true, postulated_prior=post, sigma=1.5)
         sol = free_energy(model, 1.0)
         want = [(0.03460732455532391, 0.16436952076160802), (0.9969500779915212, 0.44242995911512084)]
@@ -68,7 +70,7 @@ class TestFixedPoint:
         for beta, a in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7)):
             roots = np.roots([a, (beta - 1.0) * a + 1.0, -1.0])
             oracle = float(roots[roots > 0][0])
-            model = ModelSpec(prior=MarkovPrior.gauss_markov(0.4, a))
+            model = ModelSpec(prior=GaussMarkovPrior(0.4, a))
             sols = solve_fixed_point(model, beta)
             assert len(sols) == 1
             assert abs(sols[0][0] - oracle) < 1e-9
@@ -93,7 +95,7 @@ class TestFixedPoint:
                 assert fixed_point_residual(model, 1.3, eta, xi) < 1e-8
 
     def test_mismatched_sigma_two_dimensional_system(self):
-        model = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)), sigma=1.5)
+        model = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)), sigma=1.5)
         sols = solve_fixed_point(model, 1.0)
         assert sols
         eta, xi = sols[0]
@@ -107,7 +109,7 @@ class TestFixedPoint:
 
         for sigma in (1.3, 0.8):
             model = ModelSpec(
-                prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)), sigma=sigma
+                prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)), sigma=sigma
             )
             sol = free_energy(model, 1.0)
             assert sol.mutual_info is None and sol.mmse is None
@@ -116,7 +118,7 @@ class TestFixedPoint:
 
     def test_mismatched_vanishing_load_limits(self):
         # beta -> 0: eta -> 1 and xi -> 1/sigma^2
-        model = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)), sigma=1.5)
+        model = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)), sigma=1.5)
         eta, xi = solve_fixed_point(model, 1e-9)[0]
         assert abs(eta - 1.0) < 1e-8
         assert abs(xi - 1.0 / 1.5**2) < 1e-8
@@ -153,7 +155,7 @@ class TestFreeEnergyTerm:
 
 class TestFreeEnergy:
     def test_iid_reduction_matches_reference_path(self):
-        model = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.5, 0.5)))
+        model = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.5, 0.5)))
         law = ConditionalInputLaw.point_masses([-1.0, 1.0], [0.5, 0.5])
         for beta in (0.2, 1.0, 2.4):
             sol = free_energy(model, beta)
@@ -164,7 +166,7 @@ class TestFreeEnergy:
 
     def test_iid_reduction_any_equal_rows_prior(self):
         kern = TransitionMatrix((-1.0, 0.0, 2.0), np.tile([0.2, 0.5, 0.3], (3, 1)))
-        model = ModelSpec(prior=MarkovPrior.discrete(kern))
+        model = ModelSpec(prior=MarkovPrior(kern))
         law = ConditionalInputLaw.point_masses([-1.0, 0.0, 2.0], [0.2, 0.5, 0.3])
         sol = free_energy(model, 1.0)
         ref = iid_replica(law, 1.0, 1.0)
@@ -178,7 +180,7 @@ class TestFreeEnergy:
 
     def test_gauss_markov_free_energy_has_no_nu(self):
         vals = {
-            nu: free_energy(ModelSpec(prior=MarkovPrior.gauss_markov(nu, 1.0)), 1.0).free_energy
+            nu: free_energy(ModelSpec(prior=GaussMarkovPrior(nu, 1.0)), 1.0).free_energy
             for nu in (0.1, 0.5, 0.8)
         }
         assert vals[0.1] == vals[0.5] == vals[0.8]
@@ -189,7 +191,7 @@ class TestFreeEnergy:
 
     def test_snr_distribution_is_accepted(self):
         model = ModelSpec(
-            prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)),
+            prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)),
             snr=((0.5, 0.5), (2.0, 0.5)),
         )
         sol = free_energy(model, 1.0)
@@ -200,7 +202,7 @@ class TestFreeEnergy:
 class TestMutualInformation:
     def test_point_mass_prior_learns_nothing(self):
         kern = TransitionMatrix((0.5,), np.array([[1.0]]))
-        model = ModelSpec(prior=MarkovPrior.discrete(kern))
+        model = ModelSpec(prior=MarkovPrior(kern))
         for beta in (0.5, 1.0):
             sol = free_energy(model, beta)
             assert abs(sol.free_energy - LOG_2PIE / (2.0 * beta)) < 1e-10
@@ -209,7 +211,7 @@ class TestMutualInformation:
 
     def test_mismatched_model_rejected(self):
         # the mutual-information and MMSE identities hold for matched models only
-        model = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)), sigma=2.0)
+        model = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)), sigma=2.0)
         sol = free_energy(model, 1.0)
         assert sol.mutual_info is None and sol.mmse is None
 
@@ -267,18 +269,31 @@ class TestReplicaMmse:
 class TestValidation:
     def test_snr_probabilities_must_sum_to_one(self):
         with pytest.raises(Exception):
-            ModelSpec(prior=MarkovPrior.gauss_markov(0.5, 1.0), snr=((1.0, 0.5), (2.0, 0.6)))
+            ModelSpec(prior=GaussMarkovPrior(0.5, 1.0), snr=((1.0, 0.5), (2.0, 0.6)))
 
     def test_sigma_positive(self):
         with pytest.raises(Exception):
-            ModelSpec(prior=MarkovPrior.gauss_markov(0.5, 1.0), sigma=0.0)
+            ModelSpec(prior=GaussMarkovPrior(0.5, 1.0), sigma=0.0)
 
     def test_matched_detection_with_explicit_equal_prior(self):
-        prior = MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3))
-        same = MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3))
+        prior = MarkovPrior(binary_markov_kernel(0.3, 0.3))
+        same = MarkovPrior(binary_markov_kernel(0.3, 0.3))
         assert ModelSpec(prior=prior, postulated_prior=same).is_matched
-        other = MarkovPrior.discrete(binary_markov_kernel(0.3, 0.4))
+        other = MarkovPrior(binary_markov_kernel(0.3, 0.4))
         assert not ModelSpec(prior=prior, postulated_prior=other).is_matched
+
+    @pytest.mark.parametrize(
+        "true,postulated", [("discrete", "gauss"), ("discrete", "hmm"), ("gauss", "discrete"),
+                            ("gauss", "hmm"), ("hmm", "discrete"), ("hmm", "gauss")]
+    )
+    def test_postulated_prior_of_another_family_is_rejected(self, true, postulated):
+        priors = {
+            "discrete": MarkovPrior(binary_markov_kernel(0.3, 0.3)),
+            "gauss": GaussMarkovPrior(0.5, 1.0),
+            "hmm": sparse_hmm_prior(0.3, 0.5),
+        }
+        with pytest.raises(ValidationError, match="same kind"):
+            ModelSpec(prior=priors[true], postulated_prior=priors[postulated])
 
 
 class TestGoldenValues:
@@ -301,15 +316,15 @@ class TestGoldenValues:
 
     @staticmethod
     def model(name: str) -> ModelSpec:
-        binary = MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3))
-        postulated = MarkovPrior.discrete(
+        binary = MarkovPrior(binary_markov_kernel(0.3, 0.3))
+        postulated = MarkovPrior(
             TransitionMatrix((-1.0, 1.0), np.array([[0.62, 0.38], [0.45, 0.55]]))
         )
         return {
             "binary_sym": ModelSpec(prior=binary),
-            "binary_asym": ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.2, 0.4))),
+            "binary_asym": ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.2, 0.4))),
             "sparse_hmm": ModelSpec(prior=sparse_hmm_prior(0.3, 0.3)),
-            "gauss_markov": ModelSpec(prior=MarkovPrior.gauss_markov(0.5, 1.0)),
+            "gauss_markov": ModelSpec(prior=GaussMarkovPrior(0.5, 1.0)),
             "binary_two_snr": ModelSpec(prior=binary, snr=((0.5, 0.5), (2.0, 0.5))),
             "mismatched": ModelSpec(prior=binary, postulated_prior=postulated, sigma=1.2),
         }[name]
@@ -583,10 +598,10 @@ class TestIMmse:
     @pytest.mark.parametrize(
         "prior",
         [
-            MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)),
-            MarkovPrior.discrete(binary_markov_kernel(0.2, 0.4)),
+            MarkovPrior(binary_markov_kernel(0.3, 0.3)),
+            MarkovPrior(binary_markov_kernel(0.2, 0.4)),
             sparse_hmm_prior(0.3, 0.3),
-            MarkovPrior.gauss_markov(0.5, 1.0),
+            GaussMarkovPrior(0.5, 1.0),
         ],
         ids=["binary", "binary-asym", "sparse-hmm", "gauss-markov"],
     )
@@ -611,7 +626,7 @@ class TestDiagnostics:
         assert 0.0 <= diag.residual < 1e-8
 
     def test_fixed_points_carry_diagnostics(self):
-        model = ModelSpec(prior=MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3)), sigma=1.5)
+        model = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)), sigma=1.5)
         sol = free_energy(model, 1.0)
         sols = solve_fixed_point(model, 1.0)
         assert sols == [(e, x) for e, x, _ in sol.all_solutions] == sorted(sols)
@@ -736,7 +751,7 @@ def small_models(draw) -> ModelSpec:
         row = st.lists(st.integers(0, 3), min_size=k, max_size=k)
         counts = np.array(draw(st.lists(row, min_size=k, max_size=k)), dtype=float)
         assume(counts.sum(axis=1).all() and is_irreducible(counts))
-        return MarkovPrior.discrete(TransitionMatrix(states, counts / counts.sum(axis=1, keepdims=True)))
+        return MarkovPrior(TransitionMatrix(states, counts / counts.sum(axis=1, keepdims=True)))
 
     true = prior()
     sigma = draw(st.sampled_from([1.0, 0.8, 1.2]))
@@ -785,14 +800,14 @@ class TestLockstep:
 
     @staticmethod
     def model(name: str) -> ModelSpec:
-        binary = MarkovPrior.discrete(binary_markov_kernel(0.3, 0.3))
+        binary = MarkovPrior(binary_markov_kernel(0.3, 0.3))
         if name.startswith("binary_sigma_"):
             return ModelSpec(prior=binary, sigma=float(name.rsplit("_", 1)[1]))
         if name.startswith("states_0_10_"):
             return states_0_10_model(float(name.rsplit("_", 1)[1]))
         if name == "steep":  # the postulated row [1, 0] of the steep CI document
             rows = [[0.5, 0.5], [0.25, 0.75]], [[0.5, 0.5], [1.0, 0.0]]
-            true, post = (MarkovPrior.discrete(TransitionMatrix((-1.0, 1.0), np.array(r))) for r in rows)
+            true, post = (MarkovPrior(TransitionMatrix((-1.0, 1.0), np.array(r))) for r in rows)
             return ModelSpec(prior=true, postulated_prior=post, sigma=0.8, snr=2.0)
         if name == "sparse_hmm_mismatched":
             return ModelSpec(prior=sparse_hmm_prior(0.3, 0.3), postulated_prior=sparse_hmm_prior(0.4, 0.5), sigma=1.1)
