@@ -263,6 +263,7 @@ def _build_betas(doc, errs: _Collector):
 def validate_config(document: dict) -> ExperimentConfig:
     """Parse and validate an experiment document; raises ConfigError listing
     every violation."""
+    from .simulator import _over_budget
     from .solver import ModelSpec, _check_sigma
 
     errs = _Collector()
@@ -330,6 +331,8 @@ def validate_config(document: dict) -> ExperimentConfig:
                 errs.add("tasks", "the exact_sim task requires a discrete or Gauss-Markov prior")
             elif isinstance(post, GaussMarkovPrior) and model.sigma != 1.0:
                 errs.add("model.sigma", "the exact_sim task's Gauss-Markov closed form needs sigma = 1")
+            elif isinstance(post, MarkovPrior) and n >= 1 and (reason := _over_budget(post.kernel.dim, n)):
+                errs.add("n", f"exact_sim: {reason}")
         if "mh" in tasks:
             if not isinstance(post, MarkovPrior):
                 errs.add("tasks", "the mh task requires a discrete Markov prior")

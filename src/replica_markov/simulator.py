@@ -23,6 +23,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -175,6 +176,46 @@ def _index_paths(k: int, length: int) -> np.ndarray:
     return (np.arange(k**length, dtype=np.int64)[:, None] // radix) % k
 
 
+def _over_budget(k: int, n: int) -> str | None:
+    """Why the k^n paths of n sites over k states are not enumerated, or None within ENUMERATION_BUDGET."""
+    if k ** min(n, 64) <= ENUMERATION_BUDGET:  # past n = 64, k >= 2 and k^64 is over it too: no k^n of a huge n
+        return None
+    paths = f"{k}^{n} = {k**n}" if n <= 64 else f"{k}^{n}"
+    return f"{paths} paths exceeds the {ENUMERATION_BUDGET}-path enumeration budget"
+
+
+@lru_cache(maxsize=2)
+def _path_tables(prior, n: int) -> tuple:
+    """The instance-free tables of ``exact_log_evidence_discrete`` for length-n paths of a discrete prior.
+
+    Returns read-only (values[u], values[v], lp_L(u), lp_R(v), edge) for the
+    left halves u (the first n//2 sites) and right halves v, both in
+    lexicographic order: lp_L(u) = log q0[u_first] + sum log pi along u
+    (None when the left half is empty, n = 1), lp_R(v) = sum log pi along v,
+    and edge[u, v_first] the boundary term, log pi[u_last, v_first] or
+    log q0[v_first] when n = 1.  Cached by the prior's value, so every
+    instance of a document shares one set; an entry at the full
+    ENUMERATION_BUDGET holds about 1 MB, and a document needs one.
+    """
+    values, log_init, log_pi = _log_tables(prior, "exact enumeration")
+    k = len(values)
+    if reason := _over_budget(k, n):
+        raise EvidenceBudgetError(reason)
+    a = n // 2
+    u, v = _index_paths(k, a), _index_paths(k, n - a)
+    right = log_pi[v[:, :-1], v[:, 1:]].sum(axis=1)
+    if a:
+        left = log_init[u[:, 0]] + log_pi[u[:, :-1], u[:, 1:]].sum(axis=1)
+        edge = log_pi[u[:, -1]]
+    else:
+        left, edge = None, log_init[None, :]
+    tables = values[u], values[v], left, right, edge
+    for t in tables:
+        if t is not None:
+            t.flags.writeable = False
+    return tables
+
+
 def exact_log_evidence_discrete(inst: LinearModelInstance, model: ModelSpec) -> EvidenceEstimate:
     """log sum_x q(x) N(y; Phi x, sigma^2 I) over all k^n paths, by meet in the middle.
 
@@ -183,33 +224,27 @@ def exact_log_evidence_discrete(inst: LinearModelInstance, model: ModelSpec) -> 
     ||y - Phi x||^2 = ||r(u)||^2 + ||g(v)||^2 - 2 r(u).g(v), so the cross
     terms of all k^(n//2) x k^(n - n//2) pairs come from one GEMM.  The prior
     separates as lp_L(u) + lp_R(v) plus one boundary term: log pi[u_last,
-    v_first], or log q0[v_first] when the left half is empty (n = 1).  The
+    v_first], or log q0[v_first] when the left half is empty (n = 1).  Those
+    prior terms and the half-path values come from ``_path_tables``, built
+    once per (prior, n); a call computes only the instance terms.  The
     log-sum-exp runs over row blocks of at most WEIGHT_BLOCK_ENTRIES pair
     weights, each combined by its own max.
     """
-    prior = model.postulated
-    values, log_init, log_pi = _log_tables(prior, "exact enumeration")
-    k, n = len(values), inst.n
-    total = k**n
-    if total > ENUMERATION_BUDGET:
-        raise EvidenceBudgetError(f"{k}^{n} = {total} paths exceeds the {ENUMERATION_BUDGET}-path enumeration budget")
+    u_values, v_values, lp_left, lp_right, edge = _path_tables(model.postulated, inst.n)
+    k, n = edge.shape[1], inst.n
     phi = inst.design_matrix()
     sigma_sq = model.sigma**2
     a = n // 2
-    u, v = _index_paths(k, a), _index_paths(k, n - a)
     # pair (u, v) has log weight left[u] + right[v] + edge + resid[u].g[v], with resid = r(u) / sigma^2
-    resid = (inst.y - values[u] @ phi[:, :a].T) / sigma_sq
-    g = values[v] @ phi[:, a:].T
+    resid = (inst.y - u_values @ phi[:, :a].T) / sigma_sq
+    g = v_values @ phi[:, a:].T
     left = -0.5 * inst.m * (_LOG_2PI + np.log(sigma_sq)) - 0.5 * sigma_sq * np.einsum("ij,ij->i", resid, resid)
-    right = log_pi[v[:, :-1], v[:, 1:]].sum(axis=1) - 0.5 * np.einsum("ij,ij->i", g, g) / sigma_sq
+    right = lp_right - 0.5 * np.einsum("ij,ij->i", g, g) / sigma_sq
     if a:
-        left += log_init[u[:, 0]] + log_pi[u[:, :-1], u[:, 1:]].sum(axis=1)
-        edge = log_pi[u[:, -1]]
-    else:
-        edge = log_init[None, :]
-    rows = max(1, WEIGHT_BLOCK_ENTRIES // len(v))
+        left += lp_left
+    rows = max(1, WEIGHT_BLOCK_ENTRIES // len(v_values))
     tops, sums = [], []
-    for start in range(0, len(u), rows):
+    for start in range(0, len(u_values), rows):
         block = slice(start, start + rows)
         w = resid[block] @ g.T
         w += right
@@ -223,7 +258,7 @@ def exact_log_evidence_discrete(inst: LinearModelInstance, model: ModelSpec) -> 
             sums.append(float(np.exp(w, out=w).sum()))
     best = max(tops)
     acc = sum(s * math.exp(t - best) for t, s in zip(tops, sums))
-    return EvidenceEstimate(best + math.log(acc), {"paths": total})
+    return EvidenceEstimate(best + math.log(acc), {"paths": len(u_values) * len(v_values)})
 
 
 def gaussian_log_evidence(inst: LinearModelInstance, nu: float, sigma0_sq: float) -> EvidenceEstimate:

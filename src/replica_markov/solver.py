@@ -50,6 +50,7 @@ _CLUSTER_TOL = 1e-6
 _SCAN_POINTS = 16
 _ROOT_TOL = 1e-14
 _ROOT_MAX_ITER = 200
+_ROOT_STALL_STEPS = 5  # steps without halving a bracket, after which its next point is the midpoint
 _MAX_HALVINGS = 60
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -184,7 +185,13 @@ def _root(f, a, b, fa, fb):
     evaluated again.  When the same end moves twice running, the f value of
     the stale end is scaled by m = 1 - f(c)/f(moved end), or halved when
     m <= 0 (Anderson & Bjorck 1973), so both ends converge; a secant point
-    that rounds outside (a, b) is replaced by the midpoint.  A bracket stops
+    that rounds outside (a, b) is replaced by the midpoint.  So is the point
+    of a bracket whose last 5 steps have not halved its width, and that
+    midpoint scales neither end: with one flat end, the scaled far end can
+    pull every secant point beside it without shrinking the bracket, and a
+    further scaling could round the next secant point onto it.  So 6 steps
+    at most halve a bracket (up to the rounding of the midpoint), and the 200
+    steps leave about 2^-33 of its starting width at most.  A bracket stops
     when it is narrower than 1e-14, when f is exactly 0, or when its secant
     point rounds onto an end this call evaluated (that end is then the root,
     and the far end would only be halved); an end the caller passed in never
@@ -215,6 +222,8 @@ def _root(f, a, b, fa, fb):
     side = [0] * len(c)  # the end the last step moved: -1 for b, 1 for a
     b_pos = [v > 0.0 for v in fb]  # the sign of f at b, which an fb scaled to +0 no longer shows
     own_a, own_b = [False] * len(c), [False] * len(c)  # ends this call evaluated
+    ref = [y - x for x, y in zip(a, b)]  # the width at the last halving
+    stale = [0] * len(c)  # steps since then
     active = list(range(len(c)))
     for _ in range(_ROOT_MAX_ITER):
         live = []
@@ -226,7 +235,10 @@ def _root(f, a, b, fa, fb):
             if (secant == lo and own_a[i]) or (secant == hi and own_b[i]):
                 c[i] = secant
                 continue
-            c[i] = secant if lo < secant < hi else 0.5 * (lo + hi)
+            if stale[i] >= _ROOT_STALL_STEPS:
+                c[i], side[i] = 0.5 * (lo + hi), 0  # so the end it moves scales no other
+            else:
+                c[i] = secant if lo < secant < hi else 0.5 * (lo + hi)
             live.append(i)
         active = live
         if not active:
@@ -248,6 +260,11 @@ def _root(f, a, b, fa, fb):
                     m = 1.0 - fc / fa[i]
                     fb[i] *= m if m > 0.0 else 0.5
                 fa[i], a[i], own_a[i], side[i] = fc, c[i], True, 1
+            width = b[i] - a[i]
+            if width <= 0.5 * ref[i]:
+                ref[i], stale[i] = width, 0
+            else:
+                stale[i] += 1
         active = live
     return np.array(c, dtype=float)
 

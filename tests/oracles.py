@@ -16,6 +16,7 @@ LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 _LOG_2PI = math.log(2.0 * math.pi)
 _ROOT_TOL = 1e-14
 _ROOT_MAX_ITER = 200
+_ROOT_STALL_STEPS = 5
 
 
 def brute_force_log_evidence(inst, model) -> float:
@@ -51,6 +52,55 @@ def brute_force_log_evidence(inst, model) -> float:
         best = max(best, float(np.max(lp + ll)))
     acc = sum(float(np.exp(c - best).sum()) for c in chunks)
     return best + math.log(acc)
+
+
+def reference_log_evidence_discrete(inst, model, block_entries: int = 1 << 20) -> float:
+    """log Z by meet in the middle, building every table afresh on each call.
+
+    ``simulator.exact_log_evidence_discrete`` as it was before its tables
+    were cached per (prior, n), with its helpers inlined: the library must
+    give the same log Z, bit for bit, with the same ``block_entries``
+    (``simulator.WEIGHT_BLOCK_ENTRIES``).
+    """
+    prior = model.postulated
+    kern = prior.kernel
+    with np.errstate(divide="ignore"):
+        values, log_init, log_pi = kern.state_values(), np.log(prior.initial), np.log(kern.P)
+    k, n = len(values), inst.n
+
+    def index_paths(length):
+        radix = k ** np.arange(length - 1, -1, -1, dtype=np.int64)
+        return (np.arange(k**length, dtype=np.int64)[:, None] // radix) % k
+
+    phi = inst.design_matrix()
+    sigma_sq = model.sigma**2
+    a = n // 2
+    u, v = index_paths(a), index_paths(n - a)
+    resid = (inst.y - values[u] @ phi[:, :a].T) / sigma_sq
+    g = values[v] @ phi[:, a:].T
+    left = -0.5 * inst.m * (_LOG_2PI + np.log(sigma_sq)) - 0.5 * sigma_sq * np.einsum("ij,ij->i", resid, resid)
+    right = log_pi[v[:, :-1], v[:, 1:]].sum(axis=1) - 0.5 * np.einsum("ij,ij->i", g, g) / sigma_sq
+    if a:
+        left += log_init[u[:, 0]] + log_pi[u[:, :-1], u[:, 1:]].sum(axis=1)
+        edge = log_pi[u[:, -1]]
+    else:
+        edge = log_init[None, :]
+    rows = max(1, block_entries // len(v))
+    tops, sums = [], []
+    for start in range(0, len(u), rows):
+        block = slice(start, start + rows)
+        w = resid[block] @ g.T
+        w += right
+        w += left[block, None]
+        by_first = w.reshape(len(w), k, -1)
+        by_first += edge[block, :, None]
+        top = float(w.max())
+        if top > -np.inf:
+            w -= top
+            tops.append(top)
+            sums.append(float(np.exp(w, out=w).sum()))
+    best = max(tops)
+    return best + math.log(sum(s * math.exp(t - best) for t, s in zip(tops, sums)))
 
 
 def brute_force_posterior_mean(inst, model) -> np.ndarray:
@@ -257,9 +307,10 @@ def scipy_gaussian_log_evidence(inst, nu: float, sigma0_sq: float) -> float:
     return -0.5 * (inst.m * _LOG_2PI + logdet + float(inst.y @ cho_solve((c, low), inst.y)))
 
 
-# The array form of solver._root, kept verbatim from before its bookkeeping
-# moved to Python floats: the solver's version must give the same roots, bit
-# for bit, from the same sequence of f calls.
+# The array form of solver._root, kept from before its bookkeeping moved to
+# Python floats, with the same midpoint rule for a bracket that has not halved
+# in 5 steps: the solver's version must give the same roots, bit for bit, from
+# the same sequence of f calls.
 def reference_root(f, a, b, fa, fb):
     """Roots of f in the brackets [a, b], with fa and fb of opposite signs, by Anderson-Bjorck regula falsi.
 
@@ -269,7 +320,9 @@ def reference_root(f, a, b, fa, fb):
     evaluated again.  When the same end moves twice running, the f value of
     the stale end is scaled by m = 1 - f(c)/f(moved end), or halved when
     m <= 0 (Anderson & Bjorck 1973), so both ends converge; a secant point
-    that rounds outside (a, b) is replaced by the midpoint.  A bracket stops
+    that rounds outside (a, b) is replaced by the midpoint, and so is the
+    point of a bracket whose last 5 steps have not halved its width; that
+    step scales neither end.  A bracket stops
     when it is narrower than 1e-14, when f is exactly 0, or when its secant
     point rounds onto an end this call evaluated (that end is then the root,
     and the far end would only be halved); an end the caller passed in never
@@ -284,6 +337,7 @@ def reference_root(f, a, b, fa, fb):
     active = np.ones(a.shape, dtype=bool)
     own_a, own_b = np.zeros(a.shape, dtype=bool), np.zeros(a.shape, dtype=bool)  # ends this call evaluated
     c = np.where(abs(fa) <= abs(fb), a, b)
+    ref, stale = b - a, np.zeros(a.shape, dtype=int)  # the width at the last halving, and steps since then
     for _ in range(_ROOT_MAX_ITER):
         with np.errstate(divide="ignore", invalid="ignore"):
             secant = (a * fb - b * fa) / (fb - fa)
@@ -293,7 +347,9 @@ def reference_root(f, a, b, fa, fb):
         active &= ~on_end
         if not active.any():
             break
-        c = np.where(active, np.where((a < secant) & (secant < b), secant, 0.5 * (a + b)), c)
+        stalled = active & (stale >= _ROOT_STALL_STEPS)
+        side = np.where(stalled, 0, side)
+        c = np.where(active, np.where((a < secant) & (secant < b) & ~stalled, secant, 0.5 * (a + b)), c)
         idx = np.flatnonzero(active)
         fc = np.zeros(a.shape)
         fc[idx] = f(c[idx], idx)
@@ -308,4 +364,7 @@ def reference_root(f, a, b, fa, fb):
         a, b = np.where(left, c, a), np.where(right, c, b)
         own_a, own_b = own_a | left, own_b | right
         side = np.where(right, -1, np.where(left, 1, side))
+        halved = b - a <= 0.5 * ref
+        ref = np.where(active & halved, b - a, ref)
+        stale = np.where(active, np.where(halved, 0, stale + 1), stale)
     return c

@@ -312,23 +312,36 @@ class TestMainEntry:
     def test_missing_config_file_exit_2(self):
         assert main(["replica", "sweep", "--config", "/nonexistent.json"]) == 2
 
-    def test_numeric_failure_exit_3(self, tmp_path, capsys):
-        # enumeration budget blow-up is recorded per row and surfaces as exit 3
-        cfg = tmp_path / "big.json"
-        cfg.write_text(json.dumps(base_doc(tasks=["replica", "exact_sim"], n=25, trials=2)))
+    @staticmethod
+    def fail_evidence(monkeypatch):
+        # no document reaches a numeric failure of exact_sim since an enumeration over budget exits 2,
+        # so the evidence raises as a numeric failure would
+        from replica_markov import simulator
+
+        def log_evidence(inst, model):
+            raise FloatingPointError("overflow in the evidence")
+
+        monkeypatch.setattr(simulator, "log_evidence", log_evidence)
+
+    def test_numeric_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a numeric failure is recorded per row and surfaces as exit 3
+        self.fail_evidence(monkeypatch)
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(base_doc(tasks=["replica", "exact_sim"], trials=2)))
         out = tmp_path / "rows.csv"
         code = main(["replica", "sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 3
         body = out.read_text()
-        assert "exact_sim:" in body  # failure recorded in the errors column
+        assert "exact_sim: overflow in the evidence" in body  # failure recorded in the errors column
         assert body.splitlines()[1].split(",")[3] != ""  # replica fields still present
 
-    def test_simulate_numeric_failure_reported_on_stderr(self, tmp_path, capsys):
-        # simulate shares replica sweep's report: 2^25 paths exceed the enumeration budget
-        cfg = tmp_path / "big.json"
-        cfg.write_text(json.dumps(base_doc(tasks=["exact_sim"], n=25, trials=2)))
+    def test_simulate_numeric_failure_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
+        # simulate shares replica sweep's report
+        self.fail_evidence(monkeypatch)
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(base_doc(tasks=["exact_sim"], trials=2)))
         assert main(["simulate", "exact", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 3
-        assert "numeric failures: exact_sim:" in capsys.readouterr().err
+        assert "numeric failures: exact_sim: overflow in the evidence" in capsys.readouterr().err
 
     def test_simulate_mh_subcommand(self, tmp_path):
         cfg = tmp_path / "mh.json"
@@ -362,6 +375,27 @@ class TestMainEntry:
             assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 0
         assert main(["simulate", "mh", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 2
         assert "config error: tasks: the mh task needs a chain of at least two states" in capsys.readouterr().err
+
+    def test_simulate_exact_rejects_an_enumeration_over_budget(self, tmp_path, capsys):
+        # the document alone decides that 2^30 paths exceed the budget: bad input (exit 2), not a numeric failure
+        cfg = tmp_path / "n30.json"
+        cfg.write_text(json.dumps(base_doc(n=30, trials=2)))
+        assert main(["simulate", "exact", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: n: exact_sim: 2^30 = 1073741824 paths exceeds the 16777216-path enumeration budget" in err
+        ternary = {"type": "discrete_markov", "states": [-1, 0, 1], "transition": [[0.5, 0.25, 0.25]] * 3}
+        tasks = {"tasks": ["exact_sim"], "trials": 2}
+        validate_config(base_doc(n=24, **tasks))  # 2^24 paths: the budget itself
+        validate_config(base_doc(model={"prior": ternary}, n=15, **tasks))  # 3^15 = 14348907
+        for doc, want in (
+            (base_doc(model={"prior": ternary}, n=16, **tasks), "3^16 = 43046721 paths"),
+            (base_doc(n=10**9, **tasks), "2^1000000000 paths"),  # no 2^n of a huge n is computed
+        ):
+            with pytest.raises(ConfigError, match=r"n: exact_sim: " + want.replace("^", r"\^")):
+                validate_config(doc)
+        # a Gauss-Markov prior has a closed form, and the replica task enumerates nothing
+        validate_config(base_doc(model={"prior": {"type": "gauss_markov", "nu": 0.5, "sigma0_sq": 1.0}}, n=30, **tasks))
+        validate_config(base_doc(n=30))
 
     def test_instance_dump_round_trips(self, tmp_path):
         from replica_markov.simulator import LinearModelInstance

@@ -6,6 +6,7 @@ from oracles import (
     brute_force_log_evidence,
     brute_force_posterior_mean,
     reference_chain_path,
+    reference_log_evidence_discrete,
     reference_mh_batch,
     scipy_gaussian_log_evidence,
 )
@@ -164,6 +165,8 @@ class TestExactEvidenceDiscrete:
             est = exact_log_evidence_discrete(inst, model)
             assert est.meta["paths"] == len(model.prior.kernel.states) ** n
             assert est.log_z == pytest.approx(brute_force_log_evidence(inst, model), rel=1e-12, abs=0)
+            # the cached tables give the bytes of tables built afresh for the instance
+            assert est.log_z == reference_log_evidence_discrete(inst, model)
 
     @pytest.mark.parametrize(
         "model,n,entries",
@@ -175,7 +178,36 @@ class TestExactEvidenceDiscrete:
         inst = sample_instance(model, n, 1.0, seed=103)
         whole = exact_log_evidence_discrete(inst, model).log_z
         monkeypatch.setattr(simulator, "WEIGHT_BLOCK_ENTRIES", entries)
-        assert exact_log_evidence_discrete(inst, model).log_z == pytest.approx(whole, rel=1e-13, abs=0)
+        blocked = exact_log_evidence_discrete(inst, model).log_z
+        assert blocked == pytest.approx(whole, rel=1e-13, abs=0)
+        assert blocked == reference_log_evidence_discrete(inst, model, entries)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_initial_law_keys_the_cached_tables(self, n):
+        # the same kernel started from another law must not reuse the stationary prior's tables, in
+        # either order; n = 1 reads the initial law only through the boundary term
+        twin = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.3, 0.3), np.array([0.9, 0.1])))
+        inst = sample_instance(BINARY_SYM, n, 1.0, seed=107)
+        got = [exact_log_evidence_discrete(inst, model).log_z for model in (BINARY_SYM, twin, BINARY_SYM, twin)]
+        assert got[:2] == got[2:] and got[0] != got[1]
+        assert got[:2] == [reference_log_evidence_discrete(inst, model) for model in (BINARY_SYM, twin)]
+        assert simulator._path_tables(twin.prior, n) is not simulator._path_tables(BINARY_SYM.prior, n)
+        # an equal prior built anew shares the tables: the cache keys the prior by value
+        fresh = MarkovPrior(binary_markov_kernel(0.3, 0.3))
+        assert simulator._path_tables(fresh, n) is simulator._path_tables(BINARY_SYM.prior, n)
+
+    def test_cached_tables_are_read_only(self):
+        tables = simulator._path_tables(TERNARY_ZERO.prior, 5)
+        assert tables[2] is not None and simulator._path_tables(BINARY_SYM.prior, 1)[2] is None  # no left half
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_non_discrete_prior_is_rejected(self):
+        inst = sample_instance(GM, 4, 1.0, seed=109)
+        with pytest.raises(ValidationError, match="exact enumeration requires a discrete Markov prior"):
+            exact_log_evidence_discrete(inst, GM)
 
     def test_flat_likelihood_limit(self):
         sigma = 1e6

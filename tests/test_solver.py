@@ -428,21 +428,26 @@ class TestRootHelpers:
         assert len(points) == evaluations and got[0] in points
         assert abs(got[0] - root) < 1e-14
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "Known stall (CHANGES.md, FOUND on solver._root spending all 200 steps on a bracket "
-            "where f is flat at one end): the Illinois factor m = 1 - fc/fa is about 1e-9 at the "
-            "flat end, the bracket swaps ends without shrinking, and _root returns 0.000851 with "
-            "no error.  The check is at full strength and fails honestly."
-        ),
-    )
+    # f is flat at the left end: the Illinois factor m = 1 - fc/fa is about
+    # 1e-9 there, and without the midpoint rule the bracket swapped ends
+    # without shrinking for all 200 steps and returned 0.000851
     def test_flat_end_bracket_converges(self):
         def fn(x):
             return np.expm1(24.99 * (x - 0.5193))
 
         got = _root(lambda x, _: fn(x), [0.0], [1.0], [fn(0.0)], [fn(1.0)])
         assert abs(got[0] - 0.5193) < 1e-9
+
+    # The midpoint scales neither end.  Here it moves the flat end a second
+    # time running; scaling the far end's f (already about 3e-13) by another
+    # 6e-6 would round the next secant point onto that end, and _root would
+    # stop there, at 0.99999999999967, after 6 calls
+    def test_midpoint_leaves_the_far_end_unscaled(self):
+        def fn(x):
+            return np.expm1(40.0 * (x - 0.8))
+
+        got = _root(lambda x, _: fn(x), [0.0], [1.0], [fn(0.0)], [fn(1.0)])
+        assert abs(got[0] - 0.8) < 1e-9
 
     @staticmethod
     def random_batch(rng) -> tuple:
@@ -454,13 +459,16 @@ class TestRootHelpers:
         end's Illinois factor m goes <= 0 and is halved), 4 a bracket
         narrower than 1e-14 from the start and 5 a sinh so steep that the
         first secant point rounds onto the end nearer the root, which the
-        caller passed in and so does not stop the bracket.
+        caller passed in and so does not stop the bracket; 6 is flat at its
+        left end, expm1(25 (x - t)), so its steps stop halving it and the
+        midpoint rule takes over.
         """
         n = int(rng.integers(1, 41))
-        kind = rng.integers(0, 6, n)
+        kind = rng.integers(0, 7, n)
         target = rng.uniform(0.1, 0.9, n)
         target[kind == 2] = rng.integers(1, 16, (kind == 2).sum()) / 16.0
         rate = rng.uniform(0.5, 40.0, n)
+        rate[kind == 6] = 25.0
         a, b = np.zeros(n), np.ones(n)
         a[kind == 4], b[kind == 4] = target[kind == 4] - 3e-15, target[kind == 4] + 3e-15
 
@@ -469,7 +477,7 @@ class TestRootHelpers:
             d = x - t
             with np.errstate(over="ignore"):
                 return np.select(
-                    [k == 0, k == 1, k == 2, k == 3, k == 5],
+                    [(k == 0) | (k == 6), k == 1, k == 2, k == 3, k == 5],
                     [np.expm1(r * d), d**3 + 1e-3 * d, d, np.tanh(20.0 * r * d), np.sinh(80.0 * d)],
                     np.expm1(d),
                 )
@@ -491,8 +499,13 @@ class TestRootHelpers:
             if any(y == 0.0 for _, y in points):
                 seen.add("zero")
             lo, hi = a[i], b[i]
+            ref, stale = hi - lo, 0  # the width at the last halving, and the steps since then
             for x, y in points:
+                if stale >= 5:  # 5 steps without halving: the next point is the midpoint, so 6 steps halve
+                    assert x == 0.5 * (lo + hi)
+                    seen.add("midpoint")
                 lo, hi = (lo, x) if (y > 0.0) == (fb[i] > 0.0) else (x, hi)
+                ref, stale = (hi - lo, 0) if hi - lo <= 0.5 * ref else (ref, stale + 1)
             if not points and hi - lo < 1e-14:
                 seen.add("narrow")
             elif points and hi - lo >= 1e-14 and points[-1][1] != 0.0 and roots[i] in (lo, hi):
@@ -523,7 +536,7 @@ class TestRootHelpers:
             assert [len(x) for x, _, _ in logs[1]] == [len(x) for x, _, _ in logs[0]]
             assert logs[1] == logs[0]  # the same points, brackets and values, call by call
             seen |= self.endgames(logs[1], a, b, fb, got)
-        assert seen == {"halved", "zero", "narrow", "on_end"}
+        assert seen == {"halved", "zero", "narrow", "on_end", "midpoint"}
 
     def test_root_overflow_and_zero_division_match_the_array_form(self):
         # products overflowing to inf, a secant inf/inf and denormal f values
