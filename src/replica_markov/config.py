@@ -396,7 +396,10 @@ def validate_rate_config(document: dict) -> tuple[QStateSpace, np.ndarray, np.nd
     for v, p in snr:
         if p > 0:
             support[v] = support.get(v, 0.0) + p
-    space = enumerate_q_states(list(support), kernel.state_values(), nu)
+    # the only check left to fail is the chain's: its state values must be distinct
+    space = _built(errs, "chain.states", lambda: enumerate_q_states(list(support), kernel.state_values(), nu))
+    if space is None:
+        raise ConfigError(errs.errors)
     try:
         base = q_transition_matrix(space, kernel, s_dist=tuple(support.items()))
     except IrreducibilityError:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +28,13 @@ class IrreducibilityError(ValueError):
 
 
 class _ValueEquality:
-    """Equality and hash of a frozen dataclass by the values of its compared fields, arrays entry by entry."""
+    """Equality and hash of a frozen dataclass by the values of its compared fields, arrays entry by entry.
 
+    The compared fields are frozen and their arrays read-only, so the key is
+    computed once.
+    """
+
+    @cached_property
     def _values(self) -> tuple:
         return tuple(
             (v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
@@ -38,10 +44,10 @@ class _ValueEquality:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +104,12 @@ class MarkovPrior(_ValueEquality):
     """Discrete signal prior: a finite-state kernel and its initial law (stationary by default)."""
 
     kernel: TransitionMatrix
-    initial: np.ndarray | None = None  # None: the kernel's stationary law
+    initial: np.ndarray | None = None  # None: the kernel's stationary law; stored as a read-only copy, as P is
 
     def __post_init__(self):
         init = stationary_distribution(self.kernel) if self.initial is None else self.initial
-        init = np.asarray(init, dtype=float)
+        init = np.array(init, dtype=float)
+        init.flags.writeable = False
         if init.shape != (self.kernel.dim,):
             raise ValidationError("initial distribution length mismatch")
         if not (np.all(init >= 0) and abs(init.sum() - 1.0) <= STOCHASTIC_TOL):  # also rejects NaN

@@ -66,6 +66,9 @@ def enumerate_q_states(s_alphabet, x_alphabet, nu: int) -> QStateSpace:
     if len(set(s_alphabet)) != len(s_alphabet):
         raise ValidationError(f"SNR alphabet entries must be distinct, got {s_alphabet}")
     x_alphabet = tuple(float(x) for x in x_alphabet)
+    repeated = sorted({x for x in x_alphabet if x_alphabet.count(x) > 1})
+    if repeated:
+        raise ValidationError(f"state values must be distinct, got {repeated[0]} more than once")
     d = nu + 1
     grids = np.meshgrid(*([x_alphabet] * d), indexing="ij")
     xs = np.stack([g.ravel() for g in grids], axis=-1)
@@ -96,7 +99,7 @@ def q_transition_matrix(space: QStateSpace, kernel: TransitionMatrix, s_dist) ->
     IrreducibilityError: it has no Perron-Frobenius triple.
     """
     values = kernel.state_values()
-    if set(space.x_alphabet) != set(float(v) for v in values):
+    if sorted(space.x_alphabet) != sorted(values.tolist()):  # the space's values are distinct, so the kernel's are
         raise ValidationError("state space alphabet does not match the kernel alphabet")
     s_prob = {float(v): float(p) for v, p in s_dist}
     if set(s_prob) != set(space.s_alphabet):

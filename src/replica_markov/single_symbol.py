@@ -25,7 +25,6 @@ command or oracle calls them.  They go when the tracer stops hooking them
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,27 +156,8 @@ def _trapezoid(intervals: int, midpoints: bool) -> tuple[np.ndarray, np.ndarray]
     return t, w
 
 
-# mixture_expectation keeps its (fn, stats) signature, which tracing wraps,
-# so its call count and the node count it converged at are tallied here.  The
-# tally is kept per thread so that a library caller solving models on several
-# threads of its own gets each solve's own counts in SolveDiagnostics.
-class _KernelTally(threading.local):
-    calls = 0
-    nodes = 0
-
-
-_TALLY = _KernelTally()
-
-
-def take_kernel_tally() -> tuple[int, int]:
-    """(calls, largest converged node count) of mixture_expectation on this thread since the last take."""
-    out = (_TALLY.calls, _TALLY.nodes)
-    _TALLY.calls = _TALLY.nodes = 0
-    return out
-
-
-def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray:
-    """E[fn(U)] for U ~ the mixture, by a nested trapezoid rule over all components at once.
+def mixture_expectation(fn, stats: _MixtureStats) -> tuple[np.ndarray, int]:
+    """E[fn(U)] for U ~ the mixture, by a nested trapezoid rule over all components at once, and its node count.
 
     Component c is integrated on the standardized line, U = out_mean_c +
     sqrt(2 out_var_c) t with weight exp(-t^2)/sqrt(pi), truncated to [-L, L]
@@ -201,9 +181,9 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray:
     refines until two successive estimates of every moment of every batch
     entry agree to 1e-9 in absolute terms; if the level of QUAD_MAX_NODES
     intervals still disagrees, it raises QuadratureError.  Returns an array of
-    shape (moments, ...) or (...).
+    shape (moments, ...) or (...), and the node count (2^k + 1) of the level
+    it converged at.
     """
-    _TALLY.calls += 1
     weights = np.exp(stats.log_w)
     centre = stats.out_mean[..., None]
     scale = np.sqrt(2.0 * stats.out_var)[..., None]
@@ -244,8 +224,7 @@ def mixture_expectation(fn, stats: _MixtureStats) -> np.ndarray:
             )
         intervals *= 2
         prev, cur = cur, 0.5 * cur + totals(_trapezoid(intervals, True))[0]
-    _TALLY.nodes = max(_TALLY.nodes, intervals + 1)
-    return cur
+    return cur, intervals + 1
 
 
 @dataclass(frozen=True)
@@ -286,8 +265,8 @@ def channel_table(channels) -> ChannelTable:
     )
 
 
-def channel_moments(table: ChannelTable, eta, xi) -> np.ndarray:
-    """[E g^2, E X1 g, E Var_q, -E log q0] over the true channel, in one kernel call.
+def channel_moments(table: ChannelTable, eta, xi) -> tuple[np.ndarray, int]:
+    """[E g^2, E X1 g, E Var_q, -E log q0] over the true channel, in one kernel call, and its node count.
 
     g = <X>_q(U) is the postulated decision function, Var_q(U) the
     retrochannel variance and q0 the postulated output density; U and X1
@@ -296,7 +275,8 @@ def channel_moments(table: ChannelTable, eta, xi) -> np.ndarray:
     against g row by row.
 
     ``table`` is evaluated at the points (eta, xi), arrays broadcast
-    together; the result has shape (*points, channels, 4).
+    together; the moments have shape (*points, channels, 4).  The node
+    count is the kernel's: the level every entry converged at.
     """
     eta, xi = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(xi, dtype=float))
     s = table.s[:, None]
@@ -318,8 +298,8 @@ def channel_moments(table: ChannelTable, eta, xi) -> np.ndarray:
         np.negative(log_q0, out=out[3])
         return out
 
-    moments = mixture_expectation(integrands, true_stats)
-    return moments.transpose((*range(1, moments.ndim), 0))
+    moments, nodes = mixture_expectation(integrands, true_stats)
+    return moments.transpose((*range(1, moments.ndim), 0)), nodes
 
 
 def channel_errors(table: ChannelTable, moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +314,7 @@ def channel_errors(table: ChannelTable, moments: np.ndarray) -> tuple[np.ndarray
 
 def _one_channel(ch: ScalarChannel) -> tuple[ChannelTable, np.ndarray]:
     table = channel_table([(ch.true_law, ch.postulated_law, ch.s)])
-    return table, channel_moments(table, ch.eta, ch.xi)
+    return table, channel_moments(table, ch.eta, ch.xi)[0]
 
 
 def conditional_mse(ch: ScalarChannel) -> float:

@@ -42,7 +42,6 @@ from .single_symbol import (
     channel_errors,
     channel_moments,
     channel_table,
-    take_kernel_tally,
 )
 
 RESIDUAL_TOL = 1e-8
@@ -347,7 +346,7 @@ def _assess(model: ModelSpec, beta: float, eta, xi, moments=None) -> tuple[np.nd
     """
     dec = model._decoupled
     if moments is None:
-        moments = channel_moments(dec.table, eta, xi)
+        moments = channel_moments(dec.table, eta, xi)[0]
     mse, var = channel_errors(dec.table, moments)
     residual = np.maximum(
         abs(eta - 1.0 / (1.0 + beta * (mse @ dec.ws))),
@@ -420,15 +419,18 @@ def _solve(model: ModelSpec, betas) -> list[ReplicaSolution | Exception]:
     sigma_sq = model.sigma**2
     count = betas.size
     evaluations = np.zeros(count, dtype=int)
-    take_kernel_tally()
+    calls = nodes = 0  # kernel calls of this solve, and the largest node count any converged at
     cache: dict[tuple[float, float], np.ndarray] = {}
 
     def moments(eta, xi) -> np.ndarray:
         """``channel_moments`` at 1-D arrays of (eta, xi) points; the points not in ``cache`` go to one kernel call."""
+        nonlocal calls, nodes
         keys = list(zip(eta.tolist(), xi.tolist()))
         new = [k for k in dict.fromkeys(keys) if k not in cache]
         if new:
-            cache.update(zip(new, channel_moments(dec.table, *np.array(new).T)))
+            rows, used = channel_moments(dec.table, *np.array(new).T)
+            calls, nodes = calls + 1, max(nodes, used)
+            cache.update(zip(new, rows))
         return np.array([cache[k] for k in keys]).reshape(eta.shape + (dec.table.s.size, 4))
 
     # f and h flatten the arrays they are passed, because ``moments`` and
@@ -483,7 +485,6 @@ def _solve(model: ModelSpec, betas) -> list[ReplicaSolution | Exception]:
         owner = np.repeat(np.arange(count), [len(pts) for pts in found])
         etas, xis = np.array(candidates).T
         residuals, terms, msq = _assess(model, betas[owner], etas, xis, moments(etas, xis))
-    calls, nodes = take_kernel_tally()
     m2 = dec.second_moment
     out: list[ReplicaSolution | Exception] = []
     end = 0

@@ -617,6 +617,10 @@ BAD_RATES = {
     "snr-nan-probability": ("snr[0]", {"snr": [[1.0, math.nan]]}),
     "snr-infinite": ("snr", {"snr": math.inf}),
     "chain-string-states": ("chain", {"chain": {"states": ["a", "b"], "transition": [[0.7, 0.3], [0.3, 0.7]]}}),
+    "chain-repeated-state": (
+        "chain.states",
+        {"chain": {"states": [-1, 1, 1], "transition": [[0.6, 0.2, 0.2], [0.25, 0.5, 0.25], [0.2, 0.2, 0.6]]}},
+    ),
     "chain-string-alpha": ("chain.alpha", {"chain": {"type": "binary_markov", "alpha": "a", "delta": 0.3}}),
     "chain-alpha-one": ("chain", {"chain": {"type": "binary_markov", "alpha": 1.0, "delta": 0.3}}),
     "chain-reducible": ("chain.transition", {"chain": {"states": [-1, 1], "transition": [[1, 0], [0, 1]]}}),
@@ -851,9 +855,13 @@ def stochastic_vectors(k, entries):
 def rate_documents(draw):
     # Half the documents draw a stochastic chain and a probability law, a quarter
     # then break the chain by redrawing one row freely, a quarter break the law by
-    # drawing its values and probabilities freely; the test's oracle decides.
+    # drawing its values and probabilities freely; the test's oracle decides.  A
+    # quarter of all documents repeat a state value.
     k, n, nu = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 1))
     broken = draw(st.sampled_from(["none", "none", "chain", "law"]))
+    states = [-1, 1] if k == 2 else [-1, 0, 1]
+    if draw(st.sampled_from([False, False, False, True])):
+        states[0] = states[-1]
     rows = [draw(st.sampled_from(stochastic_vectors(k, QUARTERS))) for _ in range(k)]
     if broken == "chain":
         rows[draw(st.integers(0, k - 1))] = draw(st.lists(st.sampled_from(QUARTERS), min_size=k, max_size=k))
@@ -864,7 +872,7 @@ def rate_documents(draw):
         values = draw(st.lists(st.sampled_from([v for v in SNR_VALUES if v > 0]), min_size=n, max_size=n))
         probs = draw(st.sampled_from(stochastic_vectors(n, SNR_PROBS)))
     return {
-        "chain": {"states": [-1, 1] if k == 2 else [-1, 0, 1], "transition": rows},
+        "chain": {"states": states, "transition": rows},
         "nu": nu,
         "snr": [list(pair) for pair in zip(values, probs)],
         "q_target": [[1.0 if a == b else 0.25 for b in range(nu + 1)] for a in range(nu + 1)],
@@ -882,6 +890,7 @@ def rate_documents(draw):
 def test_pf_rate_exits_0_on_valid_input_and_2_otherwise(tmp_path, doc):
     P = np.array(doc["chain"]["transition"])
     chain_ok = np.all(P.sum(axis=1) == 1.0) and is_irreducible(P)
+    chain_ok = chain_ok and len(set(doc["chain"]["states"])) == len(doc["chain"]["states"])
     law_ok = all(v > 0 and p >= 0 for v, p in doc["snr"]) and sum(p for _, p in doc["snr"]) == 1.0
     valid = chain_ok and law_ok and coupling_chain_irreducible(
         P, np.array(doc["chain"]["states"], float), {v for v, p in doc["snr"] if p > 0}, doc["nu"]
@@ -893,13 +902,29 @@ SWEEP_BETAS = (0.5, 1.0, 2.0)
 
 
 @st.composite
+def emission_laws(draw):
+    """A mixture of 1-3 point or Gaussian components with weights in quarters."""
+    weights = draw(st.sampled_from(stochastic_vectors(draw(st.integers(1, 3)), QUARTERS)))
+    comps = []
+    for w in weights:
+        if draw(st.booleans()):
+            comps.append({"weight": w, "type": "point", "x": draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))})
+        else:
+            mean, var = draw(st.sampled_from([-1.0, 0.0, 1.0])), draw(st.sampled_from([0.25, 1.0]))
+            comps.append({"weight": w, "type": "gaussian", "mean": mean, "var": var})
+    return comps
+
+
+@st.composite
 def sweep_priors(draw, like=None):
-    """A 2-3 state chain, a sparse HMM or a Gauss-Markov prior (the family of ``like`` when given)."""
-    kind = like["type"] if like else draw(st.sampled_from(["discrete_markov", "sparse_hmm", "gauss_markov"]))
-    if kind == "discrete_markov":
+    """A 2-3 state chain, a sparse HMM, a Gauss-Markov prior or a 2-3 state HMM (the family of ``like`` when given)."""
+    kind = like["type"] if like else draw(st.sampled_from(["discrete_markov", "sparse_hmm", "gauss_markov", "hidden_markov"]))
+    if kind in ("discrete_markov", "hidden_markov"):
         k = len(like["states"]) if like else draw(st.integers(2, 3))
         rows = [draw(st.sampled_from(stochastic_vectors(k, QUARTERS))) for _ in range(k)]
-        return {"type": kind, "states": [-1, 1] if k == 2 else [-1, 0, 1], "transition": rows}
+        if kind == "discrete_markov":
+            return {"type": kind, "states": [-1, 1] if k == 2 else [-1, 0, 1], "transition": rows}
+        return {"type": kind, "states": list(range(k)), "transition": rows, "emissions": [draw(emission_laws()) for _ in range(k)]}
     if kind == "sparse_hmm":
         kappa, gamma = draw(st.sampled_from([0.1, 0.3, 0.5])), draw(st.sampled_from([0.3, 0.8, 1.0]))
         return {"type": kind, "kappa": kappa, "gamma": gamma}
@@ -924,14 +949,20 @@ def stationary_second_moment(prior) -> float:
         return prior["kappa"]  # N(0, 1) emitted at the stationary activity rate
     if prior["type"] == "gauss_markov":
         return prior["sigma0_sq"] / (1.0 - prior["nu"] ** 2)
-    P, x = np.array(prior["transition"]), np.array(prior["states"], float)
-    k = len(x)
+    P = np.array(prior["transition"])
+    k = len(P)
     pi = np.linalg.lstsq(np.vstack([P.T - np.eye(k), np.ones(k)]), np.eye(k + 1)[k], rcond=None)[0]
-    return float(pi @ x**2)
+    if prior["type"] == "hidden_markov":  # E[X^2] emitted by each hidden state
+        moments = [
+            sum(c["weight"] * (c["x"] ** 2 if c["type"] == "point" else c["mean"] ** 2 + c["var"]) for c in law)
+            for law in prior["emissions"]
+        ]
+        return float(pi @ np.array(moments))
+    return float(pi @ np.array(prior["states"], float) ** 2)
 
 
 @settings(
-    max_examples=40,
+    max_examples=80,  # about 20 documents of each prior kind
     deadline=None,
     derandomize=True,
     database=None,

@@ -196,6 +196,17 @@ class TestPriors:
         prior = MarkovPrior(binary_markov_kernel(0.2, 0.5))
         assert np.allclose(prior.initial, [5.0 / 7.0, 2.0 / 7.0], atol=1e-12)
 
+    def test_initial_law_is_a_read_only_copy(self):
+        # mutating the caller's array changes neither the prior nor its hash
+        initial = np.array([0.25, 0.75])
+        prior = MarkovPrior(binary_markov_kernel(0.2, 0.5), initial)
+        key = hash(prior)
+        initial[:] = [0.75, 0.25]
+        assert prior.initial.tolist() == [0.25, 0.75] and not prior.initial.flags.writeable
+        assert hash(prior) == key and prior == MarkovPrior(binary_markov_kernel(0.2, 0.5), [0.25, 0.75])
+        with pytest.raises(ValueError):
+            prior.initial[0] = 0.5
+
     def test_hmm_requires_irreducible_hidden_chain(self):
         hidden = TransitionMatrix((0, 1), np.eye(2))
         law = ConditionalInputLaw.point_masses([0.0], [1.0])

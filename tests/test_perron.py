@@ -148,6 +148,15 @@ class TestEnumerate:
         with pytest.raises(ValidationError):
             q_transition_matrix(space, binary_markov_kernel(0.3, 0.3), s_dist=s_dist)
 
+    def test_repeated_state_value_rejected(self):
+        # q_transition_matrix maps values to kernel rows, so a repeat would lose a row
+        kernel = TransitionMatrix((-1, 1, 1), TERNARY.P)
+        with pytest.raises(ValidationError, match="distinct, got 1.0 more than once"):
+            enumerate_q_states([1.0], kernel.state_values(), 1)
+        space = enumerate_q_states([1.0], [-1.0, 1.0], 1)
+        with pytest.raises(ValidationError, match="does not match"):
+            q_transition_matrix(space, kernel, s_dist=((1.0, 1.0),))
+
 
 class TestTransitionMatrix:
     def test_iid_rows_equal_marginal(self):

@@ -252,10 +252,11 @@ class TestQuadratureKernel:
         for integrand, want, block_entries, shapes in cases:
             monkeypatch.setattr(single_symbol, "QUAD_BLOCK_ENTRIES", block_entries)
             calls = []
-            got = mixture_expectation(lambda u: calls.append(u) or integrand(u), stats)
+            got, nodes = mixture_expectation(lambda u: calls.append(u) or integrand(u), stats)
             assert [u.shape for u in calls] == shapes
             # standardized, the calls' nodes together are the finest grid, each node once
             t = np.hstack([(u - m[:, None]) / np.sqrt(2.0 * v)[:, None] for u in calls])
+            assert nodes == t.shape[1]
             nodes = np.linspace(-half, half, t.shape[1])
             assert np.allclose(np.sort(t, axis=1), nodes, rtol=0.0, atol=1e-12)
             assert abs(got - want) < 1e-12
@@ -268,9 +269,9 @@ class TestQuadratureKernel:
             w, m, v = np.exp(stats.log_w), stats.out_mean, stats.out_var
             a = float(rng.uniform(0.5, 3.0))
             fourth = float(w @ (m**4 + 6.0 * m**2 * v + 3.0 * v**2))
-            assert abs(mixture_expectation(lambda u: u**4, stats) - fourth) <= 1e-13 * fourth
+            assert abs(mixture_expectation(lambda u: u**4, stats)[0] - fourth) <= 1e-13 * fourth
             cosine = float(w @ (np.cos(a * m) * np.exp(-0.5 * a * a * v)))
-            assert abs(mixture_expectation(lambda u: np.cos(a * u), stats) - cosine) < 1e-13
+            assert abs(mixture_expectation(lambda u: np.cos(a * u), stats)[0] - cosine) < 1e-13
 
     def test_step_integrand_raises(self):
         # a step at one component's mean sits off-centre in the other
@@ -295,16 +296,16 @@ class TestQuadratureKernel:
 
         def stacked(channels, etas, xis):
             return np.array(
-                [[channel_moments(channel_table([(t, q, s)]), e, x)[0] for t, q, s in channels] for e, x in zip(etas, xis)]
+                [[channel_moments(channel_table([(t, q, s)]), e, x)[0][0] for t, q, s in channels] for e, x in zip(etas, xis)]
             )
 
         for channels, etas, xis in cases:
-            batched = channel_moments(channel_table(channels), etas, xis)
+            batched = channel_moments(channel_table(channels), etas, xis)[0]
             assert batched.shape == (5, len(channels), 4)
             assert np.max(np.abs(batched - stacked(channels, etas, xis))) < 1e-10
         monkeypatch.setattr(single_symbol, "_START_LEVEL", 10)
         for channels, etas, xis in cases:
-            batched = channel_moments(channel_table(channels), etas, xis)
+            batched = channel_moments(channel_table(channels), etas, xis)[0]
             assert np.max(np.abs(batched - stacked(channels, etas, xis))) < 1e-12
 
     def test_node_blocks_agree_with_one_block(self, monkeypatch):
@@ -312,7 +313,7 @@ class TestQuadratureKernel:
         table = channel_table(random_table_channels(rng))
         etas, xis = rng.uniform(0.2, 1.5, (3, 1)), rng.uniform(0.2, 1.5, 4)  # 3 x 4 points
         monkeypatch.setattr(single_symbol, "QUAD_BLOCK_ENTRIES", 2**40)
-        whole = channel_moments(table, etas, xis)
+        whole = channel_moments(table, etas, xis)[0]
         shapes = []
         entries = 12 * table.true[0].size
 
@@ -326,7 +327,7 @@ class TestQuadratureKernel:
         monkeypatch.setattr(single_symbol, "mixture_expectation", block_shapes)
         monkeypatch.setattr(single_symbol, "QUAD_BLOCK_ENTRIES", 3 * entries)  # at most 3 nodes a block
         monkeypatch.setattr(single_symbol, "QUAD_MIN_BLOCK_NODES", 1)
-        blocks = channel_moments(table, etas, xis)
+        blocks = channel_moments(table, etas, xis)[0]
         assert whole.shape == blocks.shape == (3, 4, len(table.s), 4)
         assert max(s[-1] for s in shapes) == 3 and max(np.prod(s) for s in shapes) <= 3 * entries
         assert np.max(np.abs(blocks - whole) / np.maximum(np.abs(whole), 1.0)) < 1e-13
@@ -335,7 +336,7 @@ class TestQuadratureKernel:
         rng = np.random.default_rng(17)
         for _ in range(10):
             ch = random_channel(rng)
-            e_g2, cross, var, neg_log_q0 = channel_moments(channel_table([(ch.true_law, ch.postulated_law, ch.s)]), ch.eta, ch.xi)[0]
+            e_g2, cross, var, neg_log_q0 = channel_moments(channel_table([(ch.true_law, ch.postulated_law, ch.s)]), ch.eta, ch.xi)[0][0]
             # matched channel: E[X1 g] = E[g^2] by the tower property
             assert abs(cross - e_g2) < 1e-9
             assert e_g2 == mean_square_posterior_mean(ch)

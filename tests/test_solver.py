@@ -711,6 +711,43 @@ class TestDiagnostics:
         assert {sol.diagnostics.kernel_calls for sol in sols} == {len(calls)}
         assert len(calls) <= self.BATCH_KERNEL_CALL_BOUNDS[key]
 
+    def test_diagnostics_of_concurrent_solves_are_their_own(self):
+        # three threads (more than the test machine's cores) solve different
+        # models at once, each three times, switching threads every 10 us:
+        # every solve reports the diagnostics of the same solve run alone
+        import sys
+        import threading
+
+        models = [
+            TestGoldenValues.model("mismatched"),
+            ModelSpec(prior=sparse_hmm_prior(0.1, 1.0), snr=10.0),
+            TestGoldenValues.model("binary_two_snr"),
+        ]
+        betas = (0.75, 1.5)
+        alone = [[sol.diagnostics for sol in free_energies(model, betas)] for model in models]
+        (a, _), (b, _), _ = alone
+        assert a.kernel_calls != b.kernel_calls and a.max_nodes != b.max_nodes
+        start = threading.Barrier(len(models), timeout=60)
+        got = [[] for _ in models]
+
+        def run(i):
+            start.wait()
+            for _ in range(3):
+                got[i].append([sol.diagnostics for sol in free_energies(models[i], betas)])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(models))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[diags] * 3 for diags in alone]
+
     @pytest.mark.parametrize("name", ["binary_sym", "mismatched", "binary_two_snr"])
     def test_one_assessment_per_solve(self, name, monkeypatch):
         from replica_markov import solver
