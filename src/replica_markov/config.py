@@ -378,7 +378,7 @@ def validate_rate_config(document: dict) -> tuple[QStateSpace, np.ndarray, np.nd
             prior, _ = _build_prior(chain, "chain", errs)
             if prior is not None:
                 kernel = prior.kernel
-                _built(errs, "chain", kernel.state_values)
+                _built(errs, "chain.states", kernel.state_values)
     nu = document.get("nu", 0)
     if not (isinstance(nu, int) and not isinstance(nu, bool) and 0 <= nu <= MAX_NU):
         errs.add("nu", f"expected an integer in [0, {MAX_NU}]")

@@ -7,7 +7,8 @@ closed-form multivariate-normal marginal for the Gauss-Markov prior (y ~ N(0,
 Phi Sigma_X Phi^T + I) with Sigma_X[i,j] = sigma0^2 nu^|i-j| / (1 - nu^2)).
 The enumeration meets in the middle: the prior couples a left and a right
 half-path only through the boundary transition pi[u_last, v_first], and one
-matrix product gives the residual cross terms of all pairs.
+matrix product of factor rows gives the log weight of every pair: residual
+cross term, likelihood norms, prior and boundary term.
 Posterior means come from one Metropolis-Hastings sampler: single-site flips
 on a discrete prior, with many chains run in lockstep.
 
@@ -38,6 +39,8 @@ WEIGHT_BLOCK_ENTRIES = 1 << 20
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # stands in for log(x/0) in the MH ratio tables: finite, so it sums with -inf to -inf, not NaN
 _LEAVE_FORBIDDEN = 1e300
+# stands in for log 0 in the enumeration's factor columns: finite, so 0 x log 0 is 0 in a product, not NaN
+_LOG_ZERO = -1e300
 
 
 class EvidenceBudgetError(RuntimeError):
@@ -45,7 +48,7 @@ class EvidenceBudgetError(RuntimeError):
 
 
 def _rng(seed: int, *stream) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.random.SeedSequence([seed, *stream]).generate_state(2, np.uint64)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *stream])))
 
 
 def measurement_count(n: int, beta: float) -> int:
@@ -186,33 +189,41 @@ def _over_budget(k: int, n: int) -> str | None:
 
 @lru_cache(maxsize=2)
 def _path_tables(prior, n: int) -> tuple:
-    """The instance-free tables of ``exact_log_evidence_discrete`` for length-n paths of a discrete prior.
+    """The instance-free factor columns of ``exact_log_evidence_discrete`` for length-n paths of a discrete prior.
 
-    Returns read-only (values[u], values[v], lp_L(u), lp_R(v), edge) for the
-    left halves u (the first n//2 sites) and right halves v, both in
-    lexicographic order: lp_L(u) = log q0[u_first] + sum log pi along u
-    (None when the left half is empty, n = 1), lp_R(v) = sum log pi along v,
-    and edge[u, v_first] the boundary term, log pi[u_last, v_first] or
-    log q0[v_first] when n = 1.  Cached by the prior's value, so every
-    instance of a document shares one set; an entry at the full
-    ENUMERATION_BUDGET holds about 1 MB, and a document needs one.
+    Returns read-only (values[u], values[v], [lp_L(u) | 1 | edge(u, .)],
+    [1 | lp_R(v) | onehot(v_first)]) for the left halves u (the first n//2
+    sites) and right halves v, both in lexicographic order: lp_L(u) =
+    log q0[u_first] + sum log pi along u (0 when the left half is empty,
+    n = 1), lp_R(v) = sum log pi along v, and edge[u, j] the boundary term
+    log pi[u_last, j], or log q0[j] when n = 1.  The product of a left and a
+    right row is lp_L(u) + lp_R(v) + edge[u, v_first], the log prior of the
+    path.  log 0 is held as the finite _LOG_ZERO, so 0 x log 0 is 0 in the
+    product and a forbidden path's term stays at or below _LOG_ZERO.
+    Cached by the prior's value, so every instance of a document shares one
+    set; an entry at the full ENUMERATION_BUDGET holds about 1 MB, and a
+    document needs one.
     """
     values, log_init, log_pi = _log_tables(prior, "exact enumeration")
     k = len(values)
     if reason := _over_budget(k, n):
         raise EvidenceBudgetError(reason)
+    log_init, log_pi = np.maximum(log_init, _LOG_ZERO), np.maximum(log_pi, _LOG_ZERO)
     a = n // 2
     u, v = _index_paths(k, a), _index_paths(k, n - a)
-    right = log_pi[v[:, :-1], v[:, 1:]].sum(axis=1)
+    left = np.ones((len(u), 2 + k))
+    right = np.zeros((len(v), 2 + k))
+    right[:, 0] = 1.0
+    right[:, 1] = log_pi[v[:, :-1], v[:, 1:]].sum(axis=1)
+    right[np.arange(len(v)), 2 + v[:, 0]] = 1.0
     if a:
-        left = log_init[u[:, 0]] + log_pi[u[:, :-1], u[:, 1:]].sum(axis=1)
-        edge = log_pi[u[:, -1]]
+        left[:, 0] = log_init[u[:, 0]] + log_pi[u[:, :-1], u[:, 1:]].sum(axis=1)
+        left[:, 2:] = log_pi[u[:, -1]]
     else:
-        left, edge = None, log_init[None, :]
-    tables = values[u], values[v], left, right, edge
+        left[:, 0], left[:, 2:] = 0.0, log_init
+    tables = values[u], values[v], left, right
     for t in tables:
-        if t is not None:
-            t.flags.writeable = False
+        t.flags.writeable = False
     return tables
 
 
@@ -221,44 +232,38 @@ def exact_log_evidence_discrete(inst: LinearModelInstance, model: ModelSpec) -> 
 
     Each path x splits into a left half u (the first n//2 sites) and a right
     half v.  With r(u) = y - Phi_L u and g(v) = Phi_R v,
-    ||y - Phi x||^2 = ||r(u)||^2 + ||g(v)||^2 - 2 r(u).g(v), so the cross
-    terms of all k^(n//2) x k^(n - n//2) pairs come from one GEMM.  The prior
+    ||y - Phi x||^2 = ||r(u)||^2 + ||g(v)||^2 - 2 r(u).g(v), and the prior
     separates as lp_L(u) + lp_R(v) plus one boundary term: log pi[u_last,
-    v_first], or log q0[v_first] when the left half is empty (n = 1).  Those
-    prior terms and the half-path values come from ``_path_tables``, built
-    once per (prior, n); a call computes only the instance terms.  The
-    log-sum-exp runs over row blocks of at most WEIGHT_BLOCK_ENTRIES pair
-    weights, each combined by its own max.
+    v_first], or log q0[v_first] when the left half is empty (n = 1).  So the
+    log weight of pair (u, v) is the product of a left factor row
+    [r(u) / sigma^2 | left(u) | 1 | edge(u, .)] and a right factor row
+    [g(v) | 1 | right(v) | onehot(v_first)], where left and right add the
+    instance's likelihood terms to ``_path_tables``' prior columns, built
+    once per (prior, n).  Each row block of at most WEIGHT_BLOCK_ENTRIES pair
+    weights is one GEMM, then a max, a shift, an exp and a sum; a block of
+    paths the prior forbids has a top near _LOG_ZERO and adds 0.
     """
-    u_values, v_values, lp_left, lp_right, edge = _path_tables(model.postulated, inst.n)
-    k, n = edge.shape[1], inst.n
+    u_values, v_values, left_cols, right_cols = _path_tables(model.postulated, inst.n)
     phi = inst.design_matrix()
     sigma_sq = model.sigma**2
-    a = n // 2
-    # pair (u, v) has log weight left[u] + right[v] + edge + resid[u].g[v], with resid = r(u) / sigma^2
+    m, a = inst.m, inst.n // 2
     resid = (inst.y - u_values @ phi[:, :a].T) / sigma_sq
     g = v_values @ phi[:, a:].T
-    left = -0.5 * inst.m * (_LOG_2PI + np.log(sigma_sq)) - 0.5 * sigma_sq * np.einsum("ij,ij->i", resid, resid)
-    right = lp_right - 0.5 * np.einsum("ij,ij->i", g, g) / sigma_sq
-    if a:
-        left += lp_left
-    rows = max(1, WEIGHT_BLOCK_ENTRIES // len(v_values))
+    left = np.hstack((resid, left_cols))
+    left[:, m] += -0.5 * m * (_LOG_2PI + np.log(sigma_sq)) - 0.5 * sigma_sq * np.einsum("ij,ij->i", resid, resid)
+    right = np.hstack((g, right_cols))
+    right[:, m + 1] -= 0.5 * np.einsum("ij,ij->i", g, g) / sigma_sq
+    rows = max(1, WEIGHT_BLOCK_ENTRIES // len(right))
     tops, sums = [], []
-    for start in range(0, len(u_values), rows):
-        block = slice(start, start + rows)
-        w = resid[block] @ g.T
-        w += right
-        w += left[block, None]
-        by_first = w.reshape(len(w), k, -1)  # v is lexicographic, so v_first selects a contiguous column run
-        by_first += edge[block, :, None]
+    for start in range(0, len(left), rows):
+        w = left[start : start + rows] @ right.T
         top = float(w.max())
-        if top > -np.inf:
-            w -= top
-            tops.append(top)
-            sums.append(float(np.exp(w, out=w).sum()))
+        w -= top
+        tops.append(top)
+        sums.append(float(np.exp(w, out=w).sum()))
     best = max(tops)
     acc = sum(s * math.exp(t - best) for t, s in zip(tops, sums))
-    return EvidenceEstimate(best + math.log(acc), {"paths": len(u_values) * len(v_values)})
+    return EvidenceEstimate(best + math.log(acc), {"paths": len(left) * len(right)})
 
 
 def gaussian_log_evidence(inst: LinearModelInstance, nu: float, sigma0_sq: float) -> EvidenceEstimate:

@@ -55,18 +55,20 @@ def brute_force_log_evidence(inst, model) -> float:
 
 
 def reference_log_evidence_discrete(inst, model, block_entries: int = 1 << 20) -> float:
-    """log Z by meet in the middle, building every table afresh on each call.
+    """log Z by meet in the middle, building every factor column afresh on each call.
 
-    ``simulator.exact_log_evidence_discrete`` as it was before its tables
-    were cached per (prior, n), with its helpers inlined: the library must
-    give the same log Z, bit for bit, with the same ``block_entries``
-    (``simulator.WEIGHT_BLOCK_ENTRIES``).
+    ``simulator.exact_log_evidence_discrete`` without its tables cached per
+    (prior, n), with its helpers inlined: pair (u, v) has log weight
+    [resid(u) | left(u) | 1 | edge(u, .)] . [g(v) | 1 | right(v) | onehot(v_first)],
+    with log 0 held as -1e300.  The library must give the same log Z, bit
+    for bit, with the same ``block_entries`` (``simulator.WEIGHT_BLOCK_ENTRIES``).
     """
     prior = model.postulated
     kern = prior.kernel
     with np.errstate(divide="ignore"):
         values, log_init, log_pi = kern.state_values(), np.log(prior.initial), np.log(kern.P)
-    k, n = len(values), inst.n
+    log_init, log_pi = np.maximum(log_init, -1e300), np.maximum(log_pi, -1e300)
+    k, n, m = len(values), inst.n, inst.m
 
     def index_paths(length):
         radix = k ** np.arange(length - 1, -1, -1, dtype=np.int64)
@@ -78,27 +80,28 @@ def reference_log_evidence_discrete(inst, model, block_entries: int = 1 << 20) -
     u, v = index_paths(a), index_paths(n - a)
     resid = (inst.y - values[u] @ phi[:, :a].T) / sigma_sq
     g = values[v] @ phi[:, a:].T
-    left = -0.5 * inst.m * (_LOG_2PI + np.log(sigma_sq)) - 0.5 * sigma_sq * np.einsum("ij,ij->i", resid, resid)
-    right = log_pi[v[:, :-1], v[:, 1:]].sum(axis=1) - 0.5 * np.einsum("ij,ij->i", g, g) / sigma_sq
+    left = np.zeros((len(u), m + 2 + k))
+    left[:, :m] = resid
     if a:
-        left += log_init[u[:, 0]] + log_pi[u[:, :-1], u[:, 1:]].sum(axis=1)
-        edge = log_pi[u[:, -1]]
+        left[:, m] = log_init[u[:, 0]] + log_pi[u[:, :-1], u[:, 1:]].sum(axis=1)
+        left[:, m + 2 :] = log_pi[u[:, -1]]
     else:
-        edge = log_init[None, :]
+        left[:, m + 2 :] = log_init
+    left[:, m] += -0.5 * m * (_LOG_2PI + np.log(sigma_sq)) - 0.5 * sigma_sq * np.einsum("ij,ij->i", resid, resid)
+    left[:, m + 1] = 1.0
+    right = np.zeros((len(v), m + 2 + k))
+    right[:, :m] = g
+    right[:, m] = 1.0
+    right[:, m + 1] = log_pi[v[:, :-1], v[:, 1:]].sum(axis=1) - 0.5 * np.einsum("ij,ij->i", g, g) / sigma_sq
+    right[np.arange(len(v)), m + 2 + v[:, 0]] = 1.0
     rows = max(1, block_entries // len(v))
     tops, sums = [], []
     for start in range(0, len(u), rows):
-        block = slice(start, start + rows)
-        w = resid[block] @ g.T
-        w += right
-        w += left[block, None]
-        by_first = w.reshape(len(w), k, -1)
-        by_first += edge[block, :, None]
+        w = left[start : start + rows] @ right.T
         top = float(w.max())
-        if top > -np.inf:
-            w -= top
-            tops.append(top)
-            sums.append(float(np.exp(w, out=w).sum()))
+        w -= top
+        tops.append(top)
+        sums.append(float(np.exp(w, out=w).sum()))
     best = max(tops)
     return best + math.log(sum(s * math.exp(t - best) for t, s in zip(tops, sums)))
 

@@ -136,6 +136,17 @@ class TestSampling:
         assert np.array_equal(path, reference_chain_path(kern, initial, n, ref_rng))
         assert rng.random() == ref_rng.random()  # same stream position afterwards
 
+    @pytest.mark.parametrize("stream", [(5,), (5, 0xA3), (0x3C,)], ids=["instance", "amp-trial", "mh"])
+    def test_stream_equals_the_keyed_philox(self, stream):
+        # Philox derives its key from the seed sequence itself, with the same counter and buffer
+        rng = simulator._rng(41, *stream)
+        keyed = np.random.Generator(
+            np.random.Philox(key=np.random.SeedSequence([41, *stream]).generate_state(2, np.uint64))
+        )
+        # the state dicts hold small uint64 arrays (counter, key, buffer), which their reprs print in full
+        assert repr(rng.bit_generator.state) == repr(keyed.bit_generator.state)
+        assert np.array_equal(rng.standard_normal(1000), keyed.standard_normal(1000))
+
     def test_json_round_trip(self):
         inst = sample_instance(BINARY_SYM, 6, 1.0, seed=5)
         back = LinearModelInstance.from_json(inst.to_json())
@@ -198,7 +209,10 @@ class TestExactEvidenceDiscrete:
 
     def test_cached_tables_are_read_only(self):
         tables = simulator._path_tables(TERNARY_ZERO.prior, 5)
-        assert tables[2] is not None and simulator._path_tables(BINARY_SYM.prior, 1)[2] is None  # no left half
+        # n = 1 has no left half: one empty path with lp_L 0 and the initial law as its boundary term
+        _, _, left, right = simulator._path_tables(BINARY_SYM.prior, 1)
+        assert left.shape == (1, 4) and right.shape == (2, 4) and left[0, 0] == 0.0
+        assert np.array_equal(left[0, 2:], np.log(BINARY_SYM.prior.initial))
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -345,6 +359,14 @@ class TestMetropolisHastings:
         mean, se, rate = replicate_chain_means(inst, BINARY_SYM, chains=16, steps=100_000, burn_in=10_000, seed=61)
         assert np.all(np.abs(brute_force_posterior_mean(inst, BINARY_SYM) - mean) <= 3 * se)
         assert 0.01 <= rate <= 0.99
+
+    @pytest.mark.parametrize("sigma", [0.6, 1.6])
+    def test_postulated_noise_matches_enumeration(self, sigma):
+        # the chains sample the posterior at noise variance sigma^2, not at the instance's unit noise
+        model = ModelSpec(prior=MarkovPrior(binary_markov_kernel(0.3, 0.3)), sigma=sigma)
+        inst = sample_instance(model, 3, 1.0, seed=73)
+        mean, se, _ = replicate_chain_means(inst, model, chains=16, steps=40_000, burn_in=4_000, seed=79)
+        assert np.all(np.abs(brute_force_posterior_mean(inst, model) - mean) <= 3 * se)
 
     def test_zero_coupling_recovers_prior_mean(self):
         inst = sample_instance(BINARY_SYM, 4, 1.0, seed=67)
